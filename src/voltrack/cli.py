@@ -1,10 +1,14 @@
 """Batch front end: config-driven runs of the three synthesis routes.
 
 Subcommands: simulate | synthesize | compare | convergence | verify.
+Each route has one builder returning a record of its optimal pair, its
+cost and the artifacts the reports read; `compare`, `verify` and
+`convergence` solve each route once and share one set of report helpers.
 Configs are JSON (nested key/value sections, matrices as row-major
 lists); outputs are tab-delimited text with one header line and 17
 significant digits, so identical configs give byte-identical files.
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (the message names the field),
+3 numerical failure (blow-up, singular solve, failed verify).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 import sys as _sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .model import (
     ControlSignal,
     InitialState,
     ReferenceSignal,
+    StateTrajectory,
     SystemSpec,
     TimeGrid,
     cost,
@@ -52,16 +58,24 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _finite(arr: np.ndarray, key: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"field '{key}': values must be finite, not NaN or Infinity")
+    return arr
+
+
 def _matrix(cfg: dict, key: str, rows: int, cols: int) -> np.ndarray:
     raw = _require(cfg, key)
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    if not isinstance(raw, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
+    ):
         raise ConfigurationError(f"field '{key}': expected a flat list of numbers")
     if len(raw) != rows * cols:
         raise ConfigurationError(
             f"field '{key}': expected {rows * cols} numbers (row-major {rows}x{cols}), "
             f"got {len(raw)}"
         )
-    return np.asarray(raw, dtype=float).reshape(rows, cols)
+    return _finite(np.asarray(raw, dtype=float).reshape(rows, cols), key)
 
 
 def _poly_values(coeffs, t: np.ndarray, key: str) -> np.ndarray:
@@ -71,6 +85,7 @@ def _poly_values(coeffs, t: np.ndarray, key: str) -> np.ndarray:
     for ch in coeffs:
         if not isinstance(ch, list):
             raise ConfigurationError(f"field '{key}': each channel needs a list")
+        _finite(np.asarray(ch, dtype=float), key)
         acc = np.zeros_like(t)
         for q, c in enumerate(ch):
             acc += float(c) * t**q
@@ -84,7 +99,7 @@ def _table_values(raw, rows: int, cols: int, key: str) -> np.ndarray:
         raise ConfigurationError(
             f"field '{key}': expected a {rows}x{cols} node table, got {arr.shape}"
         )
-    return arr
+    return _finite(arr, key)
 
 
 class Instance:
@@ -125,8 +140,10 @@ class Instance:
             for q, term in enumerate(_require(spec, "terms")):
                 G = _matrix(term, "matrix", self.d, self.d)
                 rate = float(_require(term, "rate"))
-                if rate < 0:
-                    raise ConfigurationError(f"kernel term {q}: rate must be >= 0")
+                if not 0 <= rate < math.inf:
+                    raise ConfigurationError(
+                        f"field 'kernel.terms[{q}].rate': must be a finite number >= 0"
+                    )
                 terms.append((G, rate))
             return exponential_kernel(self.grid, terms)
         if kind == "table":
@@ -155,7 +172,7 @@ class Instance:
         k = int(spec.get("tau_index", 0))
         if not 0 <= k < self.grid.steps:
             raise ConfigurationError("initial_state.tau_index must lie inside the grid")
-        head = np.asarray(_require(spec, "head"), dtype=float)
+        head = _finite(np.asarray(_require(spec, "head"), dtype=float), "initial_state.head")
         if head.shape != (self.d,):
             raise ConfigurationError(f"initial_state.head must have {self.d} entries")
         tail_spec = spec.get("tail")
@@ -241,25 +258,25 @@ def _write_control(path: Path, inst: Instance, u: ControlSignal) -> None:
 
 
 def _write_long_field(path: Path, nodes, field: np.ndarray, name: str) -> None:
-    """Lower-triangular field in long format: s, tau, indices, value."""
-    if field.ndim == 3:  # vector field (s, tau, i)
-        header = ["s", "tau", "i", name]
-        rows = []
-        for j in range(field.shape[1]):
-            for i in range(j + 1):
-                for a in range(field.shape[2]):
-                    rows.append((nodes[i], nodes[j], float(a + 1), field[i, j, a]))
-    else:  # matrix field (s, tau, i, j)
-        header = ["s", "tau", "i", "j", name]
-        rows = []
-        for j in range(field.shape[1]):
-            for i in range(j + 1):
-                for a in range(field.shape[2]):
-                    for b in range(field.shape[3]):
-                        rows.append(
-                            (nodes[i], nodes[j], float(a + 1), float(b + 1), field[i, j, a, b])
-                        )
-    _write_rows(path, header, rows)
+    """Lower-triangular field in long format: s, tau, indices, value.
+
+    Rows run over tau, then s <= tau, then the entry indices (row-major);
+    ``field[i, j]`` is the entry array at (s_i, tau_j).
+    """
+    jj, ii = np.tril_indices(field.shape[1])
+    entry = field.shape[2:]
+    values = field[ii, jj].reshape(ii.size, -1)
+    indices = np.indices(entry).reshape(len(entry), -1).T + 1.0
+    count = values.shape[1]
+    rows = np.column_stack(
+        [
+            np.repeat(nodes[ii], count),
+            np.repeat(nodes[jj], count),
+            np.tile(indices, (ii.size, 1)),
+            values.reshape(-1),
+        ]
+    )
+    _write_rows(path, ["s", "tau", "i", "j"][: 2 + len(entry)] + [name], rows)
 
 
 def _check_finite(arr: np.ndarray, limit: float, what: str) -> None:
@@ -272,46 +289,94 @@ def _check_finite(arr: np.ndarray, limit: float, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _record(inst: Instance, u: ControlSignal, w: StateTrajectory, **artifacts):
+    """One route's optimal pair (u, w), its cost J, and the artifacts reports read."""
+    J = cost(inst.sys, inst.grid, w, u, inst.reference)
+    return SimpleNamespace(u=u, w=w, J=J, **artifacts)
+
+
 def _route_fredholm(inst: Instance):
     Z = fundamental_matrix(inst.sys, inst.grid)
-    k = inst.state.tau_index
-    kernel = fredholm.build_kernel(inst.sys, Z, inst.grid, k)
+    kernel = fredholm.build_kernel(inst.sys, Z, inst.grid, inst.state.tau_index)
     forcing = fredholm.build_forcing(inst.sys, Z, inst.grid, inst.state, inst.reference)
     p = fredholm.solve_fredholm(kernel, forcing, inst.grid)
     u = fredholm.optimal_control_fredholm(p, inst.sys.B)
     # report the plant response to the synthesized control so costs are
     # comparable across routes on the shared integrator
     w = simulate(inst.sys, inst.grid, inst.state, u)
-    return u, w, cost(inst.sys, inst.grid, w, u, inst.reference)
+    return _record(inst, u, w, Z=Z, kernel=kernel, forcing=forcing, p=p)
 
 
-def _route_riccati(inst: Instance, fields: dict | None = None):
+def _route_riccati(inst: Instance):
     ric = riccati.solve_riccati(
         inst.sys, inst.grid, inst.checkpoint_every, blowup_limit=inst.blowup
     )
     trk = riccati.solve_tracking(inst.sys, inst.grid, ric, inst.reference)
     u, w = riccati.closed_loop(inst.sys, inst.grid, ric, trk, inst.state)
-    if fields is not None:
-        fields["ric"] = ric
-        fields["trk"] = trk
-    return u, w, cost(inst.sys, inst.grid, w, u, inst.reference)
+    return _record(inst, u, w, ric=ric, trk=trk)
 
 
 def _route_oracle(inst: Instance):
     dmap = qp.build_affine_map(inst.sys, inst.grid, inst.state)
     u = qp.solve_qp(dmap, inst.reference)
     w = simulate(inst.sys, inst.grid, inst.state, u)
-    return u, w, cost(inst.sys, inst.grid, w, u, inst.reference)
+    return _record(inst, u, w, dmap=dmap)
 
 
 _ROUTES = {"fredholm": _route_fredholm, "riccati": _route_riccati, "oracle": _route_oracle}
 
 
-def _rel_l2(grid: TimeGrid, k: int, a: np.ndarray, b: np.ndarray) -> float:
-    w = grid.weights(k)
-    num = math.sqrt(float(w @ ((a - b) ** 2).sum(axis=1)))
-    den = math.sqrt(float(w @ (b**2).sum(axis=1)))
-    return num / den if den > 0 else num
+def _solve_routes(inst: Instance) -> dict:
+    """All three route records, for the commands that cross-check them."""
+    if inst.state.tau_index > inst.grid.steps - 2:  # the DI stencil needs 3 nodes in [tau, T]
+        raise ConfigurationError(
+            "initial_state.tau_index must be at most steps-2 for compare and verify"
+        )
+    return {name: build(inst) for name, build in _ROUTES.items()}
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+
+def _discrepancies(inst: Instance, controls: dict) -> list[tuple[str, float]]:
+    """Relative L2 distance between the controls of each pair of routes."""
+    w = inst.grid.weights(inst.state.tau_index)
+    out = []
+    for a, b in (("fredholm", "riccati"), ("fredholm", "oracle"), ("riccati", "oracle")):
+        ua, ub = controls[a].values, controls[b].values
+        num = math.sqrt(float(w @ ((ua - ub) ** 2).sum(axis=1)))
+        den = math.sqrt(float(w @ (ub**2).sum(axis=1)))
+        out.append((f"{a}_{b}", num / den if den > 0 else num))
+    return out
+
+
+def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
+    """Largest entry at T of every field whose final condition is exactly zero."""
+    ric, trk, kt = ricc.ric, ricc.trk, fred.kernel.ktilde
+    return [
+        ("P0(T) = 0", float(np.abs(ric.p0[-1]).max())),
+        ("P1(.,T) = 0", float(np.abs(ric.p1[:, -1]).max())),
+        ("d1(T) = 0", float(np.abs(trk.d1[-1]).max())),
+        ("d2(.,T) = 0", float(np.abs(trk.d2[:, -1]).max())),
+        ("M(T) = 0", abs(float(trk.m[-1]))),
+        ("p(T) = 0", float(np.abs(fred.p.values[-1]).max())),
+        ("K(T,.) = 0", float(np.abs(kt[-1]).max())),
+        ("K(.,T) = 0", float(np.abs(kt[:, -1]).max())),
+        ("R(T,.) = 0", float(np.abs(res.values[-1]).max())),
+        ("R(.,T) = 0", float(np.abs(res.values[:, -1]).max())),
+    ]
+
+
+def _value_gap(inst: Instance, ricc) -> tuple[float, float]:
+    """Value function at the initial state and its relative gap to the Riccati cost."""
+    W = riccati.value_function(ricc.ric, ricc.trk, inst.state.tau_index, inst.state)
+    return W, abs(W - ricc.J) / (1.0 + abs(W))
+
+
+def _di_report(inst: Instance, ricc, w: StateTrajectory, u: ControlSignal):
+    return riccati.di_residual(inst.sys, inst.grid, ricc.ric, ricc.trk, w, u, inst.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +395,13 @@ def run_simulate(inst: Instance, outdir: Path) -> int:
 def run_synthesize(inst: Instance, outdir: Path, route: str) -> int:
     if route not in _ROUTES:
         raise ConfigurationError(f"route '{route}' is not one of fredholm|riccati|oracle")
-    fields: dict = {}
+    rec = _ROUTES[route](inst)
+    _check_finite(rec.w.values, inst.blowup, "trajectory")
+    _write_control(outdir / "control.tsv", inst, rec.u)
+    _write_trajectory(outdir / "trajectory.tsv", inst, rec.w, rec.u)
+    (outdir / "cost.txt").write_text((_FMT % rec.J) + "\n")
     if route == "riccati":
-        u, w, J = _route_riccati(inst, fields)
-    else:
-        u, w, J = _ROUTES[route](inst)
-    _check_finite(w.values, inst.blowup, "trajectory")
-    _write_control(outdir / "control.tsv", inst, u)
-    _write_trajectory(outdir / "trajectory.tsv", inst, w, u)
-    (outdir / "cost.txt").write_text((_FMT % J) + "\n")
-    if route == "riccati":
-        ric, trk = fields["ric"], fields["trk"]
+        ric, trk = rec.ric, rec.trk
         nodes = inst.grid.nodes
         d = inst.d
         header = ["t"] + [f"p0_{a+1}{b+1}" for a in range(d) for b in range(d)]
@@ -359,53 +420,23 @@ def run_synthesize(inst: Instance, outdir: Path, route: str) -> int:
 
 
 def run_compare(inst: Instance, outdir: Path) -> int:
-    fields: dict = {}
-    uF, wF, jF = _route_fredholm(inst)
-    uR, wR, jR = _route_riccati(inst, fields)
-    uO, wO, jO = _route_oracle(inst)
-    ric, trk = fields["ric"], fields["trk"]
-    k = inst.state.tau_index
-    grid = inst.grid
-    W = riccati.value_function(ric, trk, k, inst.state)
-    report = riccati.di_residual(inst.sys, grid, ric, trk, wR, uR, inst.reference)
-    Z = fundamental_matrix(inst.sys, grid)
-    kernel = fredholm.build_kernel(inst.sys, Z, grid, k)
-    forcing = fredholm.build_forcing(inst.sys, Z, grid, inst.state, inst.reference)
-    p = fredholm.solve_fredholm(kernel, forcing, grid)
-    res = fredholm.resolvent(kernel, grid)
-    checks = [
-        ("P0(T) = 0", float(np.abs(ric.p0[-1]).max())),
-        ("P1(.,T) = 0", float(np.abs(ric.p1[:, -1]).max())),
-        ("d1(T) = 0", float(np.abs(trk.d1[-1]).max())),
-        ("d2(.,T) = 0", float(np.abs(trk.d2[:, -1]).max())),
-        ("M(T) = 0", abs(float(trk.m[-1]))),
-        ("p(T) = 0", float(np.abs(p.values[-1]).max())),
-        ("K(T,.) = 0", float(np.abs(kernel.ktilde[-1]).max())),
-        ("K(.,T) = 0", float(np.abs(kernel.ktilde[:, -1]).max())),
-        ("R(T,.) = 0", float(np.abs(res.values[-1]).max())),
-        ("R(.,T) = 0", float(np.abs(res.values[:, -1]).max())),
-    ]
+    recs = _solve_routes(inst)
+    fred, ricc = recs["fredholm"], recs["riccati"]
+    W, gap = _value_gap(inst, ricc)
+    report = _di_report(inst, ricc, ricc.w, ricc.u)
+    res = fredholm.resolvent(fred.kernel, inst.grid)
     lines = ["tracking synthesis comparison report", ""]
-    lines.append("cost_fredholm\t" + _FMT % jF)
-    lines.append("cost_riccati\t" + _FMT % jR)
-    lines.append("cost_oracle\t" + _FMT % jO)
+    lines += [f"cost_{name}\t" + _FMT % rec.J for name, rec in recs.items()]
     lines.append("value_function\t" + _FMT % W)
-    lines.append(
-        "value_vs_cost_rel\t" + _FMT % (abs(W - jR) / (1.0 + abs(W)))
-    )
-    lines.append(
-        "discrepancy_fredholm_riccati\t" + _FMT % _rel_l2(grid, k, uF.values, uR.values)
-    )
-    lines.append(
-        "discrepancy_fredholm_oracle\t" + _FMT % _rel_l2(grid, k, uF.values, uO.values)
-    )
-    lines.append(
-        "discrepancy_riccati_oracle\t" + _FMT % _rel_l2(grid, k, uR.values, uO.values)
-    )
+    lines.append("value_vs_cost_rel\t" + _FMT % gap)
+    controls = {name: rec.u for name, rec in recs.items()}
+    lines += [
+        f"discrepancy_{pair}\t" + _FMT % val for pair, val in _discrepancies(inst, controls)
+    ]
     lines.append("di_slack_min\t" + _FMT % report.min_slack)
     lines.append("di_slack_max\t" + _FMT % report.max_slack)
     lines.append("")
-    for name, val in checks:
+    for name, val in _final_conditions(fred, ricc, res):
         status = "pass" if val == 0.0 else "FAIL"
         lines.append(f"check\t{name}\t{status}\t" + _FMT % val)
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
@@ -416,32 +447,24 @@ def run_convergence(inst_cfg: dict, outdir: Path, grids: list[int], checkpoint) 
     if len(grids) < 2:
         raise ConfigurationError("convergence needs at least two grid sizes")
     rows = []
-    errs_three, errs_voc = [], []
     for n in grids:
         inst = Instance(inst_cfg, n, checkpoint)
-        uF, _, _ = _route_fredholm(inst)
-        uR, _, _ = _route_riccati(inst)
-        uO, _, _ = _route_oracle(inst)
-        k = inst.state.tau_index
-        three = max(
-            _rel_l2(inst.grid, k, uF.values, uR.values),
-            _rel_l2(inst.grid, k, uF.values, uO.values),
-            _rel_l2(inst.grid, k, uR.values, uO.values),
-        )
-        Z = fundamental_matrix(inst.sys, inst.grid)
+        fred = _route_fredholm(inst)
+        Z, controls = fred.Z, {"fredholm": fred.u}
+        del fred  # only Z and the controls outlive each route
+        controls["riccati"] = _route_riccati(inst).u
+        controls["oracle"] = _route_oracle(inst).u
+        three = max(val for _, val in _discrepancies(inst, controls))
         u = inst.control()
         ws = simulate(inst.sys, inst.grid, inst.state, u)
         wv = voc_solution(inst.sys, inst.grid, Z, inst.state, u)
         voc_err = float(np.abs(ws.values - wv.values).max())
-        errs_three.append(three)
-        errs_voc.append(voc_err)
         rows.append([float(n), inst.grid.h, three, math.nan, voc_err, math.nan])
     for q in range(1, len(grids)):
         ratio = math.log(grids[q] / grids[q - 1])
-        if errs_three[q] > 0:
-            rows[q][3] = math.log(errs_three[q - 1] / errs_three[q]) / ratio
-        if errs_voc[q] > 0:
-            rows[q][5] = math.log(errs_voc[q - 1] / errs_voc[q]) / ratio
+        for col in (2, 4):  # observed order of each error column, written next to it
+            if rows[q][col] > 0:
+                rows[q][col + 1] = math.log(rows[q - 1][col] / rows[q][col]) / ratio
     _write_rows(
         outdir / "convergence.tsv",
         ["n", "h", "err_threeway", "order_threeway", "err_sim_voc", "order_sim_voc"],
@@ -457,38 +480,13 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         results.append((name, value <= tol, value))
 
     grid, sysm, k = inst.grid, inst.sys, inst.state.tau_index
-    h = grid.h
-    Z = fundamental_matrix(sysm, grid)
-    kernel = fredholm.build_kernel(sysm, Z, grid, k)
-    forcing = fredholm.build_forcing(sysm, Z, grid, inst.state, inst.reference)
-    p = fredholm.solve_fredholm(kernel, forcing, grid)
-    uF = fredholm.optimal_control_fredholm(p, sysm.B)
+    recs = _solve_routes(inst)
+    fred, ricc, orac = recs["fredholm"], recs["riccati"], recs["oracle"]
+    ric, trk, kernel = ricc.ric, ricc.trk, fred.kernel
+    uF, uR, wR = fred.u, ricc.u, ricc.w
     res = fredholm.resolvent(kernel, grid)
-    kern = fredholm.synthesis_kernels(sysm, Z, res, grid)
-    uQH, _ = fredholm.apply_synthesis(kern, inst.state, inst.reference)
-    ric = riccati.solve_riccati(sysm, grid, inst.checkpoint_every, blowup_limit=inst.blowup)
-    trk = riccati.solve_tracking(sysm, grid, ric, inst.reference)
-    uR, wR = riccati.closed_loop(sysm, grid, ric, trk, inst.state)
-    dmap = qp.build_affine_map(sysm, grid, inst.state)
-    uO = qp.solve_qp(dmap, inst.reference)
-    wO = simulate(sysm, grid, inst.state, uO)
-    jR = cost(sysm, grid, wR, uR, inst.reference)
-    jO = cost(sysm, grid, wO, uO, inst.reference)
-    jF = cost(sysm, grid, simulate(sysm, grid, inst.state, uF), uF, inst.reference)
 
-    final_max = max(
-        float(np.abs(ric.p0[-1]).max()),
-        float(np.abs(ric.p1[:, -1]).max()),
-        float(np.abs(trk.d1[-1]).max()),
-        float(np.abs(trk.d2[:, -1]).max()),
-        abs(float(trk.m[-1])),
-        float(np.abs(p.values[-1]).max()),
-        float(np.abs(kernel.ktilde[-1]).max()),
-        float(np.abs(kernel.ktilde[:, -1]).max()),
-        float(np.abs(res.values[-1]).max()),
-        float(np.abs(res.values[:, -1]).max()),
-    )
-    check("final_conditions_zero", final_max, 0.0)
+    check("final_conditions_zero", max(v for _, v in _final_conditions(fred, ricc, res)), 0.0)
     check(
         "kernel_symmetry",
         float(np.abs(kernel.ktilde - np.transpose(kernel.ktilde, (1, 0, 3, 2))).max()),
@@ -496,32 +494,33 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     )
     sym = max(float(np.abs(ric.p0[j] - ric.p0[j].T).max()) for j in range(grid.steps + 1))
     check("p0_symmetry", sym, 1e-12)
+    kern = fredholm.synthesis_kernels(sysm, fred.Z, res, grid)
+    uQH, _ = fredholm.apply_synthesis(kern, inst.state, inst.reference)
     den = max(float(np.abs(uF.values).max()), 1e-30)
     check("qh_route_matches_costate", float(np.abs(uQH.values - uF.values).max()) / den, 1e-8)
-    three = max(
-        _rel_l2(grid, k, uF.values, uR.values),
-        _rel_l2(grid, k, uF.values, uO.values),
-        _rel_l2(grid, k, uR.values, uO.values),
+    controls = {name: rec.u for name, rec in recs.items()}
+    check(
+        "threeway_agreement",
+        max(v for _, v in _discrepancies(inst, controls)),
+        inst.threeway_tol,
     )
-    check("threeway_agreement", three, inst.threeway_tol)
-    W = riccati.value_function(ric, trk, k, inst.state)
-    check("value_vs_cost", abs(W - jR) / (1.0 + abs(W)), 1e-2)
+    check("value_vs_cost", _value_gap(inst, ricc)[1], 1e-2)
+    jO = orac.J
     check(
         "qp_gradient",
-        qp.gradient_check(dmap, inst.reference, uO, 1e-5),
+        qp.gradient_check(orac.dmap, inst.reference, orac.u, 1e-5),
         1e-6 * (1.0 + abs(jO)),
     )
-    check("qp_discrete_optimality", max(jO - jF, jO - jR), 1e-12 * (1.0 + abs(jO)))
-    rep = riccati.di_residual(inst.sys, grid, ric, trk, wR, uR, inst.reference)
-    check("di_optimal_slack", max(rep.max_slack, -rep.min_slack), 5.0 * h)
+    check("qp_discrete_optimality", max(jO - fred.J, jO - ricc.J), 1e-12 * (1.0 + abs(jO)))
+    rep = _di_report(inst, ricc, wR, uR)
+    check("di_optimal_slack", max(rep.max_slack, -rep.min_slack), 5.0 * grid.h)
     rng = np.random.default_rng(20260810)
     worst = 0.0
     for _ in range(10):
         du = 0.5 * rng.standard_normal(uR.values.shape)
         up = ControlSignal(k, uR.values + du)
         wp = simulate(sysm, grid, inst.state, up)
-        repp = riccati.di_residual(inst.sys, grid, ric, trk, wp, up, inst.reference)
-        worst = max(worst, -repp.min_slack)
+        worst = max(worst, -_di_report(inst, ricc, wp, up).min_slack)
     check("di_perturbed_direction", worst, 1e-8)
     mid = (k + grid.steps) // 2
     u2, _ = riccati.closed_loop(sysm, grid, ric, trk, extend_state(wR, mid))
@@ -530,15 +529,10 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         float(np.abs(u2.values - uR.values[mid - k :]).max()),
         1e-8,
     )
-    base = None
-    worst_ratio = 0.0
-    for kk in range(k, grid.steps):
-        rk = fredholm.resolvent(kernel.restrict(kk), grid)
-        nrm = rk.max_norm
-        if base is None:
-            base = max(nrm, 1e-30)
-        worst_ratio = max(worst_ratio, nrm / base)
-    check("resolvent_uniform_bound", worst_ratio, 2.0)
+    norms = [
+        fredholm.resolvent(kernel.restrict(kk), grid).max_norm for kk in range(k, grid.steps)
+    ]
+    check("resolvent_uniform_bound", max(norms) / max(norms[0], 1e-30), 2.0)
 
     lines = []
     ok = True
@@ -602,12 +596,13 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return run_compare(inst, outdir)
         return run_verify(inst, outdir)
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (BlowUpError, SingularSystemError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=_sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-    except (BlowUpError, SingularSystemError) as exc:
-        print(f"numerical failure: {exc}", file=_sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

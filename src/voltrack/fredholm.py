@@ -36,6 +36,7 @@ from .model import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    _node_derivative,
     trapezoid_weights,
     voc_solution,
 )
@@ -104,10 +105,14 @@ class CostateTrajectory:
 
 @dataclass(frozen=True)
 class ResolventKernel:
-    """Resolvent samples R(t_i, r_j; tau) on [tau, T]^2 node pairs."""
+    """Resolvent samples R(t_i, r_j; tau) on [tau, T]^2 node pairs.
+
+    ``kernel`` is the tracking kernel the resolvent was solved from.
+    """
 
     start_index: int
     values: np.ndarray = field(repr=False)
+    kernel: TrackingKernel = field(repr=False)
 
     @property
     def max_norm(self) -> float:
@@ -243,7 +248,7 @@ def resolvent(kernel: TrackingKernel, grid: TimeGrid) -> ResolventKernel:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SingularSystemError(f"Nystrom system is singular: {exc}") from exc
     values = sol.reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
-    return ResolventKernel(kernel.start_index, values)
+    return ResolventKernel(kernel.start_index, values, kernel)
 
 
 def optimal_control_fredholm(p: CostateTrajectory, B: np.ndarray) -> ControlSignal:
@@ -286,7 +291,9 @@ def synthesis_kernels(
     The costate splits as p = Q0 head + int Q1 tail + int Q2 y and the
     optimal trajectory as w = H0 head + int H1 tail + int H2 y; all six
     maps are built from the resolvent with the shared trapezoid weights,
-    so applying them reproduces the Nystrom solve to round-off.
+    so applying them reproduces the Nystrom solve to round-off.  Ktilde
+    is read from the tracking kernel ``R`` was solved from, which must
+    have been built from ``sys`` and ``Z``.
     """
     k = R.start_index if start_index is None else start_index
     if k != R.start_index:
@@ -298,8 +305,7 @@ def synthesis_kernels(
     Rv = R.values
     w = grid.weights(k)
     bbt = sys.B @ sys.B.T
-
-    ktilde = build_kernel(sys, Z, grid, k).ktilde
+    ktilde = R.kernel.ktilde
     rw = Rv * w[None, :, None, None]
 
     # costate maps
@@ -324,9 +330,7 @@ def synthesis_kernels(
     zt2 = np.zeros((nk, nk, d, d))
     for i in range(nk):
         zt2[i, : i + 1] = np.transpose(Zv[i::-1], (0, 2, 1))
-    lowW = np.zeros((nk, nk))
-    for i in range(1, nk):
-        lowW[i, : i + 1] = trapezoid_weights(i + 1, h)
+    lowW = rowW[::-1, ::-1]  # weights on [t_0, t_i]; trapezoid weights are symmetric
     prop = np.einsum("iq,iqab,bc->iqac", lowW, zt2, bbt, optimize=True)
     h0 = np.transpose(Zv[:nk], (0, 2, 1)) - np.einsum(
         "iqab,qbc->iac", prop, q0, optimize=True
@@ -379,12 +383,7 @@ def costate_residual(
     k, n, h = p.start_index, grid.steps, grid.h
     pv = p.values
     nk = n - k + 1
-    if nk < 3:
-        raise ConfigurationError("need at least three nodes for the residual stencil")
-    dp = np.empty_like(pv)
-    dp[1:-1] = (pv[2:] - pv[:-2]) / (2.0 * h)
-    dp[0] = (-3.0 * pv[0] + 4.0 * pv[1] - pv[2]) / (2.0 * h)
-    dp[-1] = (3.0 * pv[-1] - 4.0 * pv[-2] + pv[-3]) / (2.0 * h)
+    dp = _node_derivative(pv, h)
     res = 0.0
     outer = (wplus.values[k:] @ sys.C.T - y.values[k:]) @ sys.C
     for il in range(nk):

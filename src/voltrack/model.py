@@ -14,12 +14,13 @@ with weight h/2 (a small d x d solve per step, second order in h).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularSystemError
 
 __all__ = [
     "TimeGrid",
@@ -291,9 +292,32 @@ def _check_control(xi: InitialState, u: ControlSignal, grid: TimeGrid, m: int) -
 
 
 def _step_matrix_lu(A: np.ndarray, N0: np.ndarray, h: float):
-    """LU factors of I - h/2 A - h^2/4 N0, the implicit step matrix."""
+    """LU factors of I - h/2 A - h^2/4 N0, the implicit step matrix.
+
+    scipy only warns on an exactly zero pivot; that is raised here as
+    :class:`SingularSystemError` before it can turn into NaNs downstream.
+    """
     d = A.shape[0]
-    return lu_factor(np.eye(d) - 0.5 * h * A - 0.25 * h * h * N0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            return lu_factor(np.eye(d) - 0.5 * h * A - 0.25 * h * h * N0)
+        except LinAlgWarning as exc:
+            raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
+
+
+def _node_derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """Second-order d/dt of node samples along axis 0.
+
+    Centred differences inside, one-sided 3-point stencils at both ends.
+    """
+    if v.shape[0] < 3:
+        raise ConfigurationError("the derivative stencil needs at least three nodes")
+    dv = np.empty_like(v)
+    dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    dv[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    dv[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return dv
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .model import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    _node_derivative,
     _tail_forcing,
     trapezoid_weights,
 )
@@ -252,26 +253,26 @@ def solve_tracking(
     d2 = np.zeros((n + 1, n + 1, d))
     m = np.zeros(n + 1)
 
+    def g1(q, vec, d2_diag):  # d1 source at tau_q
+        return (A.T - ric.p0[q] @ bbt) @ vec + d2_diag - cy[q]
+
+    def g2(q, vec, size):  # d2 source at tau_q, rows s_0..s_{size-1}
+        return np.einsum("iba,b->ia", N[q::-1][:size], vec) - np.einsum(
+            "iba,bc,c->ia", ric.p1[:size, q], bbt, vec, optimize=True
+        )
+
     def mdot(vec, j):
         bd = sys.B.T @ vec
         return float(bd @ bd - yv[j] @ yv[j])
 
     for j in range(n - 1, -1, -1):
         d1c = d1[j + 1]
-        g1c = (A.T - ric.p0[j + 1] @ bbt) @ d1c + d2[j + 1, j + 1] - cy[j + 1]
-        nrev_c = N[j + 1 : 0 : -1][: j + 1]
-        g2c = np.einsum("iba,b->ia", nrev_c, d1c) - np.einsum(
-            "iba,bc,c->ia", ric.p1[: j + 1, j + 1], bbt, d1c, optimize=True
-        )
+        g1c = g1(j + 1, d1c, d2[j + 1, j + 1])
+        g2c = g2(j + 1, d1c, j + 1)
         d1p = d1c + h * g1c
-        d2p_diag = d2[j, j + 1] + h * g2c[j]
-        g1p = (A.T - ric.p0[j] @ bbt) @ d1p + d2p_diag - cy[j]
+        g1p = g1(j, d1p, d2[j, j + 1] + h * g2c[j])
         d1[j] = d1c + 0.5 * h * (g1c + g1p)
-        nrev_n = N[j::-1][: j + 1]
-        g2f = np.einsum("iba,b->ia", nrev_n, d1[j]) - np.einsum(
-            "iba,bc,c->ia", ric.p1[: j + 1, j], bbt, d1[j], optimize=True
-        )
-        d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (g2c + g2f)
+        d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (g2c + g2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
     return TrackingField(grid, d1, d2, m)
 
@@ -345,6 +346,24 @@ def closed_loop(
     return ControlSignal(k, u), StateTrajectory(k, w)
 
 
+def _value_form(
+    ric: RiccatiField, trk: TrackingField, j: int, head: np.ndarray, tail: np.ndarray, S
+) -> float:
+    """The quadratic value form at node j for the state (head, tail) and P2 slice S."""
+    wt = trapezoid_weights(j + 1, ric.grid.h)
+    p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
+    quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, S, tail, wt, optimize=True)
+    d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: j + 1, j])
+    return (
+        head @ (ric.p0[j] @ head)
+        + 2.0 * head @ p1_tail
+        + quad2
+        + 2.0 * head @ trk.d1[j]
+        + 2.0 * d2_tail
+        + trk.m[j]
+    )
+
+
 def value_function(
     ric: RiccatiField, trk: TrackingField, tau_index: int, omega: InitialState
 ) -> float:
@@ -352,20 +371,7 @@ def value_function(
     if omega.tau_index != tau_index:
         raise ConfigurationError("state node differs from the requested node")
     k = tau_index
-    wt = trapezoid_weights(k + 1, ric.grid.h)
-    head, tail = omega.head, omega.tail
-    S = ric.p2_slice(k)
-    p1_tail = np.einsum("iab,ib,i->a", ric.p1[: k + 1, k], tail, wt)
-    quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, S, tail, wt, optimize=True)
-    d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: k + 1, k])
-    return float(
-        head @ (ric.p0[k] @ head)
-        + 2.0 * head @ p1_tail
-        + quad2
-        + 2.0 * head @ trk.d1[k]
-        + 2.0 * d2_tail
-        + trk.m[k]
-    )
+    return float(_value_form(ric, trk, k, omega.head, omega.tail, ric.p2_slice(k)))
 
 
 def di_residual(
@@ -391,23 +397,6 @@ def di_residual(
     run[1:] = np.cumsum(0.5 * h * (g[:-1] + g[1:]))
     vals = np.zeros(nk)
     for j, S in ric.iter_p2_slices(n, k):
-        wt = trapezoid_weights(j + 1, h)
-        head = w.values[j]
-        tail = w.values[: j + 1]
-        p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
-        quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, S, tail, wt, optimize=True)
-        d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: j + 1, j])
-        vals[j - k] = (
-            head @ (ric.p0[j] @ head)
-            + 2.0 * head @ p1_tail
-            + quad2
-            + 2.0 * head @ trk.d1[j]
-            + 2.0 * d2_tail
-            + trk.m[j]
-        )
+        vals[j - k] = _value_form(ric, trk, j, w.values[j], w.values[: j + 1], S)
     slack = run + vals - vals[0]
-    dv = np.empty(nk)
-    dv[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    dv[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    dv[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return DIReport(k, slack, g + dv)
+    return DIReport(k, slack, g + _node_derivative(vals, h))

@@ -25,7 +25,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, MissingCheckpointError
-from .model import ReferenceSignal, SystemSpec, TimeGrid, trapezoid_weights
+from .model import (
+    ReferenceSignal,
+    SystemSpec,
+    TimeGrid,
+    _node_derivative,
+    trapezoid_weights,
+)
 from .riccati import RiccatiField, TrackingField
 
 __all__ = [
@@ -84,16 +90,9 @@ def make_domain_element(
 def state_operator(sys: SystemSpec, grid: TimeGrid, elem: StateElement) -> StateElement:
     """Action of the transport generator: memory-coupled head, -D_s tail."""
     k, h = elem.tau_index, grid.h
-    if k < 2:
-        raise ConfigurationError("age-derivative stencils need tau_index >= 2")
     wt = trapezoid_weights(k + 1, h)
     head = sys.A @ elem.head + np.einsum("iab,ib,i->a", sys.N[: k + 1], elem.tail, wt)
-    t = elem.tail
-    dt = np.empty_like(t)
-    dt[1:-1] = (t[2:] - t[:-2]) / (2.0 * h)
-    dt[0] = (-3.0 * t[0] + 4.0 * t[1] - t[2]) / (2.0 * h)
-    dt[-1] = (3.0 * t[-1] - 4.0 * t[-2] + t[-3]) / (2.0 * h)
-    return StateElement(k, head, -dt)
+    return StateElement(k, head, -_node_derivative(elem.tail, h))
 
 
 def input_operator(sys: SystemSpec, tau_index: int, u: np.ndarray) -> StateElement:
@@ -145,18 +144,21 @@ def state_inner(grid: TimeGrid, a: StateElement, b: StateElement) -> float:
     return float(a.head @ b.head + np.einsum("i,ia,ia->", wt, a.tail, b.tail))
 
 
-def _checkpoint_neighbors(ric: RiccatiField, j: int) -> tuple[int | None, int | None]:
+def _tau_derivative(ric: RiccatiField, j: int, f: Callable[[int], float]) -> float:
+    """Finite difference of f(node) across the checkpoints next to node j.
+
+    Central when checkpoints lie on both sides, one-sided at the ends.
+    """
     if j not in ric.checkpoints:
         raise MissingCheckpointError(
             f"node {j} is not checkpointed; solve with a matching checkpoint spacing"
         )
     keys = sorted(ric.checkpoints)
     pos = keys.index(j)
-    prev = keys[pos - 1] if pos > 0 else None
-    nxt = keys[pos + 1] if pos + 1 < len(keys) else None
-    if prev is None and nxt is None:
+    lo, hi = keys[max(pos - 1, 0)], keys[min(pos + 1, len(keys) - 1)]
+    if lo == hi:
         raise MissingCheckpointError("no neighboring checkpoint for the tau-derivative")
-    return prev, nxt
+    return (f(hi) - f(lo)) / (ric.grid.nodes[hi] - ric.grid.nodes[lo])
 
 
 def _resample(elem: StateElement, j: int, grid: TimeGrid) -> StateElement:
@@ -183,19 +185,13 @@ def riccati_operator_residual(
     """
     grid = ric.grid
     j = tau_index
-    prev, nxt = _checkpoint_neighbors(ric, j)
 
     def quad(c: int) -> float:
         om = _resample(omega, c, grid)
         xc = _resample(xi, c, grid)
         return state_inner(grid, om, riccati_operator(ric, c, xc))
 
-    if prev is not None and nxt is not None:
-        dterm = (quad(nxt) - quad(prev)) / (grid.nodes[nxt] - grid.nodes[prev])
-    elif nxt is not None:
-        dterm = (quad(nxt) - quad(j)) / (grid.nodes[nxt] - grid.nodes[j])
-    else:
-        dterm = (quad(j) - quad(prev)) / (grid.nodes[j] - grid.nodes[prev])
+    dterm = _tau_derivative(ric, j, quad)
 
     om = _resample(omega, j, grid)
     xc = _resample(xi, j, grid)
@@ -229,17 +225,11 @@ def tracking_operator_residual(
     """
     grid = ric.grid
     j = tau_index
-    prev, nxt = _checkpoint_neighbors(ric, j)
 
     def pair(c: int) -> float:
         return state_inner(grid, tracking_element(trk, c), _resample(xi, c, grid))
 
-    if prev is not None and nxt is not None:
-        dterm = (pair(nxt) - pair(prev)) / (grid.nodes[nxt] - grid.nodes[prev])
-    elif nxt is not None:
-        dterm = (pair(nxt) - pair(j)) / (grid.nodes[nxt] - grid.nodes[j])
-    else:
-        dterm = (pair(j) - pair(prev)) / (grid.nodes[j] - grid.nodes[prev])
+    dterm = _tau_derivative(ric, j, pair)
 
     xc = _resample(xi, j, grid)
     dj = tracking_element(trk, j)

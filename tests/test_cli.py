@@ -2,8 +2,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from voltrack.cli import main
+from voltrack import solve_riccati, solve_tracking
+from voltrack.cli import Instance, main
 
 
 def write_config(path, **overrides):
@@ -84,6 +86,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "field 'A'" in err and "4" in err
 
+    @pytest.mark.parametrize("bad", [math.nan, True])
+    def test_non_finite_or_boolean_matrix_entry_exits_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, A=[bad])
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "field 'A'" in capsys.readouterr().err
+
+    def test_singular_step_matrix_exits_3(self, tmp_path, capsys):
+        # h = 1/2 and A = 4 I make the implicit step matrix I - h/2 A exactly zero
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            dims={"d": 2, "m": 1, "p": 1},
+            steps=2,
+            A=[4.0, 0.0, 0.0, 4.0],
+            B=[0.0, 1.0],
+            C=[1.0, 0.0],
+            initial_state={"tau_index": 0, "head": [1.0, 0.0]},
+        )
+        for argv in (["simulate"], ["synthesize", "--route", "riccati"]):
+            assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 3
+            assert "numerical failure" in capsys.readouterr().err
+
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{broken")
@@ -129,6 +154,29 @@ class TestSynthesize:
         # long-format P1 field exists with (s, tau, i, j, value) rows
         header, _ = read_table(tmp_path / "p1.tsv")
         assert header == ["s", "tau", "i", "j", "p1"]
+
+    def test_long_field_layout(self, tmp_path):
+        # one row per (tau_j, s_i <= tau_j, entry), in that order, values at 17 digits
+        cfg = tmp_path / "c.json"
+        n = 12
+        raw = tracking_config(cfg, steps=n)
+        argv = ["synthesize", "--config", str(cfg), "--out", str(tmp_path), "--route", "riccati"]
+        assert main(argv) == 0
+        inst = Instance(raw, None, None)
+        ric = solve_riccati(inst.sys, inst.grid, inst.checkpoint_every, inst.blowup)
+        trk = solve_tracking(inst.sys, inst.grid, ric, inst.reference)
+        nodes = inst.grid.nodes
+        for name, field in (("p1", ric.p1), ("d2", trk.d2)):
+            _, data = read_table(tmp_path / f"{name}.tsv")
+            entry = field.shape[2:]
+            assert data.shape[0] == (n + 1) * (n + 2) // 2 * inst.d ** len(entry)
+            expected = [
+                (nodes[i], nodes[j], *(np.array(idx) + 1.0), field[(i, j) + idx])
+                for j in range(n + 1)
+                for i in range(j + 1)
+                for idx in np.ndindex(entry)
+            ]
+            np.testing.assert_array_equal(data, np.array(expected))
 
     def test_route_agreement(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -212,6 +260,18 @@ class TestCompare:
         for line in report.splitlines():
             if line.startswith("discrepancy_"):
                 assert float(line.split("\t")[1]) == 0.0
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_start_at_last_interior_node_is_refused(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    tracking_config(cfg, steps=40)
+    raw = json.loads(cfg.read_text())
+    raw["initial_state"] = {"tau_index": 39, "head": [0.9, -0.4]}
+    cfg.write_text(json.dumps(raw))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "initial_state.tau_index" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.txt"))
 
 
 class TestConvergence:
