@@ -34,7 +34,7 @@ from voltrack import (
 # --- classical limit ------------------------------------------------------
 grid = TimeGrid(1.0, 200)
 sys0 = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
-ric0 = solve_riccati(sys0, grid, checkpoint_every=10)
+ric0 = solve_riccati(sys0, grid)
 print("classical limit (no memory): P0(0) =", f"{ric0.p0[0, 0, 0]:.6f}",
       " tanh(1) =", f"{math.tanh(1.0):.6f}")
 print("memory blocks stay zero:", np.abs(ric0.p1).max(), np.abs(ric0.p2_slice(0)).max())
@@ -50,7 +50,7 @@ sys = SystemSpec(A, rng.normal(size=(2, 1)), rng.normal(size=(1, 2)),
 y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
 xi = InitialState(0, [1.0, 0.0])
 
-ric = solve_riccati(sys, grid, checkpoint_every=5)
+ric = solve_riccati(sys, grid)
 trk = solve_tracking(sys, grid, ric, y)
 u, w = closed_loop(sys, grid, ric, trk, xi)
 J = cost(sys, grid, w, u, y)

@@ -48,7 +48,7 @@ def routes(n):
         build_kernel(sys, Z, grid, 0), build_forcing(sys, Z, grid, xi, y), grid
     )
     uF = optimal_control_fredholm(p, sys.B)
-    ric = solve_riccati(sys, grid, checkpoint_every=max(1, n // 20))
+    ric = solve_riccati(sys, grid)
     trk = solve_tracking(sys, grid, ric, y)
     uR, _ = closed_loop(sys, grid, ric, trk, xi)
     uO = solve_qp(build_affine_map(sys, grid, xi), y)

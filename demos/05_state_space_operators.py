@@ -35,13 +35,13 @@ C = rng.normal(size=(1, 2))
 omega_seed = lambda t: np.array([math.sin(1.0 + 2.0 * t), math.cos(0.5 + t)])
 xi_seed = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
 
-print("operator-identity residuals at tau = 0.5 (checkpoint spacing 5)")
+print("operator-identity residuals at tau = 0.5")
 print(f"{'n':>5} {'riccati-op':>12} {'tracking-op':>12} {'P-symmetry':>12}")
 for n in (50, 100, 200):
     grid = TimeGrid(1.0, n)
     sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]))
     y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
-    ric = solve_riccati(sys, grid, checkpoint_every=5)
+    ric = solve_riccati(sys, grid)
     trk = solve_tracking(sys, grid, ric, y)
     j = n // 2
     om = make_domain_element(omega_seed, j, grid)

@@ -10,12 +10,7 @@ the finite-memory state space, and :mod:`voltrack.cli` is the batch
 front end.
 """
 
-from .errors import (
-    BlowUpError,
-    ConfigurationError,
-    MissingCheckpointError,
-    SingularSystemError,
-)
+from .errors import BlowUpError, ConfigurationError, SingularSystemError
 from .fredholm import (
     CostateTrajectory,
     Forcing,

@@ -45,6 +45,7 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 _FMT = "%.17g"
+_CHUNK_ROWS = 20000  # rows formatted per write, so no whole-file string is built
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +65,37 @@ def _finite(arr: np.ndarray, key: str) -> np.ndarray:
     return arr
 
 
-def _matrix(cfg: dict, key: str, rows: int, cols: int) -> np.ndarray:
-    raw = _require(cfg, key)
-    if not isinstance(raw, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(raw, key: str) -> int:
+    """An integer field; integral floats such as 100.0 are accepted."""
+    if not _is_number(raw) or not float(raw).is_integer():
+        raise ConfigurationError(f"field '{key}': expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def _positive(raw, key: str) -> float:
+    if not _is_number(raw) or not 0 < raw < math.inf:
+        raise ConfigurationError(f"field '{key}': must be a finite number > 0, got {raw!r}")
+    return float(raw)
+
+
+def _numbers(raw, key: str) -> np.ndarray:
+    if not isinstance(raw, list) or not all(_is_number(v) for v in raw):
         raise ConfigurationError(f"field '{key}': expected a flat list of numbers")
-    if len(raw) != rows * cols:
+    return _finite(np.asarray(raw, dtype=float), key)
+
+
+def _matrix(cfg: dict, key: str, rows: int, cols: int) -> np.ndarray:
+    arr = _numbers(_require(cfg, key), key)
+    if arr.size != rows * cols:
         raise ConfigurationError(
             f"field '{key}': expected {rows * cols} numbers (row-major {rows}x{cols}), "
-            f"got {len(raw)}"
+            f"got {arr.size}"
         )
-    return _finite(np.asarray(raw, dtype=float).reshape(rows, cols), key)
+    return arr.reshape(rows, cols)
 
 
 def _poly_values(coeffs, t: np.ndarray, key: str) -> np.ndarray:
@@ -83,12 +103,9 @@ def _poly_values(coeffs, t: np.ndarray, key: str) -> np.ndarray:
         raise ConfigurationError(f"field '{key}': expected per-channel coefficient lists")
     cols = []
     for ch in coeffs:
-        if not isinstance(ch, list):
-            raise ConfigurationError(f"field '{key}': each channel needs a list")
-        _finite(np.asarray(ch, dtype=float), key)
         acc = np.zeros_like(t)
-        for q, c in enumerate(ch):
-            acc += float(c) * t**q
+        for q, c in enumerate(_numbers(ch, key)):
+            acc += c * t**q
         cols.append(acc)
     return np.stack(cols, axis=1)
 
@@ -105,15 +122,13 @@ def _table_values(raw, rows: int, cols: int, key: str) -> np.ndarray:
 class Instance:
     """A fully built run: grid, plant, signals, initial state, options."""
 
-    def __init__(self, cfg: dict, n_override: int | None, checkpoint: int | None):
+    def __init__(self, cfg: dict, n_override: int | None):
         dims = _require(cfg, "dims")
-        self.d = int(_require(dims, "d"))
-        self.m = int(_require(dims, "m"))
-        self.p = int(_require(dims, "p"))
+        self.d, self.m, self.p = (_integer(_require(dims, k), f"dims.{k}") for k in "dmp")
         if min(self.d, self.m, self.p) < 1:
             raise ConfigurationError("dims must be positive")
-        steps = int(n_override if n_override is not None else _require(cfg, "steps"))
-        self.grid = TimeGrid(float(_require(cfg, "horizon")), steps)
+        steps = _integer(_require(cfg, "steps") if n_override is None else n_override, "steps")
+        self.grid = TimeGrid(_positive(_require(cfg, "horizon"), "horizon"), steps)
         A = _matrix(cfg, "A", self.d, self.d)
         B = _matrix(cfg, "B", self.d, self.m)
         C = _matrix(cfg, "C", self.p, self.d)
@@ -122,13 +137,8 @@ class Instance:
         self.state = self._initial_state(cfg.get("initial_state"))
         self.cfg = cfg
         tol = cfg.get("tolerances", {})
-        self.blowup = float(tol.get("blowup", 1e8))
-        self.threeway_tol = float(tol.get("threeway", 5e-2))
-        self.checkpoint_every = int(
-            checkpoint
-            if checkpoint is not None
-            else cfg.get("checkpoint_every", max(1, steps // 20))
-        )
+        self.blowup = _positive(tol.get("blowup", 1e8), "tolerances.blowup")
+        self.threeway_tol = _positive(tol.get("threeway", 5e-2), "tolerances.threeway")
 
     def _kernel(self, cfg: dict) -> np.ndarray:
         spec = cfg.get("kernel", {"type": "zero"})
@@ -139,8 +149,8 @@ class Instance:
             terms = []
             for q, term in enumerate(_require(spec, "terms")):
                 G = _matrix(term, "matrix", self.d, self.d)
-                rate = float(_require(term, "rate"))
-                if not 0 <= rate < math.inf:
+                rate = _require(term, "rate")
+                if not _is_number(rate) or not 0 <= rate < math.inf:
                     raise ConfigurationError(
                         f"field 'kernel.terms[{q}].rate': must be a finite number >= 0"
                     )
@@ -169,10 +179,10 @@ class Instance:
     def _initial_state(self, spec) -> InitialState:
         if spec is None:
             return InitialState(0, np.zeros(self.d))
-        k = int(spec.get("tau_index", 0))
+        k = _integer(spec.get("tau_index", 0), "initial_state.tau_index")
         if not 0 <= k < self.grid.steps:
             raise ConfigurationError("initial_state.tau_index must lie inside the grid")
-        head = _finite(np.asarray(_require(spec, "head"), dtype=float), "initial_state.head")
+        head = _numbers(_require(spec, "head"), "initial_state.head")
         if head.shape != (self.d,):
             raise ConfigurationError(f"initial_state.head must have {self.d} entries")
         tail_spec = spec.get("tail")
@@ -232,10 +242,13 @@ def _load_config(path: str) -> dict:
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.asarray(rows, dtype=float)
+    line = "\t".join([_FMT] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS].tolist()
+            fh.write("".join(line % tuple(row) for row in chunk))
 
 
 def _write_trajectory(path: Path, inst: Instance, w, u: ControlSignal) -> None:
@@ -308,9 +321,7 @@ def _route_fredholm(inst: Instance):
 
 
 def _route_riccati(inst: Instance):
-    ric = riccati.solve_riccati(
-        inst.sys, inst.grid, inst.checkpoint_every, blowup_limit=inst.blowup
-    )
+    ric = riccati.solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
     trk = riccati.solve_tracking(inst.sys, inst.grid, ric, inst.reference)
     u, w = riccati.closed_loop(inst.sys, inst.grid, ric, trk, inst.state)
     return _record(inst, u, w, ric=ric, trk=trk)
@@ -401,19 +412,14 @@ def run_synthesize(inst: Instance, outdir: Path, route: str) -> int:
     _write_trajectory(outdir / "trajectory.tsv", inst, rec.w, rec.u)
     (outdir / "cost.txt").write_text((_FMT % rec.J) + "\n")
     if route == "riccati":
-        ric, trk = rec.ric, rec.trk
-        nodes = inst.grid.nodes
-        d = inst.d
-        header = ["t"] + [f"p0_{a+1}{b+1}" for a in range(d) for b in range(d)]
-        _write_rows(
-            outdir / "p0.tsv", header, np.column_stack([nodes, ric.p0.reshape(-1, d * d)])
-        )
-        _write_rows(
-            outdir / "d1.tsv",
-            ["t"] + [f"d1_{a+1}" for a in range(d)],
-            np.column_stack([nodes, trk.d1]),
-        )
-        _write_rows(outdir / "m.tsv", ["t", "m"], np.column_stack([nodes, trk.m]))
+        ric, trk, nodes, d = rec.ric, rec.trk, inst.grid.nodes, inst.d
+        p0_cols = [f"p0_{a+1}{b+1}" for a in range(d) for b in range(d)]
+        for name, cols, vals in (
+            ("p0", p0_cols, ric.p0.reshape(-1, d * d)),
+            ("d1", [f"d1_{a+1}" for a in range(d)], trk.d1),
+            ("m", ["m"], trk.m),
+        ):
+            _write_rows(outdir / f"{name}.tsv", ["t"] + cols, np.column_stack([nodes, vals]))
         _write_long_field(outdir / "p1.tsv", nodes, ric.p1, "p1")
         _write_long_field(outdir / "d2.tsv", nodes, trk.d2, "d2")
     return EXIT_OK
@@ -443,12 +449,12 @@ def run_compare(inst: Instance, outdir: Path) -> int:
     return EXIT_OK
 
 
-def run_convergence(inst_cfg: dict, outdir: Path, grids: list[int], checkpoint) -> int:
+def run_convergence(inst_cfg: dict, outdir: Path, grids: list[int]) -> int:
     if len(grids) < 2:
         raise ConfigurationError("convergence needs at least two grid sizes")
     rows = []
     for n in grids:
-        inst = Instance(inst_cfg, n, checkpoint)
+        inst = Instance(inst_cfg, n)
         fred = _route_fredholm(inst)
         Z, controls = fred.Z, {"fredholm": fred.u}
         del fred  # only Z and the controls outlive each route
@@ -561,9 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON instance config")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--n", type=int, default=None, help="override grid steps")
-        sp.add_argument(
-            "--checkpoint", type=int, default=None, help="override checkpoint spacing"
-        )
         if name == "synthesize":
             sp.add_argument("--route", choices=("fredholm", "riccati", "oracle"))
         if name == "convergence":
@@ -583,9 +586,9 @@ def main(argv=None) -> int:
             if args.grids is not None:
                 grids = [int(v) for v in args.grids.split(",") if v]
             else:
-                grids = [int(v) for v in cfg.get("grids", [])]
-            return run_convergence(cfg, outdir, grids, args.checkpoint)
-        inst = Instance(cfg, args.n, args.checkpoint)
+                grids = [_integer(v, "grids") for v in cfg.get("grids", [])]
+            return run_convergence(cfg, outdir, grids)
+        inst = Instance(cfg, args.n)
         if args.command == "simulate":
             return run_simulate(inst, outdir)
         if args.command == "synthesize":

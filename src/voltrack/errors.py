@@ -15,7 +15,3 @@ class BlowUpError(RuntimeError):
     def __init__(self, message: str, node_index: int | None = None):
         super().__init__(message)
         self.node_index = node_index
-
-
-class MissingCheckpointError(LookupError):
-    """A memory-Riccati slice was requested at a non-checkpointed node."""

@@ -14,12 +14,14 @@ optimal control is the feedback
     u(tau) = -B* [ P0(tau) head + int_0^tau P1(s,tau) tail(s) ds + d1(tau) ].
 
 The backward sweep is an explicit one-step scheme with a Heun
-(predictor-corrector) pass, second order in h.  Only the current
-P2 slice is kept while sweeping; slices are checkpointed every
-``checkpoint_every`` steps and any other slice is rebuilt by a partial
-re-sweep from the nearest checkpoint (the P2 update telescopes to a
-trapezoid sum over stored P1 columns, so the rebuild is bit-identical
-to the original sweep).
+(predictor-corrector) pass, second order in h.  P2 is never stored:
+P2(T) = 0 and its tau-derivative G2 depends on N and P1 alone, so a
+slice is the trapezoid sum over tau_q >= tau of G2(., ., tau_q).  The
+sweep reads only the two P2 rows its P1 update needs, and the value
+form contracts P2 against a tail through x_q = int N(tau_q - s)
+tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds.  Costs in the node
+count n: ``solve_riccati`` O(n^3 d^3) time and O(n^2 d^2) memory,
+``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, ConfigurationError
 from .model import (
@@ -56,67 +59,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiccatiField:
-    """Backward-swept coefficients P0, P1 and checkpointed P2 slices.
+    """Backward-swept coefficients P0 and P1; P2 is never stored.
 
     ``p0[j]`` is P0(tau_j); ``p1[i, j]`` is P1(s_i, tau_j) for i <= j
-    (zero above the diagonal); ``checkpoints[j]`` holds the P2 slice at
-    tau_j as a (j+1, j+1, d, d) array with entries P2(s_i, nu_l, tau_j).
+    (zero above the diagonal).
     """
 
     sys: SystemSpec = field(repr=False)
     grid: TimeGrid
     p0: np.ndarray = field(repr=False)
     p1: np.ndarray = field(repr=False)
-    checkpoints: dict = field(repr=False)
-    checkpoint_every: int
 
-    def _g2(self, q: int, size: int) -> np.ndarray:
-        """Slice derivative source at tau_q on the leading (size)^2 block.
+    def p2_slice(self, j: int) -> np.ndarray:
+        """P2(s_i, nu_l, tau_j), i, l <= j: the trapezoid sum over q in [j, n] of
 
         G2(s_i, nu_l, tau_q) = N*(tau_q - s_i) P1(nu_l, tau_q)
                                + P1*(s_i, tau_q) N(tau_q - nu_l)
-                               - P1*(s_i, tau_q) BB* P1(nu_l, tau_q).
+                               - P1*(s_i, tau_q) BB* P1(nu_l, tau_q);
+
+        O((n-j) j^2 d^3), a reference for tests and demos only.
         """
-        p1col = self.p1[:size, q]
-        nrev = self.sys.N[q::-1][:size]
         bbt = self.sys.B @ self.sys.B.T
-        t1 = np.einsum("iba,lbc->ilac", nrev, p1col)
-        t2 = np.einsum("iba,lbc->ilac", p1col, nrev)
-        t3 = np.einsum("iba,bc,lcd->ilad", p1col, bbt, p1col, optimize=True)
-        return t1 + t2 - t3
-
-    def p2_slice(self, j: int) -> np.ndarray:
-        """P2 slice at node j, from a checkpoint or a partial re-sweep."""
-        if j in self.checkpoints:
-            return self.checkpoints[j]
-        above = [c for c in self.checkpoints if c > j]
-        if not above:
-            raise ConfigurationError(f"node {j} outside the swept range")
-        jc = min(above)
-        h = self.grid.h
-        S = self.checkpoints[jc][: j + 1, : j + 1].copy()
-        for q in range(jc - 1, j - 1, -1):
-            S += 0.5 * h * (self._g2(q + 1, j + 1) + self._g2(q, j + 1))
+        S = np.zeros((j + 1, j + 1) + self.p0.shape[1:])
+        for q, wt in enumerate(self.grid.weights(j), start=j):
+            p1col, nrev = self.p1[: j + 1, q], self.sys.N[q::-1][: j + 1]
+            t1 = np.einsum("iba,lbc->ilac", nrev, p1col)
+            t3 = np.einsum("iba,bc,lcd->ilad", p1col, bbt, p1col, optimize=True)
+            S += wt * (t1 + t1.transpose(1, 0, 3, 2) - t3)
         return S
-
-    def iter_p2_slices(self, start: int, stop: int):
-        """Yield (j, slice) from node ``start`` down to ``stop`` inclusive.
-
-        Stored checkpoints are yielded as-is; gaps between them are
-        filled by the same trapezoid accumulation the sweep used, so
-        every yielded slice matches the sweep bit for bit.  Treat the
-        yielded arrays as read-only.
-        """
-        h = self.grid.h
-        S = self.p2_slice(start)
-        yield start, S
-        for q in range(start - 1, stop - 1, -1):
-            if q in self.checkpoints:
-                S = self.checkpoints[q]
-            else:
-                blk = q + 1
-                S = S[:blk, :blk] + 0.5 * h * (self._g2(q + 1, blk) + self._g2(q, blk))
-            yield q, S
 
 
 @dataclass(frozen=True)
@@ -163,29 +133,30 @@ class DIReport:
 
 
 def solve_riccati(
-    sys: SystemSpec,
-    grid: TimeGrid,
-    checkpoint_every: int = 10,
-    blowup_limit: float = 1e8,
+    sys: SystemSpec, grid: TimeGrid, *, blowup_limit: float = 1e8
 ) -> RiccatiField:
     """Backward sweep of the memory-Riccati system from tau = T.
 
     Final conditions P0(T) = 0, P1(., T) = 0, P2(., ., T) = 0 hold
     exactly; P0 is symmetrized after every step.  A node norm above
     ``blowup_limit`` aborts with :class:`BlowUpError`.
+
+    Step j reads two P2 rows only: s = tau_{j+1}, carried from step j+1,
+    and s = tau_j at tau_{j+1}, a trapezoid sum of G2 rows over the P1
+    columns q = j+1..n.  O(n^3 d^3) time, O(n^2 d^2) memory (P1 only).
     """
     sys.check_grid(grid)
-    if checkpoint_every < 1:
-        raise ConfigurationError("checkpoint spacing must be >= 1")
     n, d, h = grid.steps, sys.d, grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
     cc = sys.C.T @ sys.C
     p0 = np.zeros((n + 1, d, d))
     p1 = np.zeros((n + 1, n + 1, d, d))
-    S = np.zeros((n + 1, n + 1, d, d))
-    field_obj = RiccatiField(sys, grid, p0, p1, {}, checkpoint_every)
-    field_obj.checkpoints[n] = np.zeros((n + 1, n + 1, d, d))
+    # entry-major copies, so the G2 row products run over long (q, l)
+    # planes: nt[a, b, k] = N(t_k)[a, b], pt[a, b, q, l] = P1(s_l, tau_q)[a, b]
+    nt = np.ascontiguousarray(N.transpose(1, 2, 0))
+    pt = np.zeros((d, d, n + 1, n + 1))
+    row_c = np.zeros((d, d, n))  # P2(tau_{j+1}, s_l, tau_{j+1}), l = 0..j
 
     def g0(P0c, trace):
         return A.T @ P0c + P0c @ A + trace + trace.T - P0c @ bbt @ P0c + cc
@@ -199,30 +170,46 @@ def solve_riccati(
             - np.einsum("ab,bc,icd->iad", P0c, bbt, p1col, optimize=True)
         )
 
+    def g2_rows(i, q0):
+        # G2(s_i, nu_l, tau_q) as [a, c, q, l], q = q0..n, l = 0..i; see RiccatiField.p2_slice
+        p1i, p1l = pt[:, :, q0:, i], pt[:, :, q0:, : i + 1]
+        # N(tau_q - nu_l) = N(t_{q-l}), a sliding window over the reversed kernel
+        nl = sliding_window_view(nt[:, :, ::-1], i + 1, axis=2)[:, :, n - q0 :: -1]
+        return (
+            np.einsum("baq,bcql->acql", nt[:, :, q0 - i : n + 1 - i], p1l)
+            + np.einsum("baq,bcql->acql", p1i, nl)
+            - np.einsum("baq,bc,cdql->adql", p1i, bbt, p1l, optimize=True)
+        )
+
     for j in range(n - 1, -1, -1):
         p0c = p0[j + 1]
         p1c = p1[: j + 1, j + 1]  # rows s_0..s_j at tau_{j+1}
         nrev_c = N[j + 1 : 0 : -1][: j + 1]  # N(tau_{j+1} - s_i), i = 0..j
         trace_c = p1[j + 1, j + 1]
         g0c = g0(p0c, trace_c)
-        g1c = g1(p0c, p1c, nrev_c, S[j + 1, : j + 1])
-        g2c = field_obj._g2(j + 1, j + 1)
+        g1c = g1(p0c, p1c, nrev_c, row_c[:, :, : j + 1].transpose(2, 0, 1))
+        g2c = g2_rows(j, j + 1)  # q = j+1..n
+        # P2(s_j, ., tau_{j+1}): the Heun steps of the P2 equation, added one
+        # by one from T down (a numpy reduction may sum pairwise instead)
+        steps = 0.5 * h * (g2c[:, :, 1:] + g2c[:, :, :-1])
+        row = np.zeros((d, d, j + 1))
+        for q in range(n - j - 2, -1, -1):
+            row += steps[:, :, q]
 
         # Euler predictor at tau_j
         p0p = p0c + h * g0c
         p1p = p1c + h * g1c
         trace_p = p1p[j]
         nrev_n = N[j::-1][: j + 1]
-        s_row_p = S[j, : j + 1] + h * g2c[j, : j + 1]
         g0p = g0(p0p, trace_p)
-        g1p = g1(p0p, p1p, nrev_n, s_row_p)
+        g1p = g1(p0p, p1p, nrev_n, (row + h * g2c[:, :, 0]).transpose(2, 0, 1))
 
         # corrector
         new_p0 = p0c + 0.5 * h * (g0c + g0p)
         p0[j] = 0.5 * (new_p0 + new_p0.T)
         p1[: j + 1, j] = p1c + 0.5 * h * (g1c + g1p)
-        g2f = field_obj._g2(j, j + 1)
-        S[: j + 1, : j + 1] += 0.5 * h * (g2c[: j + 1, : j + 1] + g2f)
+        pt[:, :, j, : j + 1] = p1[: j + 1, j].transpose(1, 2, 0)
+        row_c[:, :, : j + 1] = row + 0.5 * h * (g2c[:, :, 0] + g2_rows(j, j)[:, :, 0])
 
         nrm = max(np.abs(p0[j]).max(), np.abs(p1[: j + 1, j]).max())
         if not np.isfinite(nrm) or nrm > blowup_limit:
@@ -230,9 +217,7 @@ def solve_riccati(
                 f"Riccati sweep exceeded node-norm bound {blowup_limit:g} at node {j}",
                 node_index=j,
             )
-        if j % checkpoint_every == 0:
-            field_obj.checkpoints[j] = S[: j + 1, : j + 1].copy()
-    return field_obj
+    return RiccatiField(sys, grid, p0, p1)
 
 
 def solve_tracking(
@@ -346,17 +331,29 @@ def closed_loop(
     return ControlSignal(k, u), StateTrajectory(k, w)
 
 
-def _value_form(
-    ric: RiccatiField, trk: TrackingField, j: int, head: np.ndarray, tail: np.ndarray, S
-) -> float:
-    """The quadratic value form at node j for the state (head, tail) and P2 slice S."""
-    wt = trapezoid_weights(j + 1, ric.grid.h)
-    p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
-    quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, S, tail, wt, optimize=True)
-    d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: j + 1, j])
+def _tail_contractions(ric: RiccatiField, j: int, tail: np.ndarray) -> tuple:
+    """x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds,
+    q = j..n, for the history ``tail[i]`` at s_i, i = 0..j; O((n-j) j d^2)."""
+    wtail = ric.grid.weights(0, j)[:, None] * tail
+    nq = ric.sys.N[np.subtract.outer(np.arange(j, ric.grid.steps + 1), np.arange(j + 1))]
+    x = np.einsum("qiab,ib->qa", nq, wtail)
+    z = np.einsum("iqab,ib->qa", ric.p1[: j + 1, j:], wtail)
+    return x, z
+
+
+def _value_form(ric: RiccatiField, trk: TrackingField, j: int, head, tail, x, z) -> float:
+    """The quadratic value form at node j for the state (head, tail).
+
+    ``x``, ``z`` are the tail's contractions (:func:`_tail_contractions`);
+    the P2 double integral is exactly the trapezoid sum over q in [j, n]
+    of 2 x_q.z_q - |B* z_q|^2.  O((n-j) d^2 + j d).
+    """
+    bz = z @ ric.sys.B
+    quad2 = ric.grid.weights(j) @ (2.0 * (x * z).sum(axis=1) - (bz * bz).sum(axis=1))
+    d2_tail = np.einsum("i,ia,ia->", ric.grid.weights(0, j), tail, trk.d2[: j + 1, j])
     return (
         head @ (ric.p0[j] @ head)
-        + 2.0 * head @ p1_tail
+        + 2.0 * head @ z[0]
         + quad2
         + 2.0 * head @ trk.d1[j]
         + 2.0 * d2_tail
@@ -367,11 +364,11 @@ def _value_form(
 def value_function(
     ric: RiccatiField, trk: TrackingField, tau_index: int, omega: InitialState
 ) -> float:
-    """Evaluate the quadratic value form at the state ``omega``."""
+    """Evaluate the quadratic value form at the state ``omega``; O(n (n-k) d^2)."""
     if omega.tau_index != tau_index:
         raise ConfigurationError("state node differs from the requested node")
-    k = tau_index
-    return float(_value_form(ric, trk, k, omega.head, omega.tail, ric.p2_slice(k)))
+    x, z = _tail_contractions(ric, tau_index, omega.tail)
+    return float(_value_form(ric, trk, tau_index, omega.head, omega.tail, x, z))
 
 
 def di_residual(
@@ -386,8 +383,10 @@ def di_residual(
     """Dissipation diagnostics for an admissible pair (w, u).
 
     Evaluates the value function at the running state of every node
-    (one backward pass over P2 slices) and reports the integral slack
-    and the pointwise differential residual; see :class:`DIReport`.
+    and reports the integral slack and the pointwise differential
+    residual; see :class:`DIReport`.  The tail contractions are carried
+    forward from node to node as prefix sums, one term per node, so the
+    whole call is O(n^2 d^2).
     """
     k, n, h = u.start_index, grid.steps, grid.h
     nk = n - k + 1
@@ -395,8 +394,19 @@ def di_residual(
     g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
     run = np.zeros(nk)
     run[1:] = np.cumsum(0.5 * h * (g[:-1] + g[1:]))
+    wv = w.values
+    # prefix sums over nodes i < j of the trapezoid terms of x_q and z_q, row q
+    xs, zs = np.zeros_like(wv), np.zeros_like(wv)
     vals = np.zeros(nk)
-    for j, S in ric.iter_p2_slices(n, k):
-        vals[j - k] = _value_form(ric, trk, j, w.values[j], w.values[: j + 1], S)
+    for j in range(n + 1):
+        tx = sys.N[: n - j + 1] @ wv[j]  # N(tau_q - s_j) w_j, q = j..n
+        tz = ric.p1[j, j:] @ wv[j]  # P1(s_j, tau_q) w_j
+        if j >= k:
+            end = 0.5 * h if j else 0.0  # trapezoid weight of the node-j end point
+            x, z = xs[j:] + end * tx, zs[j:] + end * tz
+            vals[j - k] = _value_form(ric, trk, j, wv[j], wv[: j + 1], x, z)
+        inner = h if j else 0.5 * h  # its weight once later nodes exist
+        xs[j:] += inner * tx
+        zs[j:] += inner * tz
     slack = run + vals - vals[0]
     return DIReport(k, slack, g + _node_derivative(vals, h))

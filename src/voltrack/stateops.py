@@ -13,8 +13,10 @@ quadratic form of the Riccati operator and a linear identity for the
 tracking element.  Both identities are checked here as discretized
 residuals: quadratures are trapezoid sums, the age derivative D_s uses
 second-order difference stencils, and the tau-derivative is a finite
-difference across neighboring checkpointed slices with the test
-elements re-sampled from their smooth generators at each node.
+difference across the neighboring nodes with the test elements
+re-sampled from their smooth generators at each node.  The P2 block of
+the Riccati operator acts through the tail contractions of
+:mod:`voltrack.riccati`, so no P2 slice is ever formed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, MissingCheckpointError
+from .errors import ConfigurationError
 from .model import (
     ReferenceSignal,
     SystemSpec,
@@ -32,7 +34,7 @@ from .model import (
     _node_derivative,
     trapezoid_weights,
 )
-from .riccati import RiccatiField, TrackingField
+from .riccati import RiccatiField, TrackingField, _tail_contractions
 
 __all__ = [
     "StateElement",
@@ -107,26 +109,26 @@ def output_operator(sys: SystemSpec, elem: StateElement) -> np.ndarray:
     return sys.C @ elem.head
 
 
-def riccati_operator(
-    ric: RiccatiField, tau_index: int, elem: StateElement, p2: np.ndarray | None = None
-) -> StateElement:
+def riccati_operator(ric: RiccatiField, tau_index: int, elem: StateElement) -> StateElement:
     """Action of the block operator [P0, P1-row; P1-col, P2] on an element.
 
     The age-indexed convention reverses the stored fields: the tail
-    couplings use P1(tau - s, tau) and P2(tau - s, tau - v, tau).
+    couplings use P1(tau - s, tau) and P2(tau - s, tau - v, tau).  The P2
+    action at time s is the trapezoid sum over q in [j, n] of
+    N*(tau_q - s) z_q + P1*(s, tau_q)(x_q - BB* z_q), with x_q, z_q the
+    tail contractions of :mod:`voltrack.riccati`; O((n-j) j d^2).
     """
     j = tau_index
     if elem.tau_index != j:
         raise ConfigurationError("element node differs from the requested node")
-    wt = trapezoid_weights(j + 1, ric.grid.h)
-    S = ric.p2_slice(j) if p2 is None else p2
-    p1rev = ric.p1[j::-1, j]
-    head = ric.p0[j] @ elem.head + np.einsum(
-        "iab,ib,i->a", p1rev, elem.tail, wt
+    x, z = _tail_contractions(ric, j, elem.tail[::-1])
+    wq = ric.grid.weights(j)[:, None]
+    nq = ric.sys.N[np.subtract.outer(np.arange(j, ric.grid.steps + 1), np.arange(j + 1))]
+    p2_tail = np.einsum("qiba,qb->ia", nq, wq * z) + np.einsum(
+        "iqba,qb->ia", ric.p1[: j + 1, j:], wq * (x - z @ ric.sys.B @ ric.sys.B.T)
     )
-    tail = np.einsum("iba,b->ia", p1rev, elem.head) + np.einsum(
-        "ilab,lb,l->ia", S[::-1, ::-1], elem.tail, wt, optimize=True
-    )
+    head = ric.p0[j] @ elem.head + z[0]
+    tail = np.einsum("iba,b->ia", ric.p1[j::-1, j], elem.head) + p2_tail[::-1]
     return StateElement(j, head, tail)
 
 
@@ -145,19 +147,11 @@ def state_inner(grid: TimeGrid, a: StateElement, b: StateElement) -> float:
 
 
 def _tau_derivative(ric: RiccatiField, j: int, f: Callable[[int], float]) -> float:
-    """Finite difference of f(node) across the checkpoints next to node j.
+    """Finite difference of f(node) across nodes j-1 and j+1.
 
-    Central when checkpoints lie on both sides, one-sided at the ends.
+    Central inside the grid, one-sided at tau = 0 and tau = T.
     """
-    if j not in ric.checkpoints:
-        raise MissingCheckpointError(
-            f"node {j} is not checkpointed; solve with a matching checkpoint spacing"
-        )
-    keys = sorted(ric.checkpoints)
-    pos = keys.index(j)
-    lo, hi = keys[max(pos - 1, 0)], keys[min(pos + 1, len(keys) - 1)]
-    if lo == hi:
-        raise MissingCheckpointError("no neighboring checkpoint for the tau-derivative")
+    lo, hi = max(j - 1, 0), min(j + 1, ric.grid.steps)
     return (f(hi) - f(lo)) / (ric.grid.nodes[hi] - ric.grid.nodes[lo])
 
 
@@ -181,7 +175,7 @@ def riccati_operator_residual(
 
     Evaluates d/dtau <Omega, P Xi> + <A Omega, P Xi> + <P Omega, A Xi>
     - <B* P Omega, B* P Xi> + <C Omega, C Xi> with the tau-derivative
-    across neighboring checkpoints; first-order small in h.
+    across the neighboring nodes; first-order small in h.
     """
     grid = ric.grid
     j = tau_index
@@ -195,9 +189,8 @@ def riccati_operator_residual(
 
     om = _resample(omega, j, grid)
     xc = _resample(xi, j, grid)
-    S = ric.p2_slice(j)
-    p_om = riccati_operator(ric, j, om, p2=S)
-    p_xc = riccati_operator(ric, j, xc, p2=S)
+    p_om = riccati_operator(ric, j, om)
+    p_xc = riccati_operator(ric, j, xc)
     a_om = state_operator(sys, grid, om)
     a_xc = state_operator(sys, grid, xc)
     total = (
@@ -221,7 +214,7 @@ def tracking_operator_residual(
     """Residual of the operator form of the tracking equations.
 
     Checks d/dtau <d(tau), Xi> = -<d(tau), (A - B B* P) Xi> + <y, C Xi>
-    with the same checkpoint-based tau-derivative; first-order small.
+    with the same node-based tau-derivative; first-order small.
     """
     grid = ric.grid
     j = tau_index

@@ -9,6 +9,7 @@ from voltrack import (
     SystemSpec,
     TimeGrid,
     exponential_kernel,
+    trapezoid_weights,
     zero_kernel,
 )
 
@@ -51,6 +52,24 @@ def rel_l2(grid: TimeGrid, k: int, a: np.ndarray, b: np.ndarray) -> float:
     num = math.sqrt(float(w @ ((a - b) ** 2).sum(axis=1)))
     den = math.sqrt(float(w @ (b**2).sum(axis=1)))
     return num / den if den > 0 else num
+
+
+def p2_reference_value(ric, trk, j: int, head, tail) -> float:
+    """The value form at node j with its P2 double integral taken over the
+    explicitly built slice ``ric.p2_slice(j)``: the reference the library's
+    tail contractions must reproduce."""
+    wt = trapezoid_weights(j + 1, ric.grid.h)
+    p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
+    quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, ric.p2_slice(j), tail, wt, optimize=True)
+    d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: j + 1, j])
+    return float(
+        head @ (ric.p0[j] @ head)
+        + 2.0 * head @ p1_tail
+        + quad2
+        + 2.0 * head @ trk.d1[j]
+        + 2.0 * d2_tail
+        + trk.m[j]
+    )
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ OMEGA_SEED = lambda t: np.array([math.sin(1.0 + 2.0 * t), math.cos(0.5 + t)])
 XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
 
 
-def _solve_all_routes(n, checkpoint_every):
+def _solve_all_routes(n):
     grid, sys, xi, y = make_tracking_instance(n)
     t0 = time.perf_counter()
     Z = fundamental_matrix(sys, grid)
@@ -51,7 +51,7 @@ def _solve_all_routes(n, checkpoint_every):
     forcing = build_forcing(sys, Z, grid, xi, y)
     p = solve_fredholm(kernel, forcing, grid)
     uF = optimal_control_fredholm(p, sys.B)
-    ric = solve_riccati(sys, grid, checkpoint_every=checkpoint_every)
+    ric = solve_riccati(sys, grid)
     trk = solve_tracking(sys, grid, ric, y)
     uR, wR = closed_loop(sys, grid, ric, trk, xi)
     dmap = build_affine_map(sys, grid, xi)
@@ -66,12 +66,12 @@ def _solve_all_routes(n, checkpoint_every):
 
 @pytest.fixture(scope="module")
 def routes_100():
-    return _solve_all_routes(100, checkpoint_every=1)
+    return _solve_all_routes(100)
 
 
 @pytest.fixture(scope="module")
 def routes_200():
-    return _solve_all_routes(200, checkpoint_every=10)
+    return _solve_all_routes(200)
 
 
 def _pairwise(sol):
@@ -104,7 +104,7 @@ def test_criterion_2_classical_limit():
     from conftest import scalar_memoryless
 
     grid, sys = scalar_memoryless(200)
-    ric = solve_riccati(sys, grid, checkpoint_every=10)
+    ric = solve_riccati(sys, grid)
     err = abs(ric.p0[0, 0, 0] - math.tanh(1.0))
     p1max = np.abs(ric.p1).max()
     p2max = np.abs(ric.p2_slice(0)).max()
@@ -125,7 +125,8 @@ def test_criterion_3_value_function_consistency(routes_200):
     rel = abs(W - J) / (1.0 + abs(W))
     assert rel <= 1e-2
     exact = True
-    for j in sorted(sol["ric"].checkpoints):
+    nodes = range(0, 201, 10)
+    for j in nodes:
         omega = InitialState(j, np.zeros(2), np.zeros((j + 1, 2)))
         exact = exact and (
             value_function(sol["ric"], sol["trk"], j, omega) == sol["trk"].m[j]
@@ -133,7 +134,7 @@ def test_criterion_3_value_function_consistency(routes_200):
     assert exact
     print(
         f"\ncriterion 3 PASS: |W - J|/(1+|W|) = {rel:.2e}; "
-        f"W == M(tau) exactly at all {len(sol['ric'].checkpoints)} checkpoints"
+        f"W == M(tau) exactly at all {len(nodes)} nodes tau = 0, 0.05, ..., 1"
     )
 
 
@@ -202,7 +203,7 @@ def test_criterion_7_operator_identities():
     res_r, res_t = {}, {}
     for n in (50, 100, 200):
         grid, sys, _, y = make_tracking_instance(n)
-        ric = solve_riccati(sys, grid, checkpoint_every=5)
+        ric = solve_riccati(sys, grid)
         trk = solve_tracking(sys, grid, ric, y)
         for tau in taus:
             j = round(tau * n)
@@ -219,7 +220,7 @@ def test_criterion_7_operator_identities():
             assert res_t[(lo, tau)] / res_t[(hi, tau)] >= 1.8
     print(
         f"\ncriterion 7 PASS: operator residuals drop >= {worst:.2f}x per "
-        f"doubling, uniformly over {len(taus)} interior checkpoints"
+        f"doubling, uniformly over {len(taus)} interior nodes"
     )
 
 

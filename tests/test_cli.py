@@ -20,7 +20,6 @@ def write_config(path, **overrides):
         "reference": {"type": "zero"},
         "initial_state": {"tau_index": 0, "head": [0.0]},
         "control": {"type": "zero"},
-        "checkpoint_every": 10,
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg, indent=1))
@@ -93,6 +92,48 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "field 'A'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"steps": 2.5}, "steps"),
+            ({"dims": {"d": 1, "m": True, "p": 1}}, "dims.m"),
+            ({"initial_state": {"tau_index": 1.5, "head": [0.0]}}, "initial_state.tau_index"),
+            ({"initial_state": {"tau_index": 0, "head": [True]}}, "initial_state.head"),
+            (
+                {"reference": {"type": "polynomial", "coefficients": [[0.5, True]]}},
+                "reference.coefficients",
+            ),
+            ({"horizon": True}, "horizon"),
+            (
+                {"kernel": {"type": "exponential", "terms": [{"matrix": [0.1], "rate": True}]}},
+                "kernel.terms[0].rate",
+            ),
+        ],
+    )
+    def test_non_integer_or_boolean_field_exits_2(self, tmp_path, capsys, overrides, field):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_integral_float_steps_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, steps=100.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("name", ["blowup", "threeway"])
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys, name):
+        # a NaN bound would switch the blow-up guard off: A = 9 blows past 100
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            A=[9.0],
+            initial_state={"tau_index": 0, "head": [1.0]},
+            tolerances={"blowup": 100.0, name: math.nan},
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"field 'tolerances.{name}'" in capsys.readouterr().err
+
     def test_singular_step_matrix_exits_3(self, tmp_path, capsys):
         # h = 1/2 and A = 4 I make the implicit step matrix I - h/2 A exactly zero
         cfg = tmp_path / "c.json"
@@ -162,8 +203,8 @@ class TestSynthesize:
         raw = tracking_config(cfg, steps=n)
         argv = ["synthesize", "--config", str(cfg), "--out", str(tmp_path), "--route", "riccati"]
         assert main(argv) == 0
-        inst = Instance(raw, None, None)
-        ric = solve_riccati(inst.sys, inst.grid, inst.checkpoint_every, inst.blowup)
+        inst = Instance(raw, None)
+        ric = solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
         trk = solve_tracking(inst.sys, inst.grid, ric, inst.reference)
         nodes = inst.grid.nodes
         for name, field in (("p1", ric.p1), ("d2", trk.d2)):

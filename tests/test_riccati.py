@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import make_tracking_instance, scalar_memoryless
+from conftest import make_tracking_instance, p2_reference_value, scalar_memoryless
 from voltrack import (
     BlowUpError,
     ControlSignal,
@@ -36,7 +36,7 @@ TANH1 = math.tanh(1.0)
 def solved_feedback():
     """Riccati route on the fixed instance at n = 100."""
     grid, sys, xi, y = make_tracking_instance(100)
-    ric = solve_riccati(sys, grid, checkpoint_every=5)
+    ric = solve_riccati(sys, grid)
     trk = solve_tracking(sys, grid, ric, y)
     u, w = closed_loop(sys, grid, ric, trk, xi)
     return grid, sys, xi, y, ric, trk, u, w
@@ -51,7 +51,7 @@ class TestSolveRiccati:
 
     def test_tanh_oracle(self):
         grid, sys = scalar_memoryless(200)
-        ric = solve_riccati(sys, grid, checkpoint_every=10)
+        ric = solve_riccati(sys, grid)
         assert abs(ric.p0[0, 0, 0] - TANH1) < 1e-3
         np.testing.assert_allclose(
             ric.p0[:, 0, 0], np.tanh(1.0 - grid.nodes), atol=1e-4
@@ -63,7 +63,7 @@ class TestSolveRiccati:
         # with N = 0 the sweep must reproduce the matrix Riccati ODE
         grid, sys, _, _ = make_tracking_instance(200)
         sys0 = SystemSpec(sys.A, sys.B, sys.C, zero_kernel(grid, 2))
-        ric = solve_riccati(sys0, grid, checkpoint_every=20)
+        ric = solve_riccati(sys0, grid)
         assert np.abs(ric.p1).max() <= 1e-12
         bbt = sys.B @ sys.B.T
         cc = sys.C.T @ sys.C
@@ -87,19 +87,21 @@ class TestSolveRiccati:
             S = ric.p2_slice(j)
             assert np.abs(S - np.transpose(S, (1, 0, 3, 2))).max() <= 1e-10
 
-    def test_checkpoint_resweep_is_exact(self, solved_feedback):
-        # a non-checkpointed slice must match the values the sweep saw
-        grid, sys, _, _, ric, _, _, _ = solved_feedback
-        ric_dense = solve_riccati(sys, grid, checkpoint_every=1)
+    def test_contraction_matches_p2_slice_form(self, solved_feedback):
+        # the value form contracts P2 through the stored P1 columns; it must
+        # equal the quadratic form of the explicitly built P2 slice
+        grid, _, _, _, ric, trk, _, w = solved_feedback
         for j in (17, 42, 83):
-            assert j not in ric.checkpoints
-            np.testing.assert_array_equal(ric.p2_slice(j), ric_dense.checkpoints[j])
+            omega = extend_state(w, j)
+            W = value_function(ric, trk, j, omega)
+            ref = p2_reference_value(ric, trk, j, omega.head, omega.tail)
+            assert abs(W - ref) <= 1e-13 * abs(ref)
 
     def test_blowup_guard(self):
         grid = TimeGrid(1.0, 60)
         sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
         with pytest.raises(BlowUpError):
-            solve_riccati(sys, grid, checkpoint_every=10, blowup_limit=1e-3)
+            solve_riccati(sys, grid, blowup_limit=1e-3)
 
 
 class TestSolveTracking:
@@ -119,7 +121,7 @@ class TestSolveTracking:
     def test_uncontrolled_scalar_oracle(self):
         # B = 0, A = 0, C = 1, N = 0: d2 = 0 and d1(tau) = -int_tau^T y
         grid, sys = scalar_memoryless(150, b=0.0)
-        ric = solve_riccati(sys, grid, checkpoint_every=10)
+        ric = solve_riccati(sys, grid)
         y = np.sin(2.0 * np.pi * grid.nodes)[:, None]
         trk = solve_tracking(sys, grid, ric, ReferenceSignal(y))
         assert np.abs(trk.d2).max() == 0.0
@@ -144,7 +146,7 @@ class TestFeedbackControl:
 
     def test_tanh_gain(self):
         grid, sys = scalar_memoryless(200)
-        ric = solve_riccati(sys, grid, checkpoint_every=10)
+        ric = solve_riccati(sys, grid)
         trk = solve_tracking(sys, grid, ric, ReferenceSignal(np.zeros((201, 1))))
         u0 = feedback_control(ric, trk, 0, InitialState(0, [1.0]))
         assert abs(u0[0] + TANH1) < 1e-3
@@ -177,7 +179,7 @@ class TestClosedLoop:
         diffs = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid, checkpoint_every=10)
+            ric = solve_riccati(sys, grid)
             trk = solve_tracking(sys, grid, ric, y)
             uR, _ = closed_loop(sys, grid, ric, trk, xi)
             Z = fundamental_matrix(sys, grid)
@@ -202,7 +204,7 @@ class TestClosedLoop:
             build_kernel(sys, Z, grid, k), build_forcing(sys, Z, grid, xi, y), grid
         )
         uF = optimal_control_fredholm(p, sys.B)
-        ric = solve_riccati(sys, grid, checkpoint_every=4)
+        ric = solve_riccati(sys, grid)
         trk = solve_tracking(sys, grid, ric, y)
         uR, wR = closed_loop(sys, grid, ric, trk, xi)
         uO = solve_qp(build_affine_map(sys, grid, xi), y)
@@ -229,7 +231,7 @@ class TestClosedLoop:
 class TestValueFunction:
     def test_zero_state_returns_m(self, solved_feedback):
         grid, sys, _, _, ric, trk, _, _ = solved_feedback
-        for j in sorted(ric.checkpoints):
+        for j in range(0, 101, 5):
             omega = InitialState(j, np.zeros(2), np.zeros((j + 1, 2)))
             assert value_function(ric, trk, j, omega) == trk.m[j]
 
@@ -298,3 +300,44 @@ class TestDIResidual:
         )
         assert np.abs(rep.slack).max() == 0.0
         assert rep.max_pointwise == 0.0
+
+
+class TestTailContraction:
+    def test_value_forms_match_p2_slice_reference(self):
+        # d=3, m=2, k>0 and a tabulated kernel: value_function and the
+        # di_residual node values equal the explicit-slice quadratic form,
+        # and the solved field stores nothing of P2's size
+        n, k, d = 40, 12, 3
+        rng = np.random.default_rng(2024)
+        grid = TimeGrid(1.0, n)
+        N = 0.8 * rng.normal(size=(n + 1, d, d)) * np.exp(-grid.nodes)[:, None, None]
+        sys = SystemSpec(
+            0.6 * rng.normal(size=(d, d)), rng.normal(size=(d, 2)), rng.normal(size=(2, d)), N
+        )
+        y = ReferenceSignal(np.stack([np.sin(2.0 * np.pi * grid.nodes), grid.nodes**2], axis=1))
+        t = grid.nodes[: k + 1]
+        tail = np.stack([np.cos(t), 0.5 - t, t * t], axis=1)
+        xi = InitialState(k, tail[-1], tail)
+        ric = solve_riccati(sys, grid)
+        trk = solve_tracking(sys, grid, ric, y)
+        u = ControlSignal(k, 0.3 * rng.normal(size=(n + 1 - k, 2)))
+        w = simulate(sys, grid, xi, u)
+        rep = di_residual(sys, grid, ric, trk, w, u, y)
+        # slack = running cost + value(node) - value(tau), so the node values are
+        # recovered from it up to the common value at tau
+        res = w.values[k:] @ sys.C.T - y.values[k:]
+        g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
+        run = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (g[:-1] + g[1:]))])
+        nodes = (k, k + 1, (k + n) // 2, n - 1, n)
+        ref = {j: p2_reference_value(ric, trk, j, w.values[j], w.values[: j + 1]) for j in nodes}
+        scale = max(abs(v) for v in ref.values())
+        for j in nodes:
+            W = value_function(ric, trk, j, extend_state(w, j))
+            assert abs(W - ref[j]) <= 1e-13 * scale
+            assert abs(rep.slack[j - k] - run[j - k] + ref[k] - ref[j]) <= 1e-13 * scale
+        stored = [
+            name
+            for name, val in vars(ric).items()
+            if isinstance(val, np.ndarray) and name != "p1" and val.size > (n + 1) * d * d
+        ]
+        assert stored == []
