@@ -49,8 +49,8 @@ def routes(n):
     )
     uF = optimal_control_fredholm(p, sys.B)
     ric = solve_riccati(sys, grid)
-    trk = solve_tracking(sys, grid, ric, y)
-    uR, _ = closed_loop(sys, grid, ric, trk, xi)
+    trk = solve_tracking(ric, y)
+    uR, _ = closed_loop(ric, trk, xi)
     uO = solve_qp(build_affine_map(sys, grid, xi), y)
     wts = grid.weights(0)
 

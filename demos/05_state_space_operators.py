@@ -42,16 +42,16 @@ for n in (50, 100, 200):
     sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]))
     y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
     ric = solve_riccati(sys, grid)
-    trk = solve_tracking(sys, grid, ric, y)
+    trk = solve_tracking(ric, y)
     j = n // 2
     om = make_domain_element(omega_seed, j, grid)
     xe = make_domain_element(xi_seed, j, grid)
-    r1 = riccati_operator_residual(ric, sys, j, om, xe)
-    r2 = tracking_operator_residual(trk, ric, sys, j, xe, y)
+    r1 = riccati_operator_residual(ric, j, om, xe)
+    r2 = tracking_operator_residual(trk, ric, j, xe, y)
     # the Riccati operator is selfadjoint in the state inner product
     sym = abs(
-        state_inner(grid, om, riccati_operator(ric, j, xe))
-        - state_inner(grid, riccati_operator(ric, j, om), xe)
+        state_inner(grid, om, riccati_operator(ric, xe))
+        - state_inner(grid, riccati_operator(ric, om), xe)
     )
     print(f"{n:>5} {r1:>12.3e} {r2:>12.3e} {sym:>12.1e}")
 print("\nresiduals shrink by ~4x per doubling; the operator stays symmetric")

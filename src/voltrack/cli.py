@@ -83,9 +83,18 @@ def _positive(raw, key: str) -> float:
 
 
 def _numbers(raw, key: str) -> np.ndarray:
-    if not isinstance(raw, list) or not all(_is_number(v) for v in raw):
+    if not isinstance(raw, list):
         raise ConfigurationError(f"field '{key}': expected a flat list of numbers")
+    for v in raw:
+        if not _is_number(v):
+            raise ConfigurationError(f"field '{key}': expected numbers, got {v!r}")
     return _finite(np.asarray(raw, dtype=float), key)
+
+
+def _section(raw, key: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"field '{key}': expected an object, got {type(raw).__name__}")
+    return raw
 
 
 def _matrix(cfg: dict, key: str, rows: int, cols: int) -> np.ndarray:
@@ -111,19 +120,20 @@ def _poly_values(coeffs, t: np.ndarray, key: str) -> np.ndarray:
 
 
 def _table_values(raw, rows: int, cols: int, key: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (rows, cols):
+    if not isinstance(raw, list) or len(raw) != rows or any(
+        not isinstance(row, list) or len(row) != cols for row in raw
+    ):
         raise ConfigurationError(
-            f"field '{key}': expected a {rows}x{cols} node table, got {arr.shape}"
+            f"field '{key}': expected a {rows}x{cols} node table of numbers"
         )
-    return _finite(arr, key)
+    return _numbers([v for row in raw for v in row], key).reshape(rows, cols)
 
 
 class Instance:
     """A fully built run: grid, plant, signals, initial state, options."""
 
     def __init__(self, cfg: dict, n_override: int | None):
-        dims = _require(cfg, "dims")
+        dims = _section(_require(cfg, "dims"), "dims")
         self.d, self.m, self.p = (_integer(_require(dims, k), f"dims.{k}") for k in "dmp")
         if min(self.d, self.m, self.p) < 1:
             raise ConfigurationError("dims must be positive")
@@ -136,19 +146,22 @@ class Instance:
         self.reference = ReferenceSignal(self._signal(cfg.get("reference"), "reference"))
         self.state = self._initial_state(cfg.get("initial_state"))
         self.cfg = cfg
-        tol = cfg.get("tolerances", {})
+        tol = _section(cfg.get("tolerances", {}), "tolerances")
         self.blowup = _positive(tol.get("blowup", 1e8), "tolerances.blowup")
         self.threeway_tol = _positive(tol.get("threeway", 5e-2), "tolerances.threeway")
 
     def _kernel(self, cfg: dict) -> np.ndarray:
-        spec = cfg.get("kernel", {"type": "zero"})
+        spec = _section(cfg.get("kernel", {"type": "zero"}), "kernel")
         kind = spec.get("type", "zero")
         if kind == "zero":
             return zero_kernel(self.grid, self.d)
         if kind == "exponential":
+            raw_terms = _require(spec, "terms")
+            if not isinstance(raw_terms, list):
+                raise ConfigurationError("field 'kernel.terms': expected a list of objects")
             terms = []
-            for q, term in enumerate(_require(spec, "terms")):
-                G = _matrix(term, "matrix", self.d, self.d)
+            for q, term in enumerate(raw_terms):
+                G = _matrix(_section(term, f"kernel.terms[{q}]"), "matrix", self.d, self.d)
                 rate = _require(term, "rate")
                 if not _is_number(rate) or not 0 <= rate < math.inf:
                     raise ConfigurationError(
@@ -164,7 +177,7 @@ class Instance:
 
     def _signal(self, spec, key: str) -> np.ndarray:
         t = self.grid.nodes
-        if spec is None or spec.get("type", "zero") == "zero":
+        if spec is None or _section(spec, key).get("type", "zero") == "zero":
             return np.zeros((t.size, self.p))
         kind = spec["type"]
         if kind == "polynomial":
@@ -179,6 +192,7 @@ class Instance:
     def _initial_state(self, spec) -> InitialState:
         if spec is None:
             return InitialState(0, np.zeros(self.d))
+        _section(spec, "initial_state")
         k = _integer(spec.get("tau_index", 0), "initial_state.tau_index")
         if not 0 <= k < self.grid.steps:
             raise ConfigurationError("initial_state.tau_index must lie inside the grid")
@@ -188,7 +202,7 @@ class Instance:
         tail_spec = spec.get("tail")
         if tail_spec is None or k == 0:
             return InitialState(k, head)
-        kind = tail_spec.get("type", "zero")
+        kind = _section(tail_spec, "initial_state.tail").get("type", "zero")
         t = self.grid.nodes[: k + 1]
         if kind == "zero":
             tail = np.zeros((k + 1, self.d))
@@ -209,7 +223,7 @@ class Instance:
         return InitialState(k, head, tail)
 
     def control(self) -> ControlSignal:
-        spec = self.cfg.get("control", {"type": "zero"})
+        spec = _section(self.cfg.get("control", {"type": "zero"}), "control")
         k = self.state.tau_index
         count = self.grid.steps + 1 - k
         kind = spec.get("type", "zero")
@@ -322,8 +336,8 @@ def _route_fredholm(inst: Instance):
 
 def _route_riccati(inst: Instance):
     ric = riccati.solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
-    trk = riccati.solve_tracking(inst.sys, inst.grid, ric, inst.reference)
-    u, w = riccati.closed_loop(inst.sys, inst.grid, ric, trk, inst.state)
+    trk = riccati.solve_tracking(ric, inst.reference)
+    u, w = riccati.closed_loop(ric, trk, inst.state)
     return _record(inst, u, w, ric=ric, trk=trk)
 
 
@@ -382,12 +396,8 @@ def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
 
 def _value_gap(inst: Instance, ricc) -> tuple[float, float]:
     """Value function at the initial state and its relative gap to the Riccati cost."""
-    W = riccati.value_function(ricc.ric, ricc.trk, inst.state.tau_index, inst.state)
+    W = riccati.value_function(ricc.ric, ricc.trk, inst.state)
     return W, abs(W - ricc.J) / (1.0 + abs(W))
-
-
-def _di_report(inst: Instance, ricc, w: StateTrajectory, u: ControlSignal):
-    return riccati.di_residual(inst.sys, inst.grid, ricc.ric, ricc.trk, w, u, inst.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +439,7 @@ def run_compare(inst: Instance, outdir: Path) -> int:
     recs = _solve_routes(inst)
     fred, ricc = recs["fredholm"], recs["riccati"]
     W, gap = _value_gap(inst, ricc)
-    report = _di_report(inst, ricc, ricc.w, ricc.u)
+    report = riccati.di_residual(ricc.ric, ricc.trk, ricc.w, ricc.u, inst.reference)
     res = fredholm.resolvent(fred.kernel, inst.grid)
     lines = ["tracking synthesis comparison report", ""]
     lines += [f"cost_{name}\t" + _FMT % rec.J for name, rec in recs.items()]
@@ -518,7 +528,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         1e-6 * (1.0 + abs(jO)),
     )
     check("qp_discrete_optimality", max(jO - fred.J, jO - ricc.J), 1e-12 * (1.0 + abs(jO)))
-    rep = _di_report(inst, ricc, wR, uR)
+    rep = riccati.di_residual(ric, trk, wR, uR, inst.reference)
     check("di_optimal_slack", max(rep.max_slack, -rep.min_slack), 5.0 * grid.h)
     rng = np.random.default_rng(20260810)
     worst = 0.0
@@ -526,10 +536,10 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         du = 0.5 * rng.standard_normal(uR.values.shape)
         up = ControlSignal(k, uR.values + du)
         wp = simulate(sysm, grid, inst.state, up)
-        worst = max(worst, -_di_report(inst, ricc, wp, up).min_slack)
+        worst = max(worst, -riccati.di_residual(ric, trk, wp, up, inst.reference).min_slack)
     check("di_perturbed_direction", worst, 1e-8)
     mid = (k + grid.steps) // 2
-    u2, _ = riccati.closed_loop(sysm, grid, ric, trk, extend_state(wR, mid))
+    u2, _ = riccati.closed_loop(ric, trk, extend_state(wR, mid))
     check(
         "restart_reproducibility",
         float(np.abs(u2.values - uR.values[mid - k :]).max()),
@@ -554,6 +564,28 @@ def run_verify(inst: Instance, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+def _flag_number(text: str):
+    """A number typed on the command line, or the text itself if it is none."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _grid_sizes(flag: str | None, cfg: dict) -> list[int]:
+    """Convergence grid sizes from ``--grids`` or the config's ``grids``, none repeated."""
+    if flag is not None:
+        key, raw = "--grids", [_flag_number(v) for v in flag.split(",") if v]
+    else:
+        key, raw = "grids", cfg.get("grids", [])
+        if not isinstance(raw, list):
+            raise ConfigurationError("field 'grids': expected a list of integers")
+    grids = [_integer(v, key) for v in raw]
+    if len(set(grids)) != len(grids):
+        raise ConfigurationError(f"field '{key}': grid sizes must not repeat, got {grids}")
+    return grids
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -583,11 +615,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "convergence":
-            if args.grids is not None:
-                grids = [int(v) for v in args.grids.split(",") if v]
-            else:
-                grids = [_integer(v, "grids") for v in cfg.get("grids", [])]
-            return run_convergence(cfg, outdir, grids)
+            return run_convergence(cfg, outdir, _grid_sizes(args.grids, cfg))
         inst = Instance(cfg, args.n)
         if args.command == "simulate":
             return run_simulate(inst, outdir)

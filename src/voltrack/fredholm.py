@@ -36,6 +36,7 @@ from .model import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    _lag_gather,
     _node_derivative,
     trapezoid_weights,
     voc_solution,
@@ -69,11 +70,6 @@ class TrackingKernel:
     start_index: int
     ktilde: np.ndarray = field(repr=False)
     input_matrix: np.ndarray = field(repr=False)
-
-    @property
-    def kb(self) -> np.ndarray:
-        """K = Ktilde B, shape (nk, nk, d, m)."""
-        return np.einsum("ijab,bc->ijac", self.ktilde, self.input_matrix)
 
     def restrict(self, start_index: int) -> "TrackingKernel":
         """The same kernel on the smaller window [t_start, T].
@@ -270,7 +266,7 @@ def _tail_convolution(
     """E[s, v] = int_tau^{t_s} Z*(t_s - r) N(r - t_v) dr for v = 0..k, s = k..n."""
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1
-    NT = sys.N[np.arange(k, n + 1)[:, None] - np.arange(k + 1)[None, :]]
+    NT = _lag_gather(sys.N, k)
     E = np.zeros((nk, k + 1, d, d))
     for il in range(1, nk):
         wts = trapezoid_weights(il + 1, h)
@@ -280,24 +276,18 @@ def _tail_convolution(
 
 
 def synthesis_kernels(
-    sys: SystemSpec,
-    Z: FundamentalMatrix,
-    R: ResolventKernel,
-    grid: TimeGrid,
-    start_index: int | None = None,
+    sys: SystemSpec, Z: FundamentalMatrix, R: ResolventKernel, grid: TimeGrid
 ) -> SynthesisKernels:
     """Assemble the Q and H kernels of the closed-form optimal pair.
 
     The costate splits as p = Q0 head + int Q1 tail + int Q2 y and the
     optimal trajectory as w = H0 head + int H1 tail + int H2 y; all six
     maps are built from the resolvent with the shared trapezoid weights,
-    so applying them reproduces the Nystrom solve to round-off.  Ktilde
-    is read from the tracking kernel ``R`` was solved from, which must
-    have been built from ``sys`` and ``Z``.
+    so applying them reproduces the Nystrom solve to round-off.  The start
+    node is the resolvent's, and Ktilde is read from the tracking kernel
+    ``R`` was solved from, which must have been built from ``sys`` and ``Z``.
     """
-    k = R.start_index if start_index is None else start_index
-    if k != R.start_index:
-        raise ConfigurationError("resolvent was built for a different start node")
+    k = R.start_index
     sys.check_grid(grid)
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1

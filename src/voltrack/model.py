@@ -265,20 +265,21 @@ class FundamentalMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _lag_gather(N: np.ndarray, j: int) -> np.ndarray:
+    """N(t_q - s_i) for q = j..n and i = 0..j, shape (n-j+1, j+1, d, d)."""
+    return N[np.subtract.outer(np.arange(j, N.shape[0]), np.arange(j + 1))]
+
+
 def _tail_forcing(sys: SystemSpec, xi: InitialState, grid: TimeGrid) -> np.ndarray:
     """f(t_i) = int_0^tau N(t_i - s) tail(s) ds for i = tau..n.
 
     Returns an array of shape (n - tau + 1, d); zero when tau_index == 0.
     The tail's own junction value enters at s = tau (weight h/2).
     """
-    k, n, d = xi.tau_index, grid.steps, sys.d
-    out = np.zeros((n - k + 1, d))
+    k = xi.tau_index
     if k == 0:
-        return out
-    wt = grid.weights(0, k)
-    rows = np.arange(k, n + 1)[:, None] - np.arange(k + 1)[None, :]
-    gathered = sys.N[rows]  # (n-k+1, k+1, d, d)
-    return np.einsum("ijab,jb,j->ia", gathered, xi.tail, wt)
+        return np.zeros((grid.steps + 1, sys.d))
+    return np.einsum("ijab,jb,j->ia", _lag_gather(sys.N, k), xi.tail, grid.weights(0, k))
 
 
 def _check_control(xi: InitialState, u: ControlSignal, grid: TimeGrid, m: int) -> None:
@@ -421,12 +422,10 @@ def cost(
     w: StateTrajectory,
     u: ControlSignal,
     y: ReferenceSignal,
-    start_index: int | None = None,
 ) -> float:
-    """Trapezoid value of int_tau^T ||C w - y||^2 + ||u||^2 dt."""
-    k = u.start_index if start_index is None else start_index
-    if k != u.start_index:
-        raise ConfigurationError("start index disagrees with the control window")
+    """Trapezoid value of int_tau^T ||C w - y||^2 + ||u||^2 dt, tau the
+    control window's start."""
+    k = u.start_index
     wts = grid.weights(k)
     res = w.values[k:] @ sys.C.T - y.values[k:]
     return float(wts @ ((res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)))

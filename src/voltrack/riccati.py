@@ -22,6 +22,8 @@ form contracts P2 against a tail through x_q = int N(tau_q - s)
 tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds.  Costs in the node
 count n: ``solve_riccati`` O(n^3 d^3) time and O(n^2 d^2) memory,
 ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
+Everything after the sweep reads the plant and grid from the solved
+:class:`RiccatiField` and the node tau from the state it is given.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .model import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    _lag_gather,
     _node_derivative,
     _tail_forcing,
     trapezoid_weights,
@@ -59,10 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiccatiField:
-    """Backward-swept coefficients P0 and P1; P2 is never stored.
+    """Backward-swept coefficients P0 and P1 of the plant ``sys`` on ``grid``.
 
     ``p0[j]`` is P0(tau_j); ``p1[i, j]`` is P1(s_i, tau_j) for i <= j
-    (zero above the diagonal).
+    (zero above the diagonal).  P2 is never stored.
     """
 
     sys: SystemSpec = field(repr=False)
@@ -97,7 +100,6 @@ class TrackingField:
     ``m[j]`` is M(tau_j).  All vanish identically when y = 0.
     """
 
-    grid: TimeGrid
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
@@ -220,13 +222,10 @@ def solve_riccati(
     return RiccatiField(sys, grid, p0, p1)
 
 
-def solve_tracking(
-    sys: SystemSpec, grid: TimeGrid, ric: RiccatiField, y: ReferenceSignal
-) -> TrackingField:
-    """Backward sweep of the reference-driven equations for d1, d2, M."""
-    sys.check_grid(grid)
-    if ric.grid != grid:
-        raise ConfigurationError("Riccati field was solved on a different grid")
+def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
+    """Backward sweep of the reference-driven equations for d1, d2, M
+    on the plant and grid ``ric`` was solved for."""
+    sys, grid = ric.sys, ric.grid
     n, d, h = grid.steps, sys.d, grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
@@ -259,27 +258,20 @@ def solve_tracking(
         d1[j] = d1c + 0.5 * h * (g1c + g1p)
         d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (g2c + g2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
-    return TrackingField(grid, d1, d2, m)
+    return TrackingField(d1, d2, m)
 
 
-def feedback_control(
-    ric: RiccatiField, trk: TrackingField, tau_index: int, xi: InitialState
-) -> np.ndarray:
-    """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]."""
-    if xi.tau_index != tau_index:
-        raise ConfigurationError("state node differs from the requested node")
-    k = tau_index
+def feedback_control(ric: RiccatiField, trk: TrackingField, xi: InitialState) -> np.ndarray:
+    """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]
+    at the state's node tau."""
+    k = xi.tau_index
     wt = trapezoid_weights(k + 1, ric.grid.h)
     hist = np.einsum("iab,ib,i->a", ric.p1[: k + 1, k], xi.tail, wt)
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
 
 
 def closed_loop(
-    sys: SystemSpec,
-    grid: TimeGrid,
-    ric: RiccatiField,
-    trk: TrackingField,
-    xi0: InitialState,
+    ric: RiccatiField, trk: TrackingField, xi0: InitialState
 ) -> tuple[ControlSignal, StateTrajectory]:
     """Simulate the plant forward under the running feedback law.
 
@@ -289,14 +281,14 @@ def closed_loop(
     from any mid-run state reproduces the tail of the pair node for
     node.
     """
-    sys.check_grid(grid)
+    sys, grid = ric.sys, ric.grid
     k, n, d, mdim, h = xi0.tau_index, grid.steps, sys.d, sys.m, grid.h
     A, B, N = sys.A, sys.B, sys.N
     w = np.zeros((n + 1, d))
     w[:k] = xi0.tail[:k]
     w[k] = xi0.head
     u = np.zeros((n + 1 - k, mdim))
-    u[0] = feedback_control(ric, trk, k, xi0)
+    u[0] = feedback_control(ric, trk, xi0)
     f = _tail_forcing(sys, xi0, grid)
     wt_tail = trapezoid_weights(k + 1, h)
     # tail contribution to the feedback history, per future node
@@ -335,8 +327,7 @@ def _tail_contractions(ric: RiccatiField, j: int, tail: np.ndarray) -> tuple:
     """x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds,
     q = j..n, for the history ``tail[i]`` at s_i, i = 0..j; O((n-j) j d^2)."""
     wtail = ric.grid.weights(0, j)[:, None] * tail
-    nq = ric.sys.N[np.subtract.outer(np.arange(j, ric.grid.steps + 1), np.arange(j + 1))]
-    x = np.einsum("qiab,ib->qa", nq, wtail)
+    x = np.einsum("qiab,ib->qa", _lag_gather(ric.sys.N, j), wtail)
     z = np.einsum("iqab,ib->qa", ric.p1[: j + 1, j:], wtail)
     return x, z
 
@@ -361,24 +352,16 @@ def _value_form(ric: RiccatiField, trk: TrackingField, j: int, head, tail, x, z)
     )
 
 
-def value_function(
-    ric: RiccatiField, trk: TrackingField, tau_index: int, omega: InitialState
-) -> float:
-    """Evaluate the quadratic value form at the state ``omega``; O(n (n-k) d^2)."""
-    if omega.tau_index != tau_index:
-        raise ConfigurationError("state node differs from the requested node")
-    x, z = _tail_contractions(ric, tau_index, omega.tail)
-    return float(_value_form(ric, trk, tau_index, omega.head, omega.tail, x, z))
+def value_function(ric: RiccatiField, trk: TrackingField, omega: InitialState) -> float:
+    """Evaluate the quadratic value form at the state ``omega``, at its node k;
+    O(n (n-k) d^2)."""
+    k = omega.tau_index
+    x, z = _tail_contractions(ric, k, omega.tail)
+    return float(_value_form(ric, trk, k, omega.head, omega.tail, x, z))
 
 
 def di_residual(
-    sys: SystemSpec,
-    grid: TimeGrid,
-    ric: RiccatiField,
-    trk: TrackingField,
-    w: StateTrajectory,
-    u: ControlSignal,
-    y: ReferenceSignal,
+    ric: RiccatiField, trk: TrackingField, w: StateTrajectory, u: ControlSignal, y: ReferenceSignal
 ) -> DIReport:
     """Dissipation diagnostics for an admissible pair (w, u).
 
@@ -388,6 +371,7 @@ def di_residual(
     forward from node to node as prefix sums, one term per node, so the
     whole call is O(n^2 d^2).
     """
+    sys, grid = ric.sys, ric.grid
     k, n, h = u.start_index, grid.steps, grid.h
     nk = n - k + 1
     res = w.values[k:] @ sys.C.T - y.values[k:]

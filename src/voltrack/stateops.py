@@ -16,7 +16,9 @@ second-order difference stencils, and the tau-derivative is a finite
 difference across the neighboring nodes with the test elements
 re-sampled from their smooth generators at each node.  The P2 block of
 the Riccati operator acts through the tail contractions of
-:mod:`voltrack.riccati`, so no P2 slice is ever formed.
+:mod:`voltrack.riccati`, so no P2 slice is ever formed.  The Riccati
+and tracking operators read the plant and grid from the solved field
+and the node from the element.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .model import (
     ReferenceSignal,
     SystemSpec,
     TimeGrid,
+    _lag_gather,
     _node_derivative,
     trapezoid_weights,
 )
@@ -109,8 +112,9 @@ def output_operator(sys: SystemSpec, elem: StateElement) -> np.ndarray:
     return sys.C @ elem.head
 
 
-def riccati_operator(ric: RiccatiField, tau_index: int, elem: StateElement) -> StateElement:
-    """Action of the block operator [P0, P1-row; P1-col, P2] on an element.
+def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:
+    """Action of the block operator [P0, P1-row; P1-col, P2] on an element,
+    at the element's node.
 
     The age-indexed convention reverses the stored fields: the tail
     couplings use P1(tau - s, tau) and P2(tau - s, tau - v, tau).  The P2
@@ -118,13 +122,10 @@ def riccati_operator(ric: RiccatiField, tau_index: int, elem: StateElement) -> S
     N*(tau_q - s) z_q + P1*(s, tau_q)(x_q - BB* z_q), with x_q, z_q the
     tail contractions of :mod:`voltrack.riccati`; O((n-j) j d^2).
     """
-    j = tau_index
-    if elem.tau_index != j:
-        raise ConfigurationError("element node differs from the requested node")
+    j = elem.tau_index
     x, z = _tail_contractions(ric, j, elem.tail[::-1])
     wq = ric.grid.weights(j)[:, None]
-    nq = ric.sys.N[np.subtract.outer(np.arange(j, ric.grid.steps + 1), np.arange(j + 1))]
-    p2_tail = np.einsum("qiba,qb->ia", nq, wq * z) + np.einsum(
+    p2_tail = np.einsum("qiba,qb->ia", _lag_gather(ric.sys.N, j), wq * z) + np.einsum(
         "iqba,qb->ia", ric.p1[: j + 1, j:], wq * (x - z @ ric.sys.B @ ric.sys.B.T)
     )
     head = ric.p0[j] @ elem.head + z[0]
@@ -165,32 +166,30 @@ def _resample(elem: StateElement, j: int, grid: TimeGrid) -> StateElement:
 
 
 def riccati_operator_residual(
-    ric: RiccatiField,
-    sys: SystemSpec,
-    tau_index: int,
-    omega: StateElement,
-    xi: StateElement,
+    ric: RiccatiField, tau_index: int, omega: StateElement, xi: StateElement
 ) -> float:
     """Residual of the operator form of the feedback-synthesis identity.
 
     Evaluates d/dtau <Omega, P Xi> + <A Omega, P Xi> + <P Omega, A Xi>
     - <B* P Omega, B* P Xi> + <C Omega, C Xi> with the tau-derivative
-    across the neighboring nodes; first-order small in h.
+    across the neighboring nodes; first-order small in h.  ``omega`` and
+    ``xi`` are re-sampled from their generators at ``tau_index`` and its
+    neighbors.
     """
-    grid = ric.grid
+    sys, grid = ric.sys, ric.grid
     j = tau_index
 
     def quad(c: int) -> float:
         om = _resample(omega, c, grid)
         xc = _resample(xi, c, grid)
-        return state_inner(grid, om, riccati_operator(ric, c, xc))
+        return state_inner(grid, om, riccati_operator(ric, xc))
 
     dterm = _tau_derivative(ric, j, quad)
 
     om = _resample(omega, j, grid)
     xc = _resample(xi, j, grid)
-    p_om = riccati_operator(ric, j, om)
-    p_xc = riccati_operator(ric, j, xc)
+    p_om = riccati_operator(ric, om)
+    p_xc = riccati_operator(ric, xc)
     a_om = state_operator(sys, grid, om)
     a_xc = state_operator(sys, grid, xc)
     total = (
@@ -204,19 +203,14 @@ def riccati_operator_residual(
 
 
 def tracking_operator_residual(
-    trk: TrackingField,
-    ric: RiccatiField,
-    sys: SystemSpec,
-    tau_index: int,
-    xi: StateElement,
-    y: ReferenceSignal,
+    trk: TrackingField, ric: RiccatiField, tau_index: int, xi: StateElement, y: ReferenceSignal
 ) -> float:
     """Residual of the operator form of the tracking equations.
 
     Checks d/dtau <d(tau), Xi> = -<d(tau), (A - B B* P) Xi> + <y, C Xi>
     with the same node-based tau-derivative; first-order small.
     """
-    grid = ric.grid
+    sys, grid = ric.sys, ric.grid
     j = tau_index
 
     def pair(c: int) -> float:
@@ -227,7 +221,7 @@ def tracking_operator_residual(
     xc = _resample(xi, j, grid)
     dj = tracking_element(trk, j)
     a_xc = state_operator(sys, grid, xc)
-    p_head = riccati_operator(ric, j, xc).head
+    p_head = riccati_operator(ric, xc).head
     rhs = (
         -state_inner(grid, dj, a_xc)
         + float(dj.head @ (sys.B @ (sys.B.T @ p_head)))

@@ -116,6 +116,46 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"kernel": 5}, "kernel"),
+            ({"initial_state": 7}, "initial_state"),
+            ({"reference": "x"}, "reference"),
+            ({"control": [1]}, "control"),
+            ({"tolerances": [1]}, "tolerances"),
+            ({"dims": 3}, "dims"),
+            ({"kernel": {"type": "exponential", "terms": 5}}, "kernel.terms"),
+            ({"kernel": {"type": "exponential", "terms": [5]}}, "kernel.terms[0]"),
+        ],
+    )
+    def test_section_of_wrong_json_type_exits_2(self, tmp_path, capsys, overrides, field):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["boolean", "string", "ragged"])
+    @pytest.mark.parametrize(
+        "field",
+        ["kernel.values", "reference.values", "initial_state.tail.values", "control.values"],
+    )
+    def test_bad_node_table_exits_2(self, tmp_path, capsys, field, defect):
+        section = field.split(".")[0]
+        rows = 3 if section == "initial_state" else 5
+        table = [[0.0] for _ in range(rows)]
+        if defect == "ragged":
+            table[1].append(0.0)
+        else:
+            table[0][0] = True if defect == "boolean" else "0.1"
+        spec = {"type": "table", "values": table}
+        if section == "initial_state":
+            spec = {"tau_index": 2, "head": [0.0], "tail": spec}
+        cfg = tmp_path / "c.json"
+        write_config(cfg, steps=4, **{section: spec})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
     def test_integral_float_steps_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
         write_config(cfg, steps=100.0)
@@ -205,7 +245,7 @@ class TestSynthesize:
         assert main(argv) == 0
         inst = Instance(raw, None)
         ric = solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
-        trk = solve_tracking(inst.sys, inst.grid, ric, inst.reference)
+        trk = solve_tracking(ric, inst.reference)
         nodes = inst.grid.nodes
         for name, field in (("p1", ric.p1), ("d2", trk.d2)):
             _, data = read_table(tmp_path / f"{name}.tsv")
@@ -347,6 +387,21 @@ class TestConvergence:
             ["convergence", "--config", str(cfg), "--out", str(tmp_path), "--grids", "50"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flag, grids, field",
+        [("50,50", None, "--grids"), ("50,abc", None, "--grids"), (None, [50, 50], "grids")],
+    )
+    def test_bad_grid_sizes_exit_2(self, tmp_path, capsys, flag, grids, field):
+        cfg = tmp_path / "c.json"
+        raw = tracking_config(cfg, steps=50)
+        if grids is not None:
+            raw["grids"] = grids
+            cfg.write_text(json.dumps(raw))
+        argv = ["convergence", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv + (["--grids", flag] if flag else [])) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.tsv").exists()
 
 
 class TestVerify:

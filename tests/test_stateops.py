@@ -28,7 +28,7 @@ XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
 def operator_setup():
     grid, sys, _, y = make_tracking_instance(100)
     ric = solve_riccati(sys, grid)
-    trk = solve_tracking(sys, grid, ric, y)
+    trk = solve_tracking(ric, y)
     return grid, sys, y, ric, trk
 
 
@@ -58,8 +58,8 @@ class TestOperatorActions:
         j = 50
         om = make_domain_element(OMEGA_SEED, j, grid)
         xe = make_domain_element(XI_SEED, j, grid)
-        lhs = state_inner(grid, om, riccati_operator(ric, j, xe))
-        rhs = state_inner(grid, riccati_operator(ric, j, om), xe)
+        lhs = state_inner(grid, om, riccati_operator(ric, xe))
+        rhs = state_inner(grid, riccati_operator(ric, om), xe)
         assert abs(lhs - rhs) <= 1e-10
 
     def test_memory_term_consistency(self, operator_setup):
@@ -95,7 +95,7 @@ class TestRiccatiOperatorResidual:
         ric = solve_riccati(sys0, grid)
         om = make_domain_element(OMEGA_SEED, 30, grid)
         xe = make_domain_element(XI_SEED, 30, grid)
-        assert riccati_operator_residual(ric, sys0, 30, om, xe) == 0.0
+        assert riccati_operator_residual(ric, 30, om, xe) == 0.0
 
     def test_any_node_first_order(self):
         # the tau-derivative differences the neighboring nodes, so the
@@ -107,7 +107,7 @@ class TestRiccatiOperatorResidual:
             j = 33 * n // 100
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = riccati_operator_residual(ric, sys, j, om, xe)
+            res[n] = riccati_operator_residual(ric, j, om, xe)
         assert math.isfinite(res[100])
         assert res[100] / res[200] >= 1.8
 
@@ -120,7 +120,7 @@ class TestRiccatiOperatorResidual:
             ric = solve_riccati(sys, grid)
             om = make_domain_element(OMEGA_SEED, n, grid)
             xe = make_domain_element(XI_SEED, n, grid)
-            res[n] = riccati_operator_residual(ric, sys, n, om, xe)
+            res[n] = riccati_operator_residual(ric, n, om, xe)
         assert res[50] / res[100] >= 1.8
 
     def test_refinement_drops_residual(self):
@@ -131,17 +131,17 @@ class TestRiccatiOperatorResidual:
             j = n // 2
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = riccati_operator_residual(ric, sys, j, om, xe)
+            res[n] = riccati_operator_residual(ric, j, om, xe)
         assert res[40] / res[80] >= 1.8
 
 
 class TestTrackingOperatorResidual:
     def test_zero_reference_exact(self, operator_setup):
         grid, sys, _, ric, _ = operator_setup
-        trk0 = solve_tracking(sys, grid, ric, ReferenceSignal(np.zeros((101, 1))))
+        trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
         xe = make_domain_element(XI_SEED, 50, grid)
         res = tracking_operator_residual(
-            trk0, ric, sys, 50, xe, ReferenceSignal(np.zeros((101, 1)))
+            trk0, ric, 50, xe, ReferenceSignal(np.zeros((101, 1)))
         )
         assert res == 0.0
 
@@ -150,9 +150,9 @@ class TestTrackingOperatorResidual:
         for n in (50, 100):
             grid, sys, _, y = make_tracking_instance(n)
             ric = solve_riccati(sys, grid)
-            trk = solve_tracking(sys, grid, ric, y)
+            trk = solve_tracking(ric, y)
             xe = make_domain_element(XI_SEED, n, grid)
-            res[n] = tracking_operator_residual(trk, ric, sys, n, xe, y)
+            res[n] = tracking_operator_residual(trk, ric, n, xe, y)
         assert res[50] / res[100] >= 1.8
 
     def test_refinement_drops_residual(self):
@@ -160,8 +160,8 @@ class TestTrackingOperatorResidual:
         for n in (40, 80):
             grid, sys, _, y = make_tracking_instance(n)
             ric = solve_riccati(sys, grid)
-            trk = solve_tracking(sys, grid, ric, y)
+            trk = solve_tracking(ric, y)
             j = n // 2
             xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = tracking_operator_residual(trk, ric, sys, j, xe, y)
+            res[n] = tracking_operator_residual(trk, ric, j, xe, y)
         assert res[40] / res[80] >= 1.8
