@@ -53,9 +53,15 @@ _CHUNK_ROWS = 20000  # rows formatted per write, so no whole-file string is buil
 # ---------------------------------------------------------------------------
 
 
-def _require(cfg: dict, key: str):
+def _require(cfg: dict, path: str):
+    """The entry of section ``cfg`` named by the last component of ``path``.
+
+    ``path`` is the field's full name (``dims.m``, ``kernel.terms[1].rate``),
+    so a missing field is reported with the section it sits in.
+    """
+    key = path.rsplit(".", 1)[-1]
     if key not in cfg:
-        raise ConfigurationError(f"config field '{key}' is missing")
+        raise ConfigurationError(f"config field '{path}' is missing")
     return cfg[key]
 
 
@@ -134,7 +140,9 @@ class Instance:
 
     def __init__(self, cfg: dict, n_override: int | None):
         dims = _section(_require(cfg, "dims"), "dims")
-        self.d, self.m, self.p = (_integer(_require(dims, k), f"dims.{k}") for k in "dmp")
+        self.d, self.m, self.p = (
+            _integer(_require(dims, f"dims.{k}"), f"dims.{k}") for k in "dmp"
+        )
         if min(self.d, self.m, self.p) < 1:
             raise ConfigurationError("dims must be positive")
         steps = _integer(_require(cfg, "steps") if n_override is None else n_override, "steps")
@@ -156,21 +164,22 @@ class Instance:
         if kind == "zero":
             return zero_kernel(self.grid, self.d)
         if kind == "exponential":
-            raw_terms = _require(spec, "terms")
+            raw_terms = _require(spec, "kernel.terms")
             if not isinstance(raw_terms, list):
                 raise ConfigurationError("field 'kernel.terms': expected a list of objects")
             terms = []
             for q, term in enumerate(raw_terms):
-                G = _matrix(_section(term, f"kernel.terms[{q}]"), "matrix", self.d, self.d)
-                rate = _require(term, "rate")
+                key = f"kernel.terms[{q}]"
+                G = _matrix(_section(term, key), f"{key}.matrix", self.d, self.d)
+                rate = _require(term, f"{key}.rate")
                 if not _is_number(rate) or not 0 <= rate < math.inf:
                     raise ConfigurationError(
-                        f"field 'kernel.terms[{q}].rate': must be a finite number >= 0"
+                        f"field '{key}.rate': must be a finite number >= 0"
                     )
                 terms.append((G, rate))
             return exponential_kernel(self.grid, terms)
         if kind == "table":
-            raw = _require(spec, "values")
+            raw = _require(spec, "kernel.values")
             flat = _table_values(raw, self.grid.steps + 1, self.d * self.d, "kernel.values")
             return flat.reshape(-1, self.d, self.d)
         raise ConfigurationError(f"kernel type '{kind}' is not one of zero|exponential|table")
@@ -181,12 +190,14 @@ class Instance:
             return np.zeros((t.size, self.p))
         kind = spec["type"]
         if kind == "polynomial":
-            vals = _poly_values(_require(spec, "coefficients"), t, f"{key}.coefficients")
+            coeffs = f"{key}.coefficients"
+            vals = _poly_values(_require(spec, coeffs), t, coeffs)
             if vals.shape[1] != self.p:
                 raise ConfigurationError(f"field '{key}': needs {self.p} channels")
             return vals
         if kind == "table":
-            return _table_values(_require(spec, "values"), t.size, self.p, f"{key}.values")
+            table = f"{key}.values"
+            return _table_values(_require(spec, table), t.size, self.p, table)
         raise ConfigurationError(f"{key} type '{kind}' is not one of zero|polynomial|table")
 
     def _initial_state(self, spec) -> InitialState:
@@ -196,7 +207,7 @@ class Instance:
         k = _integer(spec.get("tau_index", 0), "initial_state.tau_index")
         if not 0 <= k < self.grid.steps:
             raise ConfigurationError("initial_state.tau_index must lie inside the grid")
-        head = _numbers(_require(spec, "head"), "initial_state.head")
+        head = _numbers(_require(spec, "initial_state.head"), "initial_state.head")
         if head.shape != (self.d,):
             raise ConfigurationError(f"initial_state.head must have {self.d} entries")
         tail_spec = spec.get("tail")
@@ -207,15 +218,13 @@ class Instance:
         if kind == "zero":
             tail = np.zeros((k + 1, self.d))
         elif kind == "polynomial":
-            tail = _poly_values(
-                _require(tail_spec, "coefficients"), t, "initial_state.tail.coefficients"
-            )
+            key = "initial_state.tail.coefficients"
+            tail = _poly_values(_require(tail_spec, key), t, key)
             if tail.shape[1] != self.d:
                 raise ConfigurationError("initial_state.tail needs d channels")
         elif kind == "table":
-            tail = _table_values(
-                _require(tail_spec, "values"), k + 1, self.d, "initial_state.tail.values"
-            )
+            key = "initial_state.tail.values"
+            tail = _table_values(_require(tail_spec, key), k + 1, self.d, key)
         else:
             raise ConfigurationError(
                 f"tail type '{kind}' is not one of zero|polynomial|table"
@@ -230,9 +239,8 @@ class Instance:
         if kind == "zero":
             return ControlSignal.zero(self.grid, self.m, k)
         if kind == "table":
-            return ControlSignal(
-                k, _table_values(_require(spec, "values"), count, self.m, "control.values")
-            )
+            key = "control.values"
+            return ControlSignal(k, _table_values(_require(spec, key), count, self.m, key))
         raise ConfigurationError(f"control type '{kind}' is not one of zero|table")
 
 
@@ -414,8 +422,10 @@ def run_simulate(inst: Instance, outdir: Path) -> int:
 
 
 def run_synthesize(inst: Instance, outdir: Path, route: str) -> int:
-    if route not in _ROUTES:
-        raise ConfigurationError(f"route '{route}' is not one of fredholm|riccati|oracle")
+    if not isinstance(route, str) or route not in _ROUTES:
+        raise ConfigurationError(
+            f"field 'route': expected one of fredholm|riccati|oracle, got {route!r}"
+        )
     rec = _ROUTES[route](inst)
     _check_finite(rec.w.values, inst.blowup, "trajectory")
     _write_control(outdir / "control.tsv", inst, rec.u)
@@ -588,6 +598,22 @@ def _grid_sizes(flag: str | None, cfg: dict) -> list[int]:
     return grids
 
 
+def _output_dir(flag: str | None, cfg: dict) -> Path:
+    """The directory from --out, else the config's output_dir, created if missing."""
+    if flag is not None:
+        key, raw = "--out", flag
+    else:
+        key, raw = "output_dir", cfg.get("output_dir", ".")
+        if not isinstance(raw, str):
+            raise ConfigurationError(f"field 'output_dir': expected a path, got {raw!r}")
+    outdir = Path(raw)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"field '{key}': cannot create directory: {exc}") from exc
+    return outdir
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voltrack",
@@ -612,8 +638,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        outdir = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _output_dir(args.out, cfg)
         if args.command == "convergence":
             return run_convergence(cfg, outdir, _grid_sizes(args.grids, cfg))
         inst = Instance(cfg, args.n)

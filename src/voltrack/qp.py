@@ -4,11 +4,14 @@ The discrete tracking cost is a quadratic in the stacked control nodes,
 
     J(u) = sum_i w_i ( ||(G u + g)_i - y_i||^2 + ||u_i||^2 ),
 
-with G assembled column by column from unit-impulse runs of the plant
-integrator and g the zero-control response.  The minimizer solves the
-SPD normal equations; the trapezoid weights w match the cost used
-everywhere else, so the oracle's optimality is exact on the shared grid,
-not merely asymptotic.
+with g the zero-control response of the plant integrator and G its
+unit-impulse responses.  From a zero state the integrator is
+shift-invariant, so the impulse at node k + r gives the node-(k+1)
+response moved down r - 1 blocks: G takes 2m impulse runs (nodes k and
+k + 1 per input channel), O(m n^2 d^2) in all, not one run per node.
+The minimizer solves the SPD normal equations; the trapezoid weights w
+match the cost used everywhere else, so the oracle's optimality is exact
+on the shared grid, not merely asymptotic.
 """
 
 from __future__ import annotations
@@ -58,21 +61,43 @@ class DiscreteAffineMap:
 def build_affine_map(
     sys: SystemSpec, grid: TimeGrid, xi: InitialState
 ) -> DiscreteAffineMap:
-    """Assemble (G, g) by unit node impulses and the zero-control run."""
+    """Assemble (G, g) from 2m + 1 integrator runs.
+
+    g is the zero-control run from xi.  Column block r of G is the output
+    response to a unit impulse at node k + r, run from the zero state at
+    node k.  From that state the run is shift-invariant: the tail forcing
+    is zero, the step matrix is fixed, the lag N(t_i - t_j) depends on
+    i - j only, and every memory weight after node k is h.  An impulse at
+    node k + r (r >= 1) keeps the state exactly zero through node
+    k + r - 1, so from there on it repeats the node-(k+1) run step by
+    step, with the same nonzero terms in every sum and only exact zeros
+    added.  Its column is therefore the node-(k+1) column moved down
+    r - 1 blocks and cut at node n, bit for bit.  The head column (node k)
+    needs a run of its own: node k carries the end-point weight h/2 and
+    the impulse enters the first step's start slope.  Cost O(m n^2 d^2)
+    for the runs plus O(n^2 p m) to fill G, against O(m n^3 d^2) for one
+    run per node and channel.
+    """
     k = xi.tau_index
     nk = grid.steps + 1 - k
     m, p = sys.m, sys.p
     g_traj = simulate(sys, grid, xi, ControlSignal.zero(grid, m, k))
     g_vec = (g_traj.values[k:] @ sys.C.T).reshape(-1)
     zero_state = InitialState(k, np.zeros(sys.d))
+
+    def response(q: int, a: int) -> np.ndarray:
+        uvals = np.zeros((nk, m))
+        uvals[q, a] = 1.0
+        run = simulate(sys, grid, zero_state, ControlSignal(k, uvals))
+        return (run.values[k:] @ sys.C.T).reshape(-1)
+
     G = np.zeros((nk * p, nk * m))
-    uvals = np.zeros((nk, m))
-    for q in range(nk):
-        for a in range(m):
-            uvals[q, a] = 1.0
-            col = simulate(sys, grid, zero_state, ControlSignal(k, uvals))
-            G[:, q * m + a] = (col.values[k:] @ sys.C.T).reshape(-1)
-            uvals[q, a] = 0.0
+    for a in range(m):
+        G[:, a] = response(0, a)
+        if nk > 1:
+            col = response(1, a)
+            for r in range(1, nk):
+                G[r * p :, r * m + a] = col[p : p + (nk - r) * p]
     return DiscreteAffineMap(k, p, m, G, g_vec, grid.weights(k))
 
 

@@ -135,6 +135,63 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (
+                {
+                    "kernel": {
+                        "type": "exponential",
+                        "terms": [
+                            {"matrix": [0.1], "rate": 1.0},
+                            {"matrix": "ab", "rate": 1.0},
+                        ],
+                    }
+                },
+                "kernel.terms[1].matrix",
+            ),
+            (
+                {
+                    "kernel": {
+                        "type": "exponential",
+                        "terms": [{"matrix": [0.1], "rate": 1.0}, {"matrix": [0.2]}],
+                    }
+                },
+                "kernel.terms[1].rate",
+            ),
+            ({"dims": {"d": 1, "p": 1}}, "dims.m"),
+            ({"initial_state": {"tau_index": 0}}, "initial_state.head"),
+            ({"reference": {"type": "table"}}, "reference.values"),
+        ],
+    )
+    def test_nested_field_error_names_its_path(self, tmp_path, capsys, overrides, field):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out, output_dir, field",
+        [
+            (None, 5, "output_dir"),
+            (None, "taken", "output_dir"),
+            ("taken", ".", "--out"),
+            ("taken/sub", ".", "--out"),
+        ],
+    )
+    def test_bad_output_dir_exits_2(
+        self, tmp_path, monkeypatch, capsys, out, output_dir, field
+    ):
+        # "taken" is an existing file, so no directory can be made there
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        cfg = tmp_path / "c.json"
+        write_config(cfg, output_dir=output_dir)
+        argv = ["simulate", "--config", str(cfg)] + ([] if out is None else ["--out", out])
+        assert main(argv) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
+
     @pytest.mark.parametrize("defect", ["boolean", "string", "ragged"])
     @pytest.mark.parametrize(
         "field",
@@ -294,6 +351,13 @@ class TestSynthesize:
         cfg = tmp_path / "c.json"
         write_config(cfg)
         assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("route", [[1], 5, {"name": "riccati"}, "lqr"])
+    def test_bad_config_route_exits_2(self, tmp_path, capsys, route):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, route=route)
+        assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "field 'route'" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,3 +1,7 @@
+import ast
+import sys as _sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,14 +10,80 @@ from voltrack import (
     ControlSignal,
     InitialState,
     SystemSpec,
+    TimeGrid,
     build_affine_map,
     cost,
+    exponential_kernel,
     gradient_check,
+    qp,
     qp_cost,
     qp_gradient,
     simulate,
     solve_qp,
 )
+
+
+def reference_affine_map(sys, grid, xi):
+    """(G, g) with one integrator run per node and channel: the direct build."""
+    k = xi.tau_index
+    nk = grid.steps + 1 - k
+    m, p = sys.m, sys.p
+    g_traj = simulate(sys, grid, xi, ControlSignal.zero(grid, m, k))
+    g = (g_traj.values[k:] @ sys.C.T).reshape(-1)
+    zero_state = InitialState(k, np.zeros(sys.d))
+    G = np.zeros((nk * p, nk * m))
+    uvals = np.zeros((nk, m))
+    for q in range(nk):
+        for a in range(m):
+            uvals[q, a] = 1.0
+            col = simulate(sys, grid, zero_state, ControlSignal(k, uvals))
+            G[:, q * m + a] = (col.values[k:] @ sys.C.T).reshape(-1)
+            uvals[q, a] = 0.0
+    return G, g
+
+
+def random_plant(d, m, p, n, seed, table=False):
+    """A seeded plant; ``table`` gives it an explicit node table N."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, n)
+    A = 0.5 * rng.normal(size=(d, d))
+    B = rng.normal(size=(d, m))
+    C = rng.normal(size=(p, d))
+    if table:
+        N = 0.4 * rng.normal(size=(n + 1, d, d))
+    else:
+        N = exponential_kernel(grid, [(0.6 * rng.normal(size=(d, d)), 1.5)])
+    return grid, SystemSpec(A, B, C, N)
+
+
+def random_state(d, k, seed, jump):
+    """A state at node k with a smooth tail; ``jump`` moves the head off tail(tau)."""
+    rng = np.random.default_rng(seed)
+    tail = np.cos(np.outer(np.arange(k + 1) / 7.0, rng.uniform(0.5, 2.0, size=d)))
+    head = tail[-1] + (rng.normal(size=d) if jump else 0.0)
+    return InitialState(k, head, tail)
+
+
+def _tracking_case(n, k):
+    grid, sys, xi, _ = make_tracking_instance(n, k)
+    return grid, sys, xi
+
+
+SHIFT_CASES = {
+    "k0": lambda: _tracking_case(60, 0),
+    "k12_jump_head": lambda: _tracking_case(60, 12),
+    "m2_p2_k0": lambda: (*random_plant(3, 2, 2, 30, 5), InitialState(0, [0.3, -0.2, 0.5])),
+    "m2_p2_table_k9": lambda: (
+        *random_plant(3, 2, 2, 40, 6, table=True),
+        random_state(3, 9, 7, jump=False),
+    ),
+    "m2_p2_table_k9_jump_head": lambda: (
+        *random_plant(3, 2, 2, 40, 6, table=True),
+        random_state(3, 9, 8, jump=True),
+    ),
+    "window_nk2": lambda: (*random_plant(3, 2, 2, 30, 9), random_state(3, 29, 10, jump=True)),
+    "window_nk3": lambda: (*random_plant(3, 2, 2, 30, 9), random_state(3, 28, 10, jump=True)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +111,52 @@ class TestBuildAffineMap:
         u = ControlSignal(0, rng.normal(size=(61, 1)))
         stacked = (simulate(sys, grid, xi, u).values @ sys.C.T).reshape(-1)
         assert np.abs(dmap.G @ u.values.reshape(-1) + dmap.g - stacked).max() < 1e-12
+
+
+class TestShiftConstruction:
+    @pytest.mark.parametrize("case", sorted(SHIFT_CASES))
+    def test_matches_one_run_per_column(self, case):
+        grid, sys, xi = SHIFT_CASES[case]()
+        dmap = build_affine_map(sys, grid, xi)
+        G, g = reference_affine_map(sys, grid, xi)
+        assert np.array_equal(dmap.G, G)
+        assert np.array_equal(dmap.g, g)
+
+    @pytest.mark.parametrize("k", [0, 11, 28, 29])
+    def test_integrator_runs(self, monkeypatch, k):
+        calls = []
+
+        def counting_simulate(*args):
+            calls.append(args[2].tau_index)
+            return simulate(*args)
+
+        monkeypatch.setattr(qp, "simulate", counting_simulate)
+        grid, sys = random_plant(3, 2, 2, 30, 11)
+        build_affine_map(sys, grid, random_state(3, k, 12, jump=True))
+        assert calls == [k] * (2 * sys.m + 1)
+
+    def test_single_node_window(self):
+        # tau = T: only the head column exists, so one impulse run per channel
+        grid, sys = random_plant(3, 2, 2, 30, 13)
+        xi = random_state(3, 30, 14, jump=True)
+        dmap = build_affine_map(sys, grid, xi)
+        G, g = reference_affine_map(sys, grid, xi)
+        assert dmap.G.shape == (2, 2)
+        assert np.array_equal(dmap.G, G) and np.array_equal(dmap.g, g)
+
+
+def test_oracle_imports_nothing_from_the_other_routes():
+    # the cross-check is only independent if qp shares no Riccati or Fredholm code
+    allowed = {"numpy", "scipy"} | set(_sys.stdlib_module_names)
+    tree = ast.parse(Path(qp.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in {"model", "errors"}, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in allowed, ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in allowed, ast.unparse(node)
 
 
 class TestSolveQP:
