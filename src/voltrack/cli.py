@@ -82,6 +82,14 @@ def _integer(raw, key: str) -> int:
     return int(raw)
 
 
+def _steps(raw, key: str) -> int:
+    """A grid size: an integer of at least 2."""
+    steps = _integer(raw, key)
+    if steps < 2:
+        raise ConfigurationError(f"field '{key}': grid needs at least 2 steps, got {steps}")
+    return steps
+
+
 def _positive(raw, key: str) -> float:
     if not _is_number(raw) or not 0 < raw < math.inf:
         raise ConfigurationError(f"field '{key}': must be a finite number > 0, got {raw!r}")
@@ -145,7 +153,10 @@ class Instance:
         )
         if min(self.d, self.m, self.p) < 1:
             raise ConfigurationError("dims must be positive")
-        steps = _integer(_require(cfg, "steps") if n_override is None else n_override, "steps")
+        if n_override is None:
+            steps = _steps(_require(cfg, "steps"), "steps")
+        else:
+            steps = _steps(n_override, "--n")
         self.grid = TimeGrid(_positive(_require(cfg, "horizon"), "horizon"), steps)
         A = _matrix(cfg, "A", self.d, self.d)
         B = _matrix(cfg, "B", self.d, self.m)
@@ -296,22 +307,18 @@ def _write_long_field(path: Path, nodes, field: np.ndarray, name: str) -> None:
     """Lower-triangular field in long format: s, tau, indices, value.
 
     Rows run over tau, then s <= tau, then the entry indices (row-major);
-    ``field[i, j]`` is the entry array at (s_i, tau_j).
+    ``field[i, j]`` is the entry array at (s_i, tau_j).  One tau column is
+    formatted and written at a time, so memory stays at one column's text.
     """
-    jj, ii = np.tril_indices(field.shape[1])
     entry = field.shape[2:]
-    values = field[ii, jj].reshape(ii.size, -1)
-    indices = np.indices(entry).reshape(len(entry), -1).T + 1.0
-    count = values.shape[1]
-    rows = np.column_stack(
-        [
-            np.repeat(nodes[ii], count),
-            np.repeat(nodes[jj], count),
-            np.tile(indices, (ii.size, 1)),
-            values.reshape(-1),
-        ]
-    )
-    _write_rows(path, ["s", "tau", "i", "j"][: 2 + len(entry)] + [name], rows)
+    node_txt = [_FMT % t for t in nodes.tolist()]
+    index_txt = ["".join("\t" + _FMT % (k + 1.0) for k in idx) for idx in np.ndindex(entry)]
+    with open(path, "w") as fh:
+        fh.write("\t".join(["s", "tau", "i", "j"][: 2 + len(entry)] + [name]) + "\n")
+        for j in range(field.shape[1]):
+            ends = ["\t" + node_txt[j] + idx + "\t" + _FMT + "\n" for idx in index_txt]
+            fmt = "".join(s + end for s in node_txt[: j + 1] for end in ends)
+            fh.write(fmt % tuple(field[: j + 1, j].reshape(-1).tolist()))
 
 
 def _check_finite(arr: np.ndarray, limit: float, what: str) -> None:
@@ -592,7 +599,7 @@ def _grid_sizes(flag: str | None, cfg: dict) -> list[int]:
         key, raw = "grids", cfg.get("grids", [])
         if not isinstance(raw, list):
             raise ConfigurationError("field 'grids': expected a list of integers")
-    grids = [_integer(v, key) for v in raw]
+    grids = [_steps(v, key) for v in raw]
     if len(set(grids)) != len(grids):
         raise ConfigurationError(f"field '{key}': grid sizes must not repeat, got {grids}")
     return grids

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .errors import ConfigurationError, SingularSystemError
 from .model import (
@@ -37,6 +37,7 @@ from .model import (
     SystemSpec,
     TimeGrid,
     _lag_gather,
+    _lu_factor_checked,
     _node_derivative,
     trapezoid_weights,
     voc_solution,
@@ -216,14 +217,14 @@ def _nystrom_matrix(kernel: TrackingKernel, grid: TimeGrid) -> tuple:
 def solve_fredholm(
     kernel: TrackingKernel, forcing: Forcing, grid: TimeGrid
 ) -> CostateTrajectory:
-    """Nystrom solve of p + int_tau^T Ktilde(t,r) BB* p(r) dr = Y."""
+    """Nystrom solve of p + int_tau^T Ktilde(t,r) BB* p(r) dr = Y.
+
+    A zero pivot raises :class:`SingularSystemError`.
+    """
     if forcing.start_index != kernel.start_index:
         raise ConfigurationError("kernel and forcing live on different windows")
     big, _ = _nystrom_matrix(kernel, grid)
-    try:
-        sol = lu_solve(lu_factor(big), forcing.values.reshape(-1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid inputs never hit
-        raise SingularSystemError(f"Nystrom system is singular: {exc}") from exc
+    sol = lu_solve(_lu_factor_checked(big, "Nystrom matrix"), forcing.values.reshape(-1))
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("Nystrom solve produced non-finite values")
     d = kernel.ktilde.shape[2]
@@ -233,16 +234,14 @@ def solve_fredholm(
 def resolvent(kernel: TrackingKernel, grid: TimeGrid) -> ResolventKernel:
     """Resolvent R solving R(t,r) + int Ktilde(t,v) BB* R(v,r) dv = Ktilde(t,r) BB*.
 
-    One dense factorization is reused for all column right-hand sides.
+    One dense factorization is reused for all column right-hand sides; a
+    zero pivot raises :class:`SingularSystemError`.
     """
     big, kb = _nystrom_matrix(kernel, grid)
     nk = kb.shape[0]
     d = kb.shape[2]
     rhs = kb.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
-    try:
-        sol = lu_solve(lu_factor(big), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularSystemError(f"Nystrom system is singular: {exc}") from exc
+    sol = lu_solve(_lu_factor_checked(big, "Nystrom matrix"), rhs)
     values = sol.reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
     return ResolventKernel(kernel.start_index, values, kernel)
 

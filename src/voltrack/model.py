@@ -292,19 +292,26 @@ def _check_control(xi: InitialState, u: ControlSignal, grid: TimeGrid, m: int) -
         raise ConfigurationError("control values do not cover nodes tau..n")
 
 
-def _step_matrix_lu(A: np.ndarray, N0: np.ndarray, h: float):
-    """LU factors of I - h/2 A - h^2/4 N0, the implicit step matrix.
+def _lu_factor_checked(matrix: np.ndarray, what: str):
+    """LU factors of ``matrix``, a dense system called ``what`` in errors.
 
     scipy only warns on an exactly zero pivot; that is raised here as
     :class:`SingularSystemError` before it can turn into NaNs downstream.
     """
-    d = A.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
-            return lu_factor(np.eye(d) - 0.5 * h * A - 0.25 * h * h * N0)
+            return lu_factor(matrix)
         except LinAlgWarning as exc:
-            raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
+            raise SingularSystemError(f"{what} is singular: {exc}") from exc
+
+
+def _step_matrix_lu(A: np.ndarray, N0: np.ndarray, h: float):
+    """LU factors of I - h/2 A - h^2/4 N0, the implicit step matrix."""
+    d = A.shape[0]
+    return _lu_factor_checked(
+        np.eye(d) - 0.5 * h * A - 0.25 * h * h * N0, "implicit step matrix"
+    )
 
 
 def _node_derivative(v: np.ndarray, h: float) -> np.ndarray:

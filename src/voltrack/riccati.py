@@ -17,11 +17,14 @@ The backward sweep is an explicit one-step scheme with a Heun
 (predictor-corrector) pass, second order in h.  P2 is never stored:
 P2(T) = 0 and its tau-derivative G2 depends on N and P1 alone, so a
 slice is the trapezoid sum over tau_q >= tau of G2(., ., tau_q).  The
-sweep reads only the two P2 rows its P1 update needs, and the value
-form contracts P2 against a tail through x_q = int N(tau_q - s)
-tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds.  Costs in the node
-count n: ``solve_riccati`` O(n^3 d^3) time and O(n^2 d^2) memory,
-``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
+sweep reads only the two P2 rows its P1 update needs: step j builds one
+G2 row block, s = tau_j over the P1 columns q = j+1..n, and one G2
+column, q = j, for the corrector.  The value form contracts P2 against
+a tail through x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s,
+tau_q) tail(s) ds.  Costs in the node count n: ``solve_riccati``
+O(n^3 d^3) time (the blocks, about n^3 d^3 / 6 multiply-adds per G2
+term over the sweep; the columns add O(n^2 d^3)) and O(n^2 d^2)
+memory, ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
 Everything after the sweep reads the plant and grid from the solved
 :class:`RiccatiField` and the node tau from the state it is given.
 """
@@ -145,7 +148,10 @@ def solve_riccati(
 
     Step j reads two P2 rows only: s = tau_{j+1}, carried from step j+1,
     and s = tau_j at tau_{j+1}, a trapezoid sum of G2 rows over the P1
-    columns q = j+1..n.  O(n^3 d^3) time, O(n^2 d^2) memory (P1 only).
+    columns q = j+1..n.  So each step builds one G2 row block, over
+    q = j+1..n and nu_l <= tau_j, plus the one column q = j the corrector
+    adds to carry the row to tau_j.  O(n^3 d^3) time, about n^3 d^3 / 6
+    multiply-adds per G2 term, and O(n^2 d^2) memory (P1 only).
     """
     sys.check_grid(grid)
     n, d, h = grid.steps, sys.d, grid.h
@@ -159,6 +165,11 @@ def solve_riccati(
     nt = np.ascontiguousarray(N.transpose(1, 2, 0))
     pt = np.zeros((d, d, n + 1, n + 1))
     row_c = np.zeros((d, d, n))  # P2(tau_{j+1}, s_l, tau_{j+1}), l = 0..j
+    # the three-factor products contract in numpy's greedy order, planned
+    # once here; greedy pairs G2's factors by block width, and for d = 1 a
+    # one-column block (q0 = q1) would pair differently, so plan a wide one
+    g1_path = np.einsum_path("ab,bc,icd->iad", p0[n], bbt, p1[:n, n], optimize="greedy")[0]
+    g2_path = np.einsum_path("baq,bc,cdql->adql", pt[:, :, :, 0], bbt, pt, optimize="greedy")[0]
 
     def g0(P0c, trace):
         return A.T @ P0c + P0c @ A + trace + trace.T - P0c @ bbt @ P0c + cc
@@ -169,18 +180,18 @@ def solve_riccati(
             np.einsum("ab,ibc->iac", A.T, p1col)
             + np.einsum("ab,ibc->iac", P0c, nrev)
             + s_row
-            - np.einsum("ab,bc,icd->iad", P0c, bbt, p1col, optimize=True)
+            - np.einsum("ab,bc,icd->iad", P0c, bbt, p1col, optimize=g1_path)
         )
 
-    def g2_rows(i, q0):
-        # G2(s_i, nu_l, tau_q) as [a, c, q, l], q = q0..n, l = 0..i; see RiccatiField.p2_slice
-        p1i, p1l = pt[:, :, q0:, i], pt[:, :, q0:, : i + 1]
+    def g2_rows(i, q0, q1=n):
+        # G2(s_i, nu_l, tau_q) as [a, c, q, l], q = q0..q1, l = 0..i; see RiccatiField.p2_slice
+        p1i, p1l = pt[:, :, q0 : q1 + 1, i], pt[:, :, q0 : q1 + 1, : i + 1]
         # N(tau_q - nu_l) = N(t_{q-l}), a sliding window over the reversed kernel
         nl = sliding_window_view(nt[:, :, ::-1], i + 1, axis=2)[:, :, n - q0 :: -1]
         return (
-            np.einsum("baq,bcql->acql", nt[:, :, q0 - i : n + 1 - i], p1l)
-            + np.einsum("baq,bcql->acql", p1i, nl)
-            - np.einsum("baq,bc,cdql->adql", p1i, bbt, p1l, optimize=True)
+            np.einsum("baq,bcql->acql", nt[:, :, q0 - i : q1 + 1 - i], p1l)
+            + np.einsum("baq,bcql->acql", p1i, nl[:, :, : q1 + 1 - q0])
+            - np.einsum("baq,bc,cdql->adql", p1i, bbt, p1l, optimize=g2_path)
         )
 
     for j in range(n - 1, -1, -1):
@@ -211,7 +222,7 @@ def solve_riccati(
         p0[j] = 0.5 * (new_p0 + new_p0.T)
         p1[: j + 1, j] = p1c + 0.5 * h * (g1c + g1p)
         pt[:, :, j, : j + 1] = p1[: j + 1, j].transpose(1, 2, 0)
-        row_c[:, :, : j + 1] = row + 0.5 * h * (g2c[:, :, 0] + g2_rows(j, j)[:, :, 0])
+        row_c[:, :, : j + 1] = row + 0.5 * h * (g2c[:, :, 0] + g2_rows(j, j, j)[:, :, 0])
 
         nrm = max(np.abs(p0[j]).max(), np.abs(p1[: j + 1, j]).max())
         if not np.isfinite(nrm) or nrm > blowup_limit:
@@ -240,9 +251,16 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     def g1(q, vec, d2_diag):  # d1 source at tau_q
         return (A.T - ric.p0[q] @ bbt) @ vec + d2_diag - cy[q]
 
+    # greedy contraction order, planned once: it pairs by operand size,
+    # and for d = 1 a one-row product pairs differently from longer ones
+    paths = {
+        size: np.einsum_path("iba,bc,c->ia", ric.p1[:size, n], bbt, d1[n], optimize="greedy")[0]
+        for size in (1, 2)
+    }
+
     def g2(q, vec, size):  # d2 source at tau_q, rows s_0..s_{size-1}
         return np.einsum("iba,b->ia", N[q::-1][:size], vec) - np.einsum(
-            "iba,bc,c->ia", ric.p1[:size, q], bbt, vec, optimize=True
+            "iba,bc,c->ia", ric.p1[:size, q], bbt, vec, optimize=paths[min(size, 2)]
         )
 
     def mdot(vec, j):

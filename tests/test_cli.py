@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from voltrack import solve_riccati, solve_tracking
-from voltrack.cli import Instance, main
+from voltrack import SingularSystemError, TrackingKernel, fredholm, solve_riccati, solve_tracking
+from voltrack.cli import Instance, _write_long_field, _write_rows, main
 
 
 def write_config(path, **overrides):
@@ -48,6 +49,24 @@ def tracking_config(path, steps=100):
         reference={"type": "polynomial", "coefficients": [[0.3, 0.5, -2.0, 1.0]]},
         initial_state={"tau_index": 0, "head": [0.9, -0.4]},
     )
+
+
+def reference_long_field(path, nodes, field, name):
+    """The long-format writer that stacks every row numerically first."""
+    jj, ii = np.tril_indices(field.shape[1])
+    entry = field.shape[2:]
+    values = field[ii, jj].reshape(ii.size, -1)
+    indices = np.indices(entry).reshape(len(entry), -1).T + 1.0
+    count = values.shape[1]
+    rows = np.column_stack(
+        [
+            np.repeat(nodes[ii], count),
+            np.repeat(nodes[jj], count),
+            np.tile(indices, (ii.size, 1)),
+            values.reshape(-1),
+        ]
+    )
+    _write_rows(path, ["s", "tau", "i", "j"][: 2 + len(entry)] + [name], rows)
 
 
 def read_table(path):
@@ -247,6 +266,38 @@ class TestSimulate:
             assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 3
             assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, overrides, flags, field",
+        [
+            ("simulate", {}, ["--n", "0"], "--n"),
+            ("simulate", {"steps": 1}, [], "steps"),
+            ("convergence", {}, ["--grids", "1,50"], "--grids"),
+        ],
+    )
+    def test_too_few_grid_steps_names_the_field(
+        self, tmp_path, capsys, command, overrides, flags, field
+    ):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **overrides)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path)] + flags
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "at least 2 steps" in err
+
+    def test_singular_nystrom_matrix_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Ktilde(t_0, t_0) BB* w_0 = -8 * 1 * 1/8 = -1 exactly, so the Nystrom
+        # matrix has an all-zero first column
+        def singular_kernel(sys, Z, grid, start_index):
+            ktilde = np.zeros((grid.steps + 1 - start_index,) * 2 + (1, 1))
+            ktilde[0, 0] = -8.0
+            return TrackingKernel(start_index, ktilde, sys.B)
+
+        monkeypatch.setattr(fredholm, "build_kernel", singular_kernel)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, steps=4)
+        assert main(["synthesize", "--route", "fredholm", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "Nystrom matrix is singular" in capsys.readouterr().err
+
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{broken")
@@ -262,6 +313,37 @@ class TestSimulate:
             tolerances={"blowup": 100.0},
         )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+class TestLongFieldWriter:
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("entry", [(1, 1), (3, 3), (1,), (3,)], ids=str)
+    def test_bytes_equal_reference(self, tmp_path, n, entry):
+        rng = np.random.default_rng(n + 10 * len(entry) + entry[0])
+        field = rng.normal(size=(n + 1, n + 1) + entry) * 10.0 ** rng.integers(
+            -300, 300, size=(n + 1, n + 1) + entry
+        )
+        # one (s, tau) node pair of the written triangle per special value
+        special = np.array([-0.0, 5e-324, 1e300, -1e300, -5e-324, -2.5])
+        ii, jj = np.tril_indices(n + 1)
+        field[ii[: special.size], jj[: special.size]] = special.reshape((-1,) + (1,) * len(entry))
+        nodes = np.linspace(0.0, 1.0, n + 1)
+        name = "p1" if len(entry) == 2 else "d2"
+        _write_long_field(tmp_path / "new.tsv", nodes, field, name)
+        reference_long_field(tmp_path / "ref.tsv", nodes, field, name)
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_memory_stays_at_one_column(self, tmp_path):
+        # the whole p1 text at n = 240, d = 3 is ~22 MB; one tau column is ~0.1 MB
+        field = np.random.default_rng(3).normal(size=(241, 241, 3, 3))
+        nodes = np.linspace(0.0, 1.0, 241)
+        tracemalloc.start()
+        try:
+            _write_long_field(tmp_path / "p1.tsv", nodes, field, "p1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestSynthesize:

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import make_tracking_instance
 from voltrack import (
     ControlSignal,
+    Forcing,
     InitialState,
     ReferenceSignal,
+    SingularSystemError,
     SystemSpec,
     TimeGrid,
+    TrackingKernel,
     apply_synthesis,
     build_forcing,
     build_kernel,
@@ -352,3 +357,20 @@ class TestCostateResidual:
             w = voc_solution(sys, grid, Z, xi, u)
             errs.append(costate_residual(sys, p, w, y, grid))
         assert errs[0] / errs[1] >= 1.8
+
+
+class TestSingularNystromMatrix:
+    def test_zero_pivot_raises_in_solve_and_resolvent(self):
+        # d = 1, B = 1, h = 1/4: Ktilde(t_0, t_0) BB* w_0 = -8 * 1/8 = -1 exactly,
+        # so I + Ktilde BB* W has an all-zero first column
+        grid = TimeGrid(1.0, 4)
+        ktilde = np.zeros((5, 5, 1, 1))
+        ktilde[0, 0] = -8.0
+        kernel = TrackingKernel(0, ktilde, np.ones((1, 1)))
+        forcing = Forcing(0, np.ones((5, 1)), np.zeros((5, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised at the pivot, not warned
+            with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
+                solve_fredholm(kernel, forcing, grid)
+            with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
+                resolvent(kernel, grid)
