@@ -23,6 +23,7 @@ from .fredholm import (
     costate_residual,
     optimal_control_fredholm,
     resolvent,
+    resolvent_norms,
     solve_fredholm,
     synthesis_kernels,
 )

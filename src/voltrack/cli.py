@@ -562,9 +562,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         float(np.abs(u2.values - uR.values[mid - k :]).max()),
         1e-8,
     )
-    norms = [
-        fredholm.resolvent(kernel.restrict(kk), grid).max_norm for kk in range(k, grid.steps)
-    ]
+    norms = fredholm.resolvent_norms(kernel, grid)
     check("resolvent_uniform_bound", max(norms) / max(norms[0], 1e-30), 2.0)
 
     lines = []
@@ -631,7 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON instance config")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--n", type=int, default=None, help="override grid steps")
+        if name != "convergence":  # its grid sizes come from --grids or grids
+            sp.add_argument("--n", type=int, default=None, help="override grid steps")
         if name == "synthesize":
             sp.add_argument("--route", choices=("fredholm", "riccati", "oracle"))
         if name == "convergence":
@@ -643,6 +642,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "convergence":
+        size_key = "--grids" if args.grids is not None else "grids"
+    else:
+        size_key = "--n" if args.n is not None else "steps"
     try:
         cfg = _load_config(args.config)
         outdir = _output_dir(args.out, cfg)
@@ -665,6 +668,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: field '{size_key}': grid too large for memory: {exc}", file=_sys.stderr)
         return EXIT_INVALID
 
 

@@ -6,9 +6,12 @@ The optimal control is u(t) = -B* p(t) where the costate p solves
 
 with the tracking kernel Ktilde(t,r) = int_{max(t,r)}^T Z(s-t) C*C Z*(s-r) ds
 and a forcing Y built from the free response and the reference signal.
-The equation is discretized by the Nystrom method with trapezoid weights;
-the resolvent kernel R re-expresses the solution as p = Y - R Y and feeds
-the synthesis kernels Q0/Q1/Q2 (costate) and H0/H1/H2 (trajectory).
+The equation is discretized by the Nystrom method with trapezoid weights
+and solved by one dense LU (scipy's ``lu_factor``/``lu_solve``, imported
+on the first solve); the resolvent kernel R re-expresses the solution as
+p = Y - R Y and feeds the synthesis kernels Q0/Q1/Q2 (costate) and
+H0/H1/H2 (trajectory).  ``resolvent_norms`` gives the largest block norm
+of R on every window [t_kk, T] from one Ktilde BB* product.
 
 Discrete conventions
 --------------------
@@ -22,10 +25,10 @@ weight h/2.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .errors import ConfigurationError, SingularSystemError
 from .model import (
@@ -37,7 +40,6 @@ from .model import (
     SystemSpec,
     TimeGrid,
     _lag_gather,
-    _lu_factor_checked,
     _node_derivative,
     trapezoid_weights,
     voc_solution,
@@ -53,6 +55,7 @@ __all__ = [
     "build_forcing",
     "solve_fredholm",
     "resolvent",
+    "resolvent_norms",
     "optimal_control_fredholm",
     "synthesis_kernels",
     "apply_synthesis",
@@ -113,11 +116,34 @@ class ResolventKernel:
 
     @property
     def max_norm(self) -> float:
-        if self.values.size == 0:
-            return 0.0
-        return float(
-            np.linalg.norm(self.values, axis=(2, 3), ord=2).max()
-        )
+        """Largest spectral norm of a d x d block of R."""
+        return _max_block_norm(self.values)
+
+
+def _max_block_norm(values: np.ndarray) -> float:
+    """Largest spectral norm over the d x d blocks of ``values`` (i, j, d, d).
+
+    Bitwise equal to ``np.linalg.norm(values, axis=(2, 3), ord=2).max()``
+    with an SVD on few blocks: ||M||_2 <= ||M||_F, so a block whose
+    Frobenius norm lies below L (1 - 1e-12), L the spectral norm of the
+    block with the largest Frobenius norm, cannot hold the maximum; the
+    margin covers the rounding of both norms.  The Frobenius norms are
+    taken on values scaled by their largest magnitude, so squares neither
+    underflow nor overflow.  All-zero and non-finite values skip the
+    screen.
+    """
+    if values.size == 0:
+        return 0.0
+    blocks = values.reshape(-1, *values.shape[2:])
+    scale = np.abs(blocks).max()
+    if 0.0 < scale < np.inf:
+        scaled = blocks / scale
+        fro = np.sqrt(np.einsum("kab,kab->k", scaled, scaled))
+        best = np.argmax(fro)
+        # L <= ||M||_F; the min keeps the top block when L overflows to inf
+        top = min(np.linalg.norm(blocks[best], ord=2) / scale, fro[best])
+        blocks = blocks[fro >= top * (1.0 - 1e-12)]
+    return float(np.linalg.norm(blocks, axis=(1, 2), ord=2).max())
 
 
 @dataclass(frozen=True)
@@ -199,19 +225,41 @@ def build_forcing(
     return Forcing(k, out, y0)
 
 
-def _nystrom_matrix(kernel: TrackingKernel, grid: TimeGrid) -> tuple:
-    """Dense blocks of the discrete operator: (I + Ktilde BB* W, Ktilde BB*)."""
-    k = kernel.start_index
-    nk = grid.steps - k + 1
-    d = kernel.ktilde.shape[2]
-    if kernel.ktilde.shape[0] != nk:
+def _kernel_bbt(kernel: TrackingKernel, grid: TimeGrid) -> np.ndarray:
+    """Ktilde BB* blocks on the kernel's window of ``grid``."""
+    if kernel.ktilde.shape[0] != grid.steps - kernel.start_index + 1:
         raise ConfigurationError("kernel not sampled on this grid window")
     bbt = kernel.input_matrix @ kernel.input_matrix.T
-    kb = np.einsum("ijab,bc->ijac", kernel.ktilde, bbt)
-    w = grid.weights(k)
+    return np.einsum("ijab,bc->ijac", kernel.ktilde, bbt)
+
+
+def _nystrom_solve(kb: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + Ktilde BB* W) x = rhs by one dense LU.
+
+    ``kb`` holds the Ktilde BB* blocks of one window and ``w`` its
+    trapezoid weights.  scipy only warns on an exactly zero pivot; that is
+    raised here as :class:`SingularSystemError` before it can turn into
+    NaNs downstream.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    nk, d = kb.shape[0], kb.shape[2]
     big = (kb * w[None, :, None, None]).transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
     big[np.diag_indices_from(big)] += 1.0
-    return big, kb
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            lu = lu_factor(big)
+        except LinAlgWarning as exc:
+            raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
+    return lu_solve(lu, rhs)
+
+
+def _resolvent_values(kb: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R blocks (i, j, d, d) of one window; every column block shares one LU."""
+    nk, d = kb.shape[0], kb.shape[2]
+    rhs = kb.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
+    return _nystrom_solve(kb, w, rhs).reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
 
 
 def solve_fredholm(
@@ -223,8 +271,8 @@ def solve_fredholm(
     """
     if forcing.start_index != kernel.start_index:
         raise ConfigurationError("kernel and forcing live on different windows")
-    big, _ = _nystrom_matrix(kernel, grid)
-    sol = lu_solve(_lu_factor_checked(big, "Nystrom matrix"), forcing.values.reshape(-1))
+    kb = _kernel_bbt(kernel, grid)
+    sol = _nystrom_solve(kb, grid.weights(kernel.start_index), forcing.values.reshape(-1))
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("Nystrom solve produced non-finite values")
     d = kernel.ktilde.shape[2]
@@ -237,13 +285,26 @@ def resolvent(kernel: TrackingKernel, grid: TimeGrid) -> ResolventKernel:
     One dense factorization is reused for all column right-hand sides; a
     zero pivot raises :class:`SingularSystemError`.
     """
-    big, kb = _nystrom_matrix(kernel, grid)
-    nk = kb.shape[0]
-    d = kb.shape[2]
-    rhs = kb.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
-    sol = lu_solve(_lu_factor_checked(big, "Nystrom matrix"), rhs)
-    values = sol.reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
-    return ResolventKernel(kernel.start_index, values, kernel)
+    k = kernel.start_index
+    values = _resolvent_values(_kernel_bbt(kernel, grid), grid.weights(k))
+    return ResolventKernel(k, values, kernel)
+
+
+def resolvent_norms(kernel: TrackingKernel, grid: TimeGrid) -> list[float]:
+    """``max_norm`` of the resolvent on every window [t_kk, T], kk = k..n-1.
+
+    Entry i equals ``resolvent(kernel.restrict(k + i), grid).max_norm``
+    bit for bit: Ktilde BB* is formed once on the kernel's window and
+    sliced, since restriction is a plain slice.  Each window still takes
+    its own dense solve, O(n^4 d^3) over the sweep, plus O(n^3 d^2) for
+    the Frobenius screens of the block norms.
+    """
+    k = kernel.start_index
+    kb = _kernel_bbt(kernel, grid)
+    return [
+        _max_block_norm(_resolvent_values(kb[i:, i:], grid.weights(k + i)))
+        for i in range(grid.steps - k)
+    ]
 
 
 def optimal_control_fredholm(p: CostateTrajectory, B: np.ndarray) -> ControlSignal:

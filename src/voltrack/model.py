@@ -9,16 +9,16 @@ driven from an initial node ``tau`` with a finite history (the *tail*)
 on [0, tau].  Everything lives on a uniform grid; all integrals are
 composite trapezoid sums on that grid, and time stepping is an
 implicit-trapezoid update that keeps the new node inside the memory sum
-with weight h/2 (a small d x d solve per step, second order in h).
+with weight h/2 (a small d x d ``numpy.linalg.solve`` per step, second
+order in h).  Nothing here imports scipy: its dense solvers load only
+where a dense system is factored (the Nystrom solve, the QP Cholesky).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import ConfigurationError, SingularSystemError
 
@@ -292,26 +292,18 @@ def _check_control(xi: InitialState, u: ControlSignal, grid: TimeGrid, m: int) -
         raise ConfigurationError("control values do not cover nodes tau..n")
 
 
-def _lu_factor_checked(matrix: np.ndarray, what: str):
-    """LU factors of ``matrix``, a dense system called ``what`` in errors.
+def _step_matrix(A: np.ndarray, N0: np.ndarray, h: float) -> np.ndarray:
+    """I - h/2 A - h^2/4 N0, the implicit step matrix every step solves with.
 
-    scipy only warns on an exactly zero pivot; that is raised here as
-    :class:`SingularSystemError` before it can turn into NaNs downstream.
+    ``np.linalg.solve`` fails only at an exactly zero pivot; one solve here
+    raises that as :class:`SingularSystemError` before the first step.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            return lu_factor(matrix)
-        except LinAlgWarning as exc:
-            raise SingularSystemError(f"{what} is singular: {exc}") from exc
-
-
-def _step_matrix_lu(A: np.ndarray, N0: np.ndarray, h: float):
-    """LU factors of I - h/2 A - h^2/4 N0, the implicit step matrix."""
-    d = A.shape[0]
-    return _lu_factor_checked(
-        np.eye(d) - 0.5 * h * A - 0.25 * h * h * N0, "implicit step matrix"
-    )
+    M = np.eye(A.shape[0]) - 0.5 * h * A - 0.25 * h * h * N0
+    try:
+        np.linalg.solve(M, M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
+    return M
 
 
 def _node_derivative(v: np.ndarray, h: float) -> np.ndarray:
@@ -346,14 +338,14 @@ def fundamental_matrix(sys: SystemSpec, grid: TimeGrid) -> FundamentalMatrix:
     Nt = np.transpose(sys.N, (0, 2, 1))
     Z = np.zeros((n + 1, d, d))
     Z[0] = np.eye(d)
-    lu = _step_matrix_lu(At, Nt[0], h)
+    M = _step_matrix(At, Nt[0], h)
     f_prev = At.copy()  # A* Z_0 + empty memory sum
     for i in range(n):
         # memory sum at t_{i+1}, known part (nodes 0..i of the trapezoid)
         w = trapezoid_weights(i + 2, h)[: i + 1]
         mem = np.einsum("jab,jbc,j->ac", Nt[i + 1 : 0 : -1], Z[: i + 1], w)
         rhs = Z[i] + 0.5 * h * (f_prev + mem)
-        Z[i + 1] = lu_solve(lu, rhs)
+        Z[i + 1] = np.linalg.solve(M, rhs)
         f_prev = At @ Z[i + 1] + mem + 0.5 * h * (Nt[0] @ Z[i + 1])
     return FundamentalMatrix(Z)
 
@@ -376,13 +368,13 @@ def simulate(
     w[k] = xi.head
     f = _tail_forcing(sys, xi, grid)
     Bu = u.values @ sys.B.T
-    lu = _step_matrix_lu(sys.A, sys.N[0], h)
+    M = _step_matrix(sys.A, sys.N[0], h)
     f_prev = sys.A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
     for i in range(k, n):
         wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
         mem = np.einsum("jab,jb,j->a", sys.N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
         rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])
-        w[i + 1] = lu_solve(lu, rhs)
+        w[i + 1] = np.linalg.solve(M, rhs)
         f_prev = (
             sys.A @ w[i + 1]
             + mem

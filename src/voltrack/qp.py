@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, SingularSystemError
 from .model import (
@@ -126,7 +125,9 @@ def qp_gradient(
 
 
 def solve_qp(dmap: DiscreteAffineMap, y: ReferenceSignal) -> ControlSignal:
-    """Minimize the discrete cost via the SPD normal equations."""
+    """Minimize the discrete cost via the SPD normal equations (scipy Cholesky)."""
+    from scipy.linalg import cho_factor, cho_solve
+
     wp, wm = _weight_vectors(dmap)
     H = dmap.G.T @ (wp[:, None] * dmap.G)
     H[np.diag_indices_from(H)] += wm

@@ -1,12 +1,40 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voltrack import SingularSystemError, TrackingKernel, fredholm, solve_riccati, solve_tracking
+from voltrack import (
+    SingularSystemError,
+    TrackingKernel,
+    fredholm,
+    riccati,
+    solve_riccati,
+    solve_tracking,
+)
 from voltrack.cli import Instance, _write_long_field, _write_rows, main
+
+SCIPY_PROBE = """
+import sys
+from voltrack.cli import main
+
+def loaded(argv):
+    if argv:
+        assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+    return "scipy" in sys.modules
+
+print([loaded(argv) for argv in (
+    [],
+    ["simulate"],
+    ["synthesize", "--route", "riccati"],
+    ["synthesize", "--route", "fredholm"],
+)])
+"""
 
 
 def write_config(path, **overrides):
@@ -74,6 +102,21 @@ def read_table(path):
     header = lines[0].split("\t")
     data = np.array([[float(v) for v in ln.split("\t")] for ln in lines[1:]])
     return header, data
+
+
+def test_scipy_loads_only_for_a_dense_factorization(tmp_path):
+    # import, simulate and the Riccati route factor no dense system; the
+    # Nystrom solve of the Fredholm route does (one fresh process, in order)
+    cfg = tmp_path / "c.json"
+    tracking_config(cfg, steps=20)
+    src = str(Path(fredholm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["[False,", "False,", "False,", "True]"]
 
 
 class TestSimulate:
@@ -297,6 +340,29 @@ class TestSimulate:
         write_config(cfg, steps=4)
         assert main(["synthesize", "--route", "fredholm", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "Nystrom matrix is singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, grids, field",
+        [
+            (["synthesize", "--route", "riccati", "--n", "20000"], None, "--n"),
+            (["synthesize", "--route", "riccati"], None, "steps"),
+            (["convergence", "--grids", "20,40"], None, "--grids"),
+            (["convergence"], [20, 40], "grids"),
+        ],
+    )
+    def test_out_of_memory_names_the_grid_size(
+        self, tmp_path, capsys, monkeypatch, argv, grids, field
+    ):
+        # the solver raises as an oversized allocation would; nothing large is allocated
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+        monkeypatch.setattr(riccati, "solve_riccati", out_of_memory)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, steps=20, **({"grids": grids} if grids else {}))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "Unable to allocate" in err
 
     def test_unparseable_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -525,6 +591,17 @@ class TestConvergence:
         orders_voc = data[1:, 5]
         assert (orders_three >= 1.0).all()
         assert (orders_voc >= 1.8).all()
+
+    def test_grid_override_flag_is_refused(self, tmp_path, capsys):
+        # the grid sizes come from --grids or grids alone, so --n is an error
+        cfg = tmp_path / "c.json"
+        tracking_config(cfg, steps=50)
+        argv = ["convergence", "--config", str(cfg), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "7", "--grids", "20,40"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.tsv").exists()
 
     def test_single_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_tracking_instance
 from voltrack import (
@@ -9,6 +12,7 @@ from voltrack import (
     Forcing,
     InitialState,
     ReferenceSignal,
+    ResolventKernel,
     SingularSystemError,
     SystemSpec,
     TimeGrid,
@@ -21,6 +25,7 @@ from voltrack import (
     fundamental_matrix,
     optimal_control_fredholm,
     resolvent,
+    resolvent_norms,
     simulate,
     solve_fredholm,
     synthesis_kernels,
@@ -183,6 +188,78 @@ class TestResolvent:
         for k in range(5, 100, 5):
             worst = max(worst, resolvent(kernel.restrict(k), grid).max_norm)
         assert worst <= 2.0 * base
+
+
+def unscreened_max_norm(values):
+    """One SVD per block: the reference the screened ``max_norm`` must equal bitwise."""
+    if values.size == 0:
+        return 0.0
+    return float(np.linalg.norm(values, axis=(2, 3), ord=2).max())
+
+
+def outcome(call):
+    """The exact bits of the float ``call()`` returns, or the error it raises."""
+    try:
+        return call().hex()
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+@st.composite
+def block_arrays(draw):
+    """(i, j, d, d) arrays: general finite, rank-one, with tied blocks, or all zero."""
+    i, j, d = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["general", "rank_one", "tied", "zero"]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "zero":
+        return np.zeros((i, j, d, d))
+    if kind == "rank_one":  # ||M||_F = ||M||_2, the screen's tightest case
+        factor = st.floats(-1e150, 1e150)
+        a = draw(arrays(np.float64, (i, j, d), elements=factor))
+        b = draw(arrays(np.float64, (i, j, d), elements=factor))
+        return a[..., :, None] * b[..., None, :]
+    values = draw(arrays(np.float64, (i, j, d, d), elements=finite))
+    if kind == "tied" and values.size:
+        # copies, negations and transposes share the spectral norm exactly
+        block = values[0, 0]
+        for q, (r, c) in enumerate(np.ndindex(i, j)):
+            if draw(st.booleans()):
+                values[r, c] = (block, -block, block.T)[q % 3]
+    return values
+
+
+class TestMaxNorm:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(block_arrays())
+    def test_screen_equals_one_svd_per_block(self, values):
+        R = ResolventKernel(0, values, None)
+        assert outcome(lambda: R.max_norm) == outcome(lambda: unscreened_max_norm(values))
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 5e-163, 1e-162, 1e170, 1e300])
+    def test_squares_out_of_range(self, magnitude):
+        # squared entries under- or overflow; near 1e-162 they are subnormal and
+        # keep a few bits, enough to misorder unscaled Frobenius norms
+        for seed in range(5):
+            values = magnitude * np.random.default_rng(seed).standard_normal((6, 6, 3, 3))
+            R = ResolventKernel(0, values, None)
+            assert R.max_norm.hex() == unscreened_max_norm(values).hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_as_unscreened(self, bad):
+        values = np.random.default_rng(3).standard_normal((5, 4, 2, 2))
+        values[2, 1, 0, 1] = bad
+        R = ResolventKernel(0, values, None)
+        assert outcome(lambda: R.max_norm) == outcome(lambda: unscreened_max_norm(values))
+
+    @pytest.mark.parametrize("instance", ["solved_instance", "solved_with_tail"])
+    def test_sweep_equals_per_window_resolvents(self, instance, request):
+        grid, _, xi, _, _, kernel, *_ = request.getfixturevalue(instance)
+        k = xi.tau_index
+        norms = resolvent_norms(kernel, grid)
+        assert len(norms) == grid.steps - k
+        for i, val in enumerate(norms):
+            R = resolvent(kernel.restrict(k + i), grid)
+            assert val.hex() == R.max_norm.hex() == unscreened_max_norm(R.values).hex()
 
 
 class TestOptimalControl:

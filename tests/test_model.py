@@ -10,6 +10,7 @@ from voltrack import (
     ControlSignal,
     InitialState,
     ReferenceSignal,
+    SingularSystemError,
     SystemSpec,
     TimeGrid,
     cost,
@@ -121,6 +122,17 @@ class TestSimulate:
         )
         err = np.abs(w_forced.values - w_base.values - extra.values).max()
         assert err < 5e-4
+
+
+def test_singular_step_matrix_raises_before_the_first_step():
+    # h = 1/2 and A = 4 I make the implicit step matrix I - h/2 A exactly zero
+    grid = TimeGrid(1.0, 2)
+    sys = SystemSpec(4.0 * np.eye(2), [[0.0], [1.0]], [[1.0, 0.0]], zero_kernel(grid, 2))
+    xi = InitialState(0, [1.0, 0.0])
+    with pytest.raises(SingularSystemError, match="implicit step matrix is singular"):
+        simulate(sys, grid, xi, ControlSignal.zero(grid, 1))
+    with pytest.raises(SingularSystemError, match="implicit step matrix is singular"):
+        fundamental_matrix(sys, grid)
 
 
 class TestVocSolution:
