@@ -37,7 +37,7 @@ sys0 = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
 ric0 = solve_riccati(sys0, grid)
 print("classical limit (no memory): P0(0) =", f"{ric0.p0[0, 0, 0]:.6f}",
       " tanh(1) =", f"{math.tanh(1.0):.6f}")
-print("memory blocks stay zero:", np.abs(ric0.p1).max(), np.abs(ric0.p2_slice(0)).max())
+print("memory block |P1| stays zero:", np.abs(ric0.p1).max())
 
 # --- memory plant ----------------------------------------------------------
 rng = np.random.default_rng(7)

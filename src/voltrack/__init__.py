@@ -65,9 +65,7 @@ from .riccati import (
 )
 from .stateops import (
     StateElement,
-    input_operator,
     make_domain_element,
-    output_operator,
     riccati_operator,
     riccati_operator_residual,
     state_inner,

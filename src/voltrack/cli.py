@@ -148,11 +148,12 @@ class Instance:
 
     def __init__(self, cfg: dict, n_override: int | None):
         dims = _section(_require(cfg, "dims"), "dims")
-        self.d, self.m, self.p = (
+        self.d, self.m, self.p = dmp = [
             _integer(_require(dims, f"dims.{k}"), f"dims.{k}") for k in "dmp"
-        )
-        if min(self.d, self.m, self.p) < 1:
-            raise ConfigurationError("dims must be positive")
+        ]
+        for k, v in zip("dmp", dmp):
+            if v < 1:
+                raise ConfigurationError(f"field 'dims.{k}': must be positive, got {v}")
         if n_override is None:
             steps = _steps(_require(cfg, "steps"), "steps")
         else:

@@ -39,8 +39,10 @@ from .model import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    _history,
     _lag_gather,
     _node_derivative,
+    _start,
     trapezoid_weights,
     voc_solution,
 )
@@ -397,22 +399,19 @@ def apply_synthesis(
     k = kernels.start_index
     if xi.tau_index != k:
         raise ConfigurationError("state node differs from the synthesis node")
-    wt = trapezoid_weights(k + 1, kernels.h)
     ysub = y.values[k:]
     bracket = (
         np.einsum("iab,b->ia", kernels.q0, xi.head)
-        + np.einsum("ivab,vb,v->ia", kernels.q1, xi.tail, wt)
+        + _history(kernels.q1, xi.tail, kernels.h)
         + np.einsum("ijab,jb->ia", kernels.q2, ysub)
     )
     u = -(bracket @ kernels.input_matrix)
     wvals = (
         np.einsum("iab,b->ia", kernels.h0, xi.head)
-        + np.einsum("ivab,vb,v->ia", kernels.h1, xi.tail, wt)
+        + _history(kernels.h1, xi.tail, kernels.h)
         + np.einsum("ijab,jb->ia", kernels.h2, ysub)
     )
-    n = k + wvals.shape[0] - 1
-    full = np.zeros((n + 1, xi.d))
-    full[:k] = xi.tail[:k]
+    full = _start(xi, k + wvals.shape[0] - 1)
     full[k:] = wvals
     return ControlSignal(k, u), StateTrajectory(k, full)
 

@@ -10,8 +10,12 @@ on [0, tau].  Everything lives on a uniform grid; all integrals are
 composite trapezoid sums on that grid, and time stepping is an
 implicit-trapezoid update that keeps the new node inside the memory sum
 with weight h/2 (a small d x d ``numpy.linalg.solve`` per step, second
-order in h).  Nothing here imports scipy: its dense solvers load only
-where a dense system is factored (the Nystrom solve, the QP Cholesky).
+order in h).  Every integral of a kernel against a history, int_0^tau
+F(., s) tail(s) ds with F the plant's N, the feedback's P1 or a synthesis
+map, is the one quadrature :func:`_history`, and every trajectory starts
+from :func:`_start`: the tail below tau, the head at tau.  Nothing here
+imports scipy: its dense solvers load only where a dense system is
+factored (the Nystrom solve, the QP Cholesky).
 """
 
 from __future__ import annotations
@@ -270,16 +274,28 @@ def _lag_gather(N: np.ndarray, j: int) -> np.ndarray:
     return N[np.subtract.outer(np.arange(j, N.shape[0]), np.arange(j + 1))]
 
 
+def _history(F: np.ndarray, tail: np.ndarray, h: float) -> np.ndarray:
+    """int_0^tau F(q, s) tail(s) ds, (rows, d), for every row q of the kernel
+    ``F`` (rows, tau+1, d, d'): the trapezoid sum over the nodes of ``tail``."""
+    return np.einsum("qiab,ib,i->qa", F, tail, trapezoid_weights(tail.shape[0], h))
+
+
+def _start(xi: InitialState, n: int) -> np.ndarray:
+    """Nodes 0..n of a trajectory from ``xi``: tail below tau, head at tau."""
+    k = xi.tau_index
+    w = np.zeros((n + 1, xi.d))
+    w[:k] = xi.tail[:k]
+    w[k] = xi.head
+    return w
+
+
 def _tail_forcing(sys: SystemSpec, xi: InitialState, grid: TimeGrid) -> np.ndarray:
     """f(t_i) = int_0^tau N(t_i - s) tail(s) ds for i = tau..n.
 
     Returns an array of shape (n - tau + 1, d); zero when tau_index == 0.
     The tail's own junction value enters at s = tau (weight h/2).
     """
-    k = xi.tau_index
-    if k == 0:
-        return np.zeros((grid.steps + 1, sys.d))
-    return np.einsum("ijab,jb,j->ia", _lag_gather(sys.N, k), xi.tail, grid.weights(0, k))
+    return _history(_lag_gather(sys.N, xi.tau_index), xi.tail, grid.h)
 
 
 def _check_control(xi: InitialState, u: ControlSignal, grid: TimeGrid, m: int) -> None:
@@ -363,9 +379,7 @@ def simulate(
     k, n, d, h = xi.tau_index, grid.steps, sys.d, grid.h
     if xi.d != d:
         raise ConfigurationError("state dimension does not match the plant")
-    w = np.zeros((n + 1, d))
-    w[:k] = xi.tail[:k]
-    w[k] = xi.head
+    w = _start(xi, n)
     f = _tail_forcing(sys, xi, grid)
     Bu = u.values @ sys.B.T
     M = _step_matrix(sys.A, sys.N[0], h)
@@ -403,9 +417,7 @@ def voc_solution(
     Zv = Z.values
     if Zv.shape != (n + 1, d, d):
         raise ConfigurationError("fundamental matrix not sampled on this grid")
-    w = np.zeros((n + 1, d))
-    w[:k] = xi.tail[:k]
-    w[k] = xi.head
+    w = _start(xi, n)
     g = _tail_forcing(sys, xi, grid) + u.values @ sys.B.T
     for i in range(k + 1, n + 1):
         wts = trapezoid_weights(i - k + 1, h)

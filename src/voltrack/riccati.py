@@ -44,9 +44,10 @@ from .model import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    _history,
     _lag_gather,
     _node_derivative,
-    _tail_forcing,
+    _start,
     trapezoid_weights,
 )
 
@@ -75,24 +76,6 @@ class RiccatiField:
     grid: TimeGrid
     p0: np.ndarray = field(repr=False)
     p1: np.ndarray = field(repr=False)
-
-    def p2_slice(self, j: int) -> np.ndarray:
-        """P2(s_i, nu_l, tau_j), i, l <= j: the trapezoid sum over q in [j, n] of
-
-        G2(s_i, nu_l, tau_q) = N*(tau_q - s_i) P1(nu_l, tau_q)
-                               + P1*(s_i, tau_q) N(tau_q - nu_l)
-                               - P1*(s_i, tau_q) BB* P1(nu_l, tau_q);
-
-        O((n-j) j^2 d^3), a reference for tests and demos only.
-        """
-        bbt = self.sys.B @ self.sys.B.T
-        S = np.zeros((j + 1, j + 1) + self.p0.shape[1:])
-        for q, wt in enumerate(self.grid.weights(j), start=j):
-            p1col, nrev = self.p1[: j + 1, q], self.sys.N[q::-1][: j + 1]
-            t1 = np.einsum("iba,lbc->ilac", nrev, p1col)
-            t3 = np.einsum("iba,bc,lcd->ilad", p1col, bbt, p1col, optimize=True)
-            S += wt * (t1 + t1.transpose(1, 0, 3, 2) - t3)
-        return S
 
 
 @dataclass(frozen=True)
@@ -184,7 +167,7 @@ def solve_riccati(
         )
 
     def g2_rows(i, q0, q1=n):
-        # G2(s_i, nu_l, tau_q) as [a, c, q, l], q = q0..q1, l = 0..i; see RiccatiField.p2_slice
+        # G2(s_i, nu_l, tau_q) as [a, c, q, l], q = q0..q1, l = 0..i
         p1i, p1l = pt[:, :, q0 : q1 + 1, i], pt[:, :, q0 : q1 + 1, : i + 1]
         # N(tau_q - nu_l) = N(t_{q-l}), a sliding window over the reversed kernel
         nl = sliding_window_view(nt[:, :, ::-1], i + 1, axis=2)[:, :, n - q0 :: -1]
@@ -283,8 +266,7 @@ def feedback_control(ric: RiccatiField, trk: TrackingField, xi: InitialState) ->
     """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]
     at the state's node tau."""
     k = xi.tau_index
-    wt = trapezoid_weights(k + 1, ric.grid.h)
-    hist = np.einsum("iab,ib,i->a", ric.p1[: k + 1, k], xi.tail, wt)
+    hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.grid.h)[0]
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
 
 
@@ -302,17 +284,11 @@ def closed_loop(
     sys, grid = ric.sys, ric.grid
     k, n, d, mdim, h = xi0.tau_index, grid.steps, sys.d, sys.m, grid.h
     A, B, N = sys.A, sys.B, sys.N
-    w = np.zeros((n + 1, d))
-    w[:k] = xi0.tail[:k]
-    w[k] = xi0.head
+    w = _start(xi0, n)
+    # tail forcing and tail contribution to the feedback history, per future node
+    f, tail_hist = _tail_contractions(ric, k, xi0.tail)
     u = np.zeros((n + 1 - k, mdim))
-    u[0] = feedback_control(ric, trk, xi0)
-    f = _tail_forcing(sys, xi0, grid)
-    wt_tail = trapezoid_weights(k + 1, h)
-    # tail contribution to the feedback history, per future node
-    tail_hist = np.einsum(
-        "qiab,ib,i->qa", ric.p1[: k + 1, k:].transpose(1, 0, 2, 3), xi0.tail, wt_tail
-    )
+    u[0] = -B.T @ (ric.p0[k] @ xi0.head + tail_hist[0] + trk.d1[k])
     step_lhs = np.zeros((d + mdim, d + mdim))
     step_lhs[:d, :d] = np.eye(d) - 0.5 * h * A - 0.25 * h * h * N[0]
     step_lhs[:d, d:] = -0.5 * h * B
@@ -344,9 +320,8 @@ def closed_loop(
 def _tail_contractions(ric: RiccatiField, j: int, tail: np.ndarray) -> tuple:
     """x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds,
     q = j..n, for the history ``tail[i]`` at s_i, i = 0..j; O((n-j) j d^2)."""
-    wtail = ric.grid.weights(0, j)[:, None] * tail
-    x = np.einsum("qiab,ib->qa", _lag_gather(ric.sys.N, j), wtail)
-    z = np.einsum("iqab,ib->qa", ric.p1[: j + 1, j:], wtail)
+    x = _history(_lag_gather(ric.sys.N, j), tail, ric.grid.h)
+    z = _history(ric.p1[: j + 1, j:].transpose(1, 0, 2, 3), tail, ric.grid.h)
     return x, z
 
 

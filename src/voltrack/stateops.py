@@ -33,6 +33,7 @@ from .model import (
     ReferenceSignal,
     SystemSpec,
     TimeGrid,
+    _history,
     _lag_gather,
     _node_derivative,
     trapezoid_weights,
@@ -43,8 +44,6 @@ __all__ = [
     "StateElement",
     "make_domain_element",
     "state_operator",
-    "input_operator",
-    "output_operator",
     "riccati_operator",
     "tracking_element",
     "state_inner",
@@ -95,21 +94,8 @@ def make_domain_element(
 def state_operator(sys: SystemSpec, grid: TimeGrid, elem: StateElement) -> StateElement:
     """Action of the transport generator: memory-coupled head, -D_s tail."""
     k, h = elem.tau_index, grid.h
-    wt = trapezoid_weights(k + 1, h)
-    head = sys.A @ elem.head + np.einsum("iab,ib,i->a", sys.N[: k + 1], elem.tail, wt)
+    head = sys.A @ elem.head + _history(sys.N[None, : k + 1], elem.tail, h)[0]
     return StateElement(k, head, -_node_derivative(elem.tail, h))
-
-
-def input_operator(sys: SystemSpec, tau_index: int, u: np.ndarray) -> StateElement:
-    """(B u, 0): controls enter through the head only."""
-    return StateElement(
-        tau_index, sys.B @ np.asarray(u, dtype=float), np.zeros((tau_index + 1, sys.d))
-    )
-
-
-def output_operator(sys: SystemSpec, elem: StateElement) -> np.ndarray:
-    """C head: the output reads the current value only."""
-    return sys.C @ elem.head
 
 
 def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:

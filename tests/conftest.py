@@ -54,13 +54,32 @@ def rel_l2(grid: TimeGrid, k: int, a: np.ndarray, b: np.ndarray) -> float:
     return num / den if den > 0 else num
 
 
+def p2_slice(ric, j: int) -> np.ndarray:
+    """P2(s_i, nu_l, tau_j), i, l <= j: the trapezoid sum over q in [j, n] of
+
+    G2(s_i, nu_l, tau_q) = N*(tau_q - s_i) P1(nu_l, tau_q)
+                           + P1*(s_i, tau_q) N(tau_q - nu_l)
+                           - P1*(s_i, tau_q) BB* P1(nu_l, tau_q);
+
+    O((n-j) j^2 d^3), the explicit slice the library never forms.
+    """
+    bbt = ric.sys.B @ ric.sys.B.T
+    S = np.zeros((j + 1, j + 1) + ric.p0.shape[1:])
+    for q, wt in enumerate(ric.grid.weights(j), start=j):
+        p1col, nrev = ric.p1[: j + 1, q], ric.sys.N[q::-1][: j + 1]
+        t1 = np.einsum("iba,lbc->ilac", nrev, p1col)
+        t3 = np.einsum("iba,bc,lcd->ilad", p1col, bbt, p1col, optimize=True)
+        S += wt * (t1 + t1.transpose(1, 0, 3, 2) - t3)
+    return S
+
+
 def p2_reference_value(ric, trk, j: int, head, tail) -> float:
     """The value form at node j with its P2 double integral taken over the
-    explicitly built slice ``ric.p2_slice(j)``: the reference the library's
+    explicitly built slice ``p2_slice(ric, j)``: the reference the library's
     tail contractions must reproduce."""
     wt = trapezoid_weights(j + 1, ric.grid.h)
     p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
-    quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, ric.p2_slice(j), tail, wt, optimize=True)
+    quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, p2_slice(ric, j), tail, wt, optimize=True)
     d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: j + 1, j])
     return float(
         head @ (ric.p0[j] @ head)

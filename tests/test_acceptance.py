@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_tracking_instance, rel_l2
+from conftest import make_tracking_instance, p2_slice, rel_l2
 from voltrack import (
     ControlSignal,
     InitialState,
@@ -107,7 +107,7 @@ def test_criterion_2_classical_limit():
     ric = solve_riccati(sys, grid)
     err = abs(ric.p0[0, 0, 0] - math.tanh(1.0))
     p1max = np.abs(ric.p1).max()
-    p2max = np.abs(ric.p2_slice(0)).max()
+    p2max = np.abs(p2_slice(ric, 0)).max()
     assert err <= 1e-3
     assert p1max <= 1e-10
     assert p2max <= 1e-10
@@ -149,7 +149,7 @@ def test_criterion_4_final_conditions_exact(routes_100):
     values = {
         "P0(T)": np.abs(sol["ric"].p0[-1]).max(),
         "P1(.,T)": np.abs(sol["ric"].p1[:, -1]).max(),
-        "P2(.,.,T)": np.abs(sol["ric"].p2_slice(100)).max(),
+        "P2(.,.,T)": np.abs(p2_slice(sol["ric"], 100)).max(),
         "d1(T)": np.abs(sol["trk"].d1[-1]).max(),
         "d2(.,T)": np.abs(sol["trk"].d2[:, -1]).max(),
         "M(T)": abs(sol["trk"].m[-1]),

@@ -224,6 +224,8 @@ class TestSimulate:
             ({"dims": {"d": 1, "p": 1}}, "dims.m"),
             ({"initial_state": {"tau_index": 0}}, "initial_state.head"),
             ({"reference": {"type": "table"}}, "reference.values"),
+            ({"dims": {"d": 0, "m": 1, "p": 1}}, "dims.d"),
+            ({"dims": {"d": 1, "m": -1, "p": 1}}, "dims.m"),
         ],
     )
     def test_nested_field_error_names_its_path(self, tmp_path, capsys, overrides, field):

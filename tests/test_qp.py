@@ -14,10 +14,12 @@ from voltrack import (
     build_affine_map,
     cost,
     exponential_kernel,
+    fredholm,
     gradient_check,
     qp,
     qp_cost,
     qp_gradient,
+    riccati,
     simulate,
     solve_qp,
 )
@@ -145,10 +147,12 @@ class TestShiftConstruction:
         assert np.array_equal(dmap.G, G) and np.array_equal(dmap.g, g)
 
 
-def test_oracle_imports_nothing_from_the_other_routes():
-    # the cross-check is only independent if qp shares no Riccati or Fredholm code
+@pytest.mark.parametrize("route", [qp, riccati, fredholm], ids=lambda m: m.__name__.split(".")[-1])
+def test_route_imports_nothing_from_the_other_routes(route):
+    # the cross-check is only independent if no route shares code with another;
+    # all three share the plant model, the history quadrature included
     allowed = {"numpy", "scipy"} | set(_sys.stdlib_module_names)
-    tree = ast.parse(Path(qp.__file__).read_text())
+    tree = ast.parse(Path(route.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             assert node.module in {"model", "errors"}, ast.unparse(node)

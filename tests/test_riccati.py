@@ -5,7 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
-from conftest import make_tracking_instance, p2_reference_value, scalar_memoryless
+from conftest import make_tracking_instance, p2_reference_value, p2_slice, scalar_memoryless
 from voltrack import (
     BlowUpError,
     ControlSignal,
@@ -30,6 +30,8 @@ from voltrack import (
     value_function,
     zero_kernel,
 )
+from voltrack.model import _tail_forcing
+from voltrack.riccati import _tail_contractions
 
 TANH1 = math.tanh(1.0)
 
@@ -147,7 +149,7 @@ class TestSolveRiccati:
         _, _, _, _, ric, _, _, _ = solved_feedback
         assert np.abs(ric.p0[-1]).max() == 0.0
         assert np.abs(ric.p1[:, -1]).max() == 0.0
-        assert np.abs(ric.p2_slice(100)).max() == 0.0
+        assert np.abs(p2_slice(ric, 100)).max() == 0.0
 
     def test_tanh_oracle(self):
         grid, sys = scalar_memoryless(200)
@@ -157,7 +159,7 @@ class TestSolveRiccati:
             ric.p0[:, 0, 0], np.tanh(1.0 - grid.nodes), atol=1e-4
         )
         assert np.abs(ric.p1).max() <= 1e-12
-        assert np.abs(ric.p2_slice(0)).max() <= 1e-12
+        assert np.abs(p2_slice(ric, 0)).max() <= 1e-12
 
     def test_memoryless_matches_classical_riccati(self):
         # with N = 0 the sweep must reproduce the matrix Riccati ODE
@@ -184,7 +186,7 @@ class TestSolveRiccati:
         worst = max(np.abs(ric.p0[j] - ric.p0[j].T).max() for j in range(101))
         assert worst <= 1e-12
         for j in (0, 35, 70):
-            S = ric.p2_slice(j)
+            S = p2_slice(ric, j)
             assert np.abs(S - np.transpose(S, (1, 0, 3, 2))).max() <= 1e-10
 
     def test_contraction_matches_p2_slice_form(self, solved_feedback):
@@ -484,3 +486,23 @@ class TestTailContraction:
             if isinstance(val, np.ndarray) and name != "p1" and val.size > (n + 1) * d * d
         ]
         assert stored == []
+
+    @pytest.mark.parametrize(
+        "k, jump", [(0, False), (12, False), (12, True)], ids=["tau0", "continuous", "jump"]
+    )
+    def test_one_history_quadrature_bitwise(self, k, jump):
+        # the plant's tail forcing, the value form's x_q, the feedback law and
+        # the closed loop's first control all take int_0^tau F(., s) tail(s) ds
+        # through one quadrature, so they agree bit for bit
+        n = 60
+        grid, sys, xi, y = make_tracking_instance(n, k)
+        if k and not jump:
+            xi = InitialState(k, xi.tail[-1], xi.tail)
+        ric = solve_riccati(sys, grid)
+        trk = solve_tracking(ric, y)
+        f = _tail_forcing(sys, xi, grid)
+        assert np.array_equal(f, _tail_contractions(ric, k, xi.tail)[0])
+        if k == 0:
+            assert f.shape == (n + 1, 2) and np.array_equal(f, np.zeros((n + 1, 2)))
+        u, _ = closed_loop(ric, trk, xi)
+        assert np.array_equal(u.values[0], feedback_control(ric, trk, xi))
