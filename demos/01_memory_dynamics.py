@@ -50,7 +50,7 @@ for n in (50, 100, 200, 400):
     u = ControlSignal(0, np.sin(5.0 * grid.nodes)[:, None])
     Z = fundamental_matrix(sys, grid)
     gap = np.abs(
-        simulate(sys, grid, xi, u).values - voc_solution(sys, grid, Z, xi, u).values
+        simulate(sys, grid, xi, u).values - voc_solution(Z, xi, u).values
     ).max()
     ratio = "" if prev is None else f"{prev / gap:7.2f}"
     print(f"{n:>6} {gap:>14.3e} {ratio:>8}")

@@ -40,16 +40,16 @@ y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
 xi = InitialState(0, [1.0, 0.0])
 
 Z = fundamental_matrix(sys, grid)
-kernel = build_kernel(sys, Z, grid, 0)
-forcing = build_forcing(sys, Z, grid, xi, y)
-p = solve_fredholm(kernel, forcing, grid)
-u = optimal_control_fredholm(p, sys.B)
+kernel = build_kernel(Z, 0)
+forcing = build_forcing(Z, xi, y)
+p = solve_fredholm(kernel, forcing)
+u = optimal_control_fredholm(p)
 w = simulate(sys, grid, xi, u)
 J = cost(sys, grid, w, u, y)
 
 print(f"optimal tracking cost: {J:.8f}")
 print(f"costate endpoint |p(T)| = {np.abs(p.values[-1]).max():.1e} (exact zero)")
-print(f"costate equation residual: {costate_residual(sys, p, w, y, grid):.2e}")
+print(f"costate equation residual: {costate_residual(p, w, y):.2e}")
 
 # no competitor beats the synthesized control
 worst = np.inf
@@ -61,8 +61,8 @@ for _ in range(200):
 print(f"smallest cost gap over 200 perturbed controls: {worst:.3e} (>= 0)")
 
 # the resolvent route: p = Y - R Y, then closed-form maps for (u, w)
-R = resolvent(kernel, grid)
-kern = synthesis_kernels(sys, Z, R, grid)
+R = resolvent(kernel)
+kern = synthesis_kernels(R)
 u_qh, w_qh = apply_synthesis(kern, xi, y)
 gap = np.abs(u_qh.values - u.values).max() / np.abs(u.values).max()
 print(f"resolvent-synthesis control vs costate control: {gap:.2e} relative")

@@ -44,10 +44,8 @@ def routes(n):
     y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
     xi = InitialState(0, [1.0, 0.0])
     Z = fundamental_matrix(sys, grid)
-    p = solve_fredholm(
-        build_kernel(sys, Z, grid, 0), build_forcing(sys, Z, grid, xi, y), grid
-    )
-    uF = optimal_control_fredholm(p, sys.B)
+    p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+    uF = optimal_control_fredholm(p)
     ric = solve_riccati(sys, grid)
     trk = solve_tracking(ric, y)
     uR, _ = closed_loop(ric, trk, xi)

@@ -121,16 +121,24 @@ def _matrix(cfg: dict, key: str, rows: int, cols: int) -> np.ndarray:
     return arr.reshape(rows, cols)
 
 
-def _poly_values(coeffs, t: np.ndarray, key: str) -> np.ndarray:
+def _poly_values(coeffs, t: np.ndarray, channels: int, key: str) -> np.ndarray:
+    """``channels`` polynomials on the nodes ``t``; one that overflows is refused."""
     if not isinstance(coeffs, list) or not coeffs:
-        raise ConfigurationError(f"field '{key}': expected per-channel coefficient lists")
+        raise ConfigurationError(
+            f"field '{key}': expected per-channel coefficient lists, got {coeffs!r}"
+        )
+    if len(coeffs) != channels:
+        raise ConfigurationError(
+            f"field '{key}': expected {channels} channel lists, got {len(coeffs)}"
+        )
     cols = []
-    for ch in coeffs:
-        acc = np.zeros_like(t)
-        for q, c in enumerate(_numbers(ch, key)):
-            acc += c * t**q
-        cols.append(acc)
-    return np.stack(cols, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names the field
+        for ch in coeffs:
+            acc = np.zeros_like(t)
+            for q, c in enumerate(_numbers(ch, key)):
+                acc += c * t**q
+            cols.append(acc)
+    return _finite(np.stack(cols, axis=1), key)
 
 
 def _table_values(raw, rows: int, cols: int, key: str) -> np.ndarray:
@@ -141,6 +149,22 @@ def _table_values(raw, rows: int, cols: int, key: str) -> np.ndarray:
             f"field '{key}': expected a {rows}x{cols} node table of numbers"
         )
     return _numbers([v for row in raw for v in row], key).reshape(rows, cols)
+
+
+def _signal(spec, key: str, t: np.ndarray, channels: int) -> np.ndarray:
+    """A zero, polynomial or node-table signal of ``channels`` channels on the nodes ``t``."""
+    if spec is None or _section(spec, key).get("type", "zero") == "zero":
+        return np.zeros((t.size, channels))
+    kind = spec["type"]
+    if kind == "polynomial":
+        coeffs = f"{key}.coefficients"
+        return _poly_values(_require(spec, coeffs), t, channels, coeffs)
+    if kind == "table":
+        table = f"{key}.values"
+        return _table_values(_require(spec, table), t.size, channels, table)
+    raise ConfigurationError(
+        f"field '{key}.type': expected one of zero|polynomial|table, got {kind!r}"
+    )
 
 
 class Instance:
@@ -163,7 +187,9 @@ class Instance:
         B = _matrix(cfg, "B", self.d, self.m)
         C = _matrix(cfg, "C", self.p, self.d)
         self.sys = SystemSpec(A, B, C, self._kernel(cfg))
-        self.reference = ReferenceSignal(self._signal(cfg.get("reference"), "reference"))
+        self.reference = ReferenceSignal(
+            _signal(cfg.get("reference"), "reference", self.grid.nodes, self.p)
+        )
         self.state = self._initial_state(cfg.get("initial_state"))
         self.cfg = cfg
         tol = _section(cfg.get("tolerances", {}), "tolerances")
@@ -177,8 +203,11 @@ class Instance:
             return zero_kernel(self.grid, self.d)
         if kind == "exponential":
             raw_terms = _require(spec, "kernel.terms")
-            if not isinstance(raw_terms, list):
-                raise ConfigurationError("field 'kernel.terms': expected a list of objects")
+            if not isinstance(raw_terms, list) or not raw_terms:
+                raise ConfigurationError(
+                    "field 'kernel.terms': expected a non-empty list of objects, "
+                    f"got {raw_terms!r}"
+                )
             terms = []
             for q, term in enumerate(raw_terms):
                 key = f"kernel.terms[{q}]"
@@ -194,23 +223,9 @@ class Instance:
             raw = _require(spec, "kernel.values")
             flat = _table_values(raw, self.grid.steps + 1, self.d * self.d, "kernel.values")
             return flat.reshape(-1, self.d, self.d)
-        raise ConfigurationError(f"kernel type '{kind}' is not one of zero|exponential|table")
-
-    def _signal(self, spec, key: str) -> np.ndarray:
-        t = self.grid.nodes
-        if spec is None or _section(spec, key).get("type", "zero") == "zero":
-            return np.zeros((t.size, self.p))
-        kind = spec["type"]
-        if kind == "polynomial":
-            coeffs = f"{key}.coefficients"
-            vals = _poly_values(_require(spec, coeffs), t, coeffs)
-            if vals.shape[1] != self.p:
-                raise ConfigurationError(f"field '{key}': needs {self.p} channels")
-            return vals
-        if kind == "table":
-            table = f"{key}.values"
-            return _table_values(_require(spec, table), t.size, self.p, table)
-        raise ConfigurationError(f"{key} type '{kind}' is not one of zero|polynomial|table")
+        raise ConfigurationError(
+            f"field 'kernel.type': expected one of zero|exponential|table, got {kind!r}"
+        )
 
     def _initial_state(self, spec) -> InitialState:
         if spec is None:
@@ -218,29 +233,18 @@ class Instance:
         _section(spec, "initial_state")
         k = _integer(spec.get("tau_index", 0), "initial_state.tau_index")
         if not 0 <= k < self.grid.steps:
-            raise ConfigurationError("initial_state.tau_index must lie inside the grid")
+            raise ConfigurationError(
+                f"field 'initial_state.tau_index': must lie in 0..{self.grid.steps - 1}, got {k}"
+            )
         head = _numbers(_require(spec, "initial_state.head"), "initial_state.head")
         if head.shape != (self.d,):
-            raise ConfigurationError(f"initial_state.head must have {self.d} entries")
+            raise ConfigurationError(
+                f"field 'initial_state.head': expected {self.d} entries, got {head.tolist()!r}"
+            )
         tail_spec = spec.get("tail")
         if tail_spec is None or k == 0:
             return InitialState(k, head)
-        kind = _section(tail_spec, "initial_state.tail").get("type", "zero")
-        t = self.grid.nodes[: k + 1]
-        if kind == "zero":
-            tail = np.zeros((k + 1, self.d))
-        elif kind == "polynomial":
-            key = "initial_state.tail.coefficients"
-            tail = _poly_values(_require(tail_spec, key), t, key)
-            if tail.shape[1] != self.d:
-                raise ConfigurationError("initial_state.tail needs d channels")
-        elif kind == "table":
-            key = "initial_state.tail.values"
-            tail = _table_values(_require(tail_spec, key), k + 1, self.d, key)
-        else:
-            raise ConfigurationError(
-                f"tail type '{kind}' is not one of zero|polynomial|table"
-            )
+        tail = _signal(tail_spec, "initial_state.tail", self.grid.nodes[: k + 1], self.d)
         return InitialState(k, head, tail)
 
     def control(self) -> ControlSignal:
@@ -253,7 +257,7 @@ class Instance:
         if kind == "table":
             key = "control.values"
             return ControlSignal(k, _table_values(_require(spec, key), count, self.m, key))
-        raise ConfigurationError(f"control type '{kind}' is not one of zero|table")
+        raise ConfigurationError(f"field 'control.type': expected one of zero|table, got {kind!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -340,14 +344,13 @@ def _record(inst: Instance, u: ControlSignal, w: StateTrajectory, **artifacts):
 
 def _route_fredholm(inst: Instance):
     Z = fundamental_matrix(inst.sys, inst.grid)
-    kernel = fredholm.build_kernel(inst.sys, Z, inst.grid, inst.state.tau_index)
-    forcing = fredholm.build_forcing(inst.sys, Z, inst.grid, inst.state, inst.reference)
-    p = fredholm.solve_fredholm(kernel, forcing, inst.grid)
-    u = fredholm.optimal_control_fredholm(p, inst.sys.B)
+    kernel = fredholm.build_kernel(Z, inst.state.tau_index)
+    p = fredholm.solve_fredholm(kernel, fredholm.build_forcing(Z, inst.state, inst.reference))
+    u = fredholm.optimal_control_fredholm(p)
     # report the plant response to the synthesized control so costs are
     # comparable across routes on the shared integrator
     w = simulate(inst.sys, inst.grid, inst.state, u)
-    return _record(inst, u, w, Z=Z, kernel=kernel, forcing=forcing, p=p)
+    return _record(inst, u, w, p=p)  # p carries its kernel, the kernel its Z
 
 
 def _route_riccati(inst: Instance):
@@ -371,7 +374,8 @@ def _solve_routes(inst: Instance) -> dict:
     """All three route records, for the commands that cross-check them."""
     if inst.state.tau_index > inst.grid.steps - 2:  # the DI stencil needs 3 nodes in [tau, T]
         raise ConfigurationError(
-            "initial_state.tau_index must be at most steps-2 for compare and verify"
+            "field 'initial_state.tau_index': compare and verify need at most "
+            f"steps-2 = {inst.grid.steps - 2}, got {inst.state.tau_index}"
         )
     return {name: build(inst) for name, build in _ROUTES.items()}
 
@@ -395,7 +399,7 @@ def _discrepancies(inst: Instance, controls: dict) -> list[tuple[str, float]]:
 
 def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
     """Largest entry at T of every field whose final condition is exactly zero."""
-    ric, trk, kt = ricc.ric, ricc.trk, fred.kernel.ktilde
+    ric, trk, kt = ricc.ric, ricc.trk, fred.p.kernel.ktilde
     return [
         ("P0(T) = 0", float(np.abs(ric.p0[-1]).max())),
         ("P1(.,T) = 0", float(np.abs(ric.p1[:, -1]).max())),
@@ -458,7 +462,7 @@ def run_compare(inst: Instance, outdir: Path) -> int:
     fred, ricc = recs["fredholm"], recs["riccati"]
     W, gap = _value_gap(inst, ricc)
     report = riccati.di_residual(ricc.ric, ricc.trk, ricc.w, ricc.u, inst.reference)
-    res = fredholm.resolvent(fred.kernel, inst.grid)
+    res = fredholm.resolvent(fred.p.kernel)
     lines = ["tracking synthesis comparison report", ""]
     lines += [f"cost_{name}\t" + _FMT % rec.J for name, rec in recs.items()]
     lines.append("value_function\t" + _FMT % W)
@@ -478,20 +482,18 @@ def run_compare(inst: Instance, outdir: Path) -> int:
 
 
 def run_convergence(inst_cfg: dict, outdir: Path, grids: list[int]) -> int:
-    if len(grids) < 2:
-        raise ConfigurationError("convergence needs at least two grid sizes")
     rows = []
     for n in grids:
         inst = Instance(inst_cfg, n)
         fred = _route_fredholm(inst)
-        Z, controls = fred.Z, {"fredholm": fred.u}
+        Z, controls = fred.p.kernel.Z, {"fredholm": fred.u}
         del fred  # only Z and the controls outlive each route
         controls["riccati"] = _route_riccati(inst).u
         controls["oracle"] = _route_oracle(inst).u
         three = max(val for _, val in _discrepancies(inst, controls))
         u = inst.control()
         ws = simulate(inst.sys, inst.grid, inst.state, u)
-        wv = voc_solution(inst.sys, inst.grid, Z, inst.state, u)
+        wv = voc_solution(Z, inst.state, u)
         voc_err = float(np.abs(ws.values - wv.values).max())
         rows.append([float(n), inst.grid.h, three, math.nan, voc_err, math.nan])
     for q in range(1, len(grids)):
@@ -516,9 +518,9 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     grid, sysm, k = inst.grid, inst.sys, inst.state.tau_index
     recs = _solve_routes(inst)
     fred, ricc, orac = recs["fredholm"], recs["riccati"], recs["oracle"]
-    ric, trk, kernel = ricc.ric, ricc.trk, fred.kernel
+    ric, trk, kernel = ricc.ric, ricc.trk, fred.p.kernel
     uF, uR, wR = fred.u, ricc.u, ricc.w
-    res = fredholm.resolvent(kernel, grid)
+    res = fredholm.resolvent(kernel)
 
     check("final_conditions_zero", max(v for _, v in _final_conditions(fred, ricc, res)), 0.0)
     check(
@@ -528,7 +530,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     )
     sym = max(float(np.abs(ric.p0[j] - ric.p0[j].T).max()) for j in range(grid.steps + 1))
     check("p0_symmetry", sym, 1e-12)
-    kern = fredholm.synthesis_kernels(sysm, fred.Z, res, grid)
+    kern = fredholm.synthesis_kernels(res)
     uQH, _ = fredholm.apply_synthesis(kern, inst.state, inst.reference)
     den = max(float(np.abs(uF.values).max()), 1e-30)
     check("qh_route_matches_costate", float(np.abs(uQH.values - uF.values).max()) / den, 1e-8)
@@ -563,7 +565,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         float(np.abs(u2.values - uR.values[mid - k :]).max()),
         1e-8,
     )
-    norms = fredholm.resolvent_norms(kernel, grid)
+    norms = fredholm.resolvent_norms(kernel)
     check("resolvent_uniform_bound", max(norms) / max(norms[0], 1e-30), 2.0)
 
     lines = []
@@ -591,7 +593,8 @@ def _flag_number(text: str):
 
 
 def _grid_sizes(flag: str | None, cfg: dict) -> list[int]:
-    """Convergence grid sizes from ``--grids`` or the config's ``grids``, none repeated."""
+    """Convergence grid sizes from ``--grids`` or the config's ``grids``: two or more,
+    none repeated."""
     if flag is not None:
         key, raw = "--grids", [_flag_number(v) for v in flag.split(",") if v]
     else:
@@ -599,6 +602,10 @@ def _grid_sizes(flag: str | None, cfg: dict) -> list[int]:
         if not isinstance(raw, list):
             raise ConfigurationError("field 'grids': expected a list of integers")
     grids = [_steps(v, key) for v in raw]
+    if len(grids) < 2:
+        raise ConfigurationError(
+            f"field '{key}': convergence needs at least two grid sizes, got {grids}"
+        )
     if len(set(grids)) != len(grids):
         raise ConfigurationError(f"field '{key}': grid sizes must not repeat, got {grids}")
     return grids
@@ -658,7 +665,9 @@ def main(argv=None) -> int:
         if args.command == "synthesize":
             route = args.route or cfg.get("route")
             if route is None:
-                raise ConfigurationError("synthesize needs --route or a config 'route'")
+                raise ConfigurationError(
+                    "field 'route': missing; pass --route or set it in the config"
+                )
             return run_synthesize(inst, outdir, route)
         if args.command == "compare":
             return run_compare(inst, outdir)

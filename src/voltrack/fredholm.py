@@ -13,6 +13,12 @@ p = Y - R Y and feeds the synthesis kernels Q0/Q1/Q2 (costate) and
 H0/H1/H2 (trajectory).  ``resolvent_norms`` gives the largest block norm
 of R on every window [t_kk, T] from one Ktilde BB* product.
 
+Every stage builds on the one before it, and each artifact carries what
+it was built from: Z carries the plant and grid ``fundamental_matrix``
+solved it for, the tracking kernel carries Z, and the costate, the
+resolvent and the synthesis maps carry the tracking kernel.  So no stage
+after ``fundamental_matrix`` takes the plant or the grid again.
+
 Discrete conventions
 --------------------
 All quadratures share the grid's trapezoid weights, so the Q/H route
@@ -37,8 +43,6 @@ from .model import (
     InitialState,
     ReferenceSignal,
     StateTrajectory,
-    SystemSpec,
-    TimeGrid,
     _history,
     _lag_gather,
     _node_derivative,
@@ -67,7 +71,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrackingKernel:
-    """Ktilde samples on the node pairs of [tau, T]^2.
+    """Ktilde samples on the node pairs of [tau, T]^2, built from ``Z``.
 
     ``ktilde[i, j]`` is the d x d value at (t_{k+i}, t_{k+j}); the rows
     and columns at T vanish and ktilde(t, r) = ktilde(r, t)^T.
@@ -75,7 +79,7 @@ class TrackingKernel:
 
     start_index: int
     ktilde: np.ndarray = field(repr=False)
-    input_matrix: np.ndarray = field(repr=False)
+    Z: FundamentalMatrix = field(repr=False)
 
     def restrict(self, start_index: int) -> "TrackingKernel":
         """The same kernel on the smaller window [t_start, T].
@@ -85,24 +89,27 @@ class TrackingKernel:
         off = start_index - self.start_index
         if off < 0 or off >= self.ktilde.shape[0]:
             raise ConfigurationError("restriction window outside the kernel grid")
-        return TrackingKernel(start_index, self.ktilde[off:, off:], self.input_matrix)
+        return TrackingKernel(start_index, self.ktilde[off:, off:], self.Z)
 
 
 @dataclass(frozen=True)
 class Forcing:
-    """Fredholm right-hand side Y and the free-response samples Y0."""
+    """Fredholm right-hand side Y on nodes tau..T."""
 
     start_index: int
     values: np.ndarray = field(repr=False)
-    free_response: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class CostateTrajectory:
-    """Costate samples p_i on nodes tau..T; p(T) = 0."""
+    """Costate samples p_i on nodes tau..T; p(T) = 0.
+
+    ``kernel`` is the tracking kernel the costate was solved from.
+    """
 
     start_index: int
     values: np.ndarray = field(repr=False)
+    kernel: TrackingKernel = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -155,11 +162,11 @@ class SynthesisKernels:
     q0, q1, h0, h1 hold plain node samples (applied with trapezoid
     weights); q2 and h2 are stored weighted, i.e. with the s-quadrature
     over [tau, T] (including the diagonal-jump split) already folded in.
+    ``kernel`` is the tracking kernel the maps were built from.
     """
 
     start_index: int
-    h: float
-    input_matrix: np.ndarray = field(repr=False)
+    kernel: TrackingKernel = field(repr=False)
     q0: np.ndarray = field(repr=False)
     q1: np.ndarray = field(repr=False)
     q2: np.ndarray = field(repr=False)
@@ -168,15 +175,13 @@ class SynthesisKernels:
     h2: np.ndarray = field(repr=False)
 
 
-def build_kernel(
-    sys: SystemSpec, Z: FundamentalMatrix, grid: TimeGrid, start_index: int = 0
-) -> TrackingKernel:
+def build_kernel(Z: FundamentalMatrix, start_index: int = 0) -> TrackingKernel:
     """Assemble Ktilde(t,r) = int_{max(t,r)}^T Z(s-t) C*C Z*(s-r) ds.
 
-    Trapezoid quadrature on the grid; assembled one lag diagonal at a
+    Trapezoid quadrature on Z's grid; assembled one lag diagonal at a
     time so the whole table costs O(n^2) matrix products.
     """
-    sys.check_grid(grid)
+    sys, grid = Z.sys, Z.grid
     n, d, h = grid.steps, sys.d, grid.h
     k = start_index
     if not 0 <= k <= n:
@@ -199,24 +204,19 @@ def build_kernel(
             ktilde[np.arange(m), rows] = np.transpose(block, (0, 2, 1))
     ktilde[-1, :] = 0.0  # empty integration range at t = T and r = T
     ktilde[:, -1] = 0.0
-    return TrackingKernel(k, ktilde, sys.B.copy())
+    return TrackingKernel(k, ktilde, Z)
 
 
-def build_forcing(
-    sys: SystemSpec,
-    Z: FundamentalMatrix,
-    grid: TimeGrid,
-    xi: InitialState,
-    y: ReferenceSignal,
-) -> Forcing:
+def build_forcing(Z: FundamentalMatrix, xi: InitialState, y: ReferenceSignal) -> Forcing:
     """Forcing Y(t) = int_t^T Z(s-t) C* [C Y0(s) - y(s)] ds.
 
-    Y0 is the free response of the plant from the initial state (head
+    Y0 is the free response of Z's plant from the initial state (head
     propagated by Z* plus the tail-driven convolution term).
     """
+    sys, grid = Z.sys, Z.grid
     k, n, h = xi.tau_index, grid.steps, grid.h
     zero_u = ControlSignal.zero(grid, sys.m, k)
-    y0 = voc_solution(sys, grid, Z, xi, zero_u).values[k:]
+    y0 = voc_solution(Z, xi, zero_u).values[k:]
     v = (y0 @ sys.C.T - y.values[k:]) @ sys.C  # C*(C Y0 - y), row-vector form
     nk = n - k + 1
     Zv = Z.values
@@ -224,14 +224,13 @@ def build_forcing(
     for il in range(nk - 1):
         wts = trapezoid_weights(nk - il, h)
         out[il] = np.einsum("qab,qb,q->a", Zv[: nk - il], v[il:], wts)
-    return Forcing(k, out, y0)
+    return Forcing(k, out)
 
 
-def _kernel_bbt(kernel: TrackingKernel, grid: TimeGrid) -> np.ndarray:
-    """Ktilde BB* blocks on the kernel's window of ``grid``."""
-    if kernel.ktilde.shape[0] != grid.steps - kernel.start_index + 1:
-        raise ConfigurationError("kernel not sampled on this grid window")
-    bbt = kernel.input_matrix @ kernel.input_matrix.T
+def _kernel_bbt(kernel: TrackingKernel) -> np.ndarray:
+    """Ktilde BB* blocks on the kernel's window."""
+    B = kernel.Z.sys.B
+    bbt = B @ B.T
     return np.einsum("ijab,bc->ijac", kernel.ktilde, bbt)
 
 
@@ -264,54 +263,53 @@ def _resolvent_values(kb: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _nystrom_solve(kb, w, rhs).reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
 
 
-def solve_fredholm(
-    kernel: TrackingKernel, forcing: Forcing, grid: TimeGrid
-) -> CostateTrajectory:
+def solve_fredholm(kernel: TrackingKernel, forcing: Forcing) -> CostateTrajectory:
     """Nystrom solve of p + int_tau^T Ktilde(t,r) BB* p(r) dr = Y.
 
     A zero pivot raises :class:`SingularSystemError`.
     """
-    if forcing.start_index != kernel.start_index:
+    k = kernel.start_index
+    if forcing.start_index != k:
         raise ConfigurationError("kernel and forcing live on different windows")
-    kb = _kernel_bbt(kernel, grid)
-    sol = _nystrom_solve(kb, grid.weights(kernel.start_index), forcing.values.reshape(-1))
+    kb = _kernel_bbt(kernel)
+    sol = _nystrom_solve(kb, kernel.Z.grid.weights(k), forcing.values.reshape(-1))
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("Nystrom solve produced non-finite values")
     d = kernel.ktilde.shape[2]
-    return CostateTrajectory(kernel.start_index, sol.reshape(-1, d))
+    return CostateTrajectory(k, sol.reshape(-1, d), kernel)
 
 
-def resolvent(kernel: TrackingKernel, grid: TimeGrid) -> ResolventKernel:
+def resolvent(kernel: TrackingKernel) -> ResolventKernel:
     """Resolvent R solving R(t,r) + int Ktilde(t,v) BB* R(v,r) dv = Ktilde(t,r) BB*.
 
     One dense factorization is reused for all column right-hand sides; a
     zero pivot raises :class:`SingularSystemError`.
     """
     k = kernel.start_index
-    values = _resolvent_values(_kernel_bbt(kernel, grid), grid.weights(k))
+    values = _resolvent_values(_kernel_bbt(kernel), kernel.Z.grid.weights(k))
     return ResolventKernel(k, values, kernel)
 
 
-def resolvent_norms(kernel: TrackingKernel, grid: TimeGrid) -> list[float]:
+def resolvent_norms(kernel: TrackingKernel) -> list[float]:
     """``max_norm`` of the resolvent on every window [t_kk, T], kk = k..n-1.
 
-    Entry i equals ``resolvent(kernel.restrict(k + i), grid).max_norm``
+    Entry i equals ``resolvent(kernel.restrict(k + i)).max_norm``
     bit for bit: Ktilde BB* is formed once on the kernel's window and
     sliced, since restriction is a plain slice.  Each window still takes
     its own dense solve, O(n^4 d^3) over the sweep, plus O(n^3 d^2) for
     the Frobenius screens of the block norms.
     """
-    k = kernel.start_index
-    kb = _kernel_bbt(kernel, grid)
+    k, grid = kernel.start_index, kernel.Z.grid
+    kb = _kernel_bbt(kernel)
     return [
         _max_block_norm(_resolvent_values(kb[i:, i:], grid.weights(k + i)))
         for i in range(grid.steps - k)
     ]
 
 
-def optimal_control_fredholm(p: CostateTrajectory, B: np.ndarray) -> ControlSignal:
-    """u(t) = -B* p(t), node by node."""
-    return ControlSignal(p.start_index, -(p.values @ np.asarray(B, dtype=float)))
+def optimal_control_fredholm(p: CostateTrajectory) -> ControlSignal:
+    """u(t) = -B* p(t), node by node, B the input matrix of p's plant."""
+    return ControlSignal(p.start_index, -(p.values @ p.kernel.Z.sys.B))
 
 
 def _row_weight_matrix(nk: int, h: float) -> np.ndarray:
@@ -322,10 +320,9 @@ def _row_weight_matrix(nk: int, h: float) -> np.ndarray:
     return W
 
 
-def _tail_convolution(
-    sys: SystemSpec, Zv: np.ndarray, grid: TimeGrid, k: int
-) -> np.ndarray:
+def _tail_convolution(Z: FundamentalMatrix, k: int) -> np.ndarray:
     """E[s, v] = int_tau^{t_s} Z*(t_s - r) N(r - t_v) dr for v = 0..k, s = k..n."""
+    sys, grid, Zv = Z.sys, Z.grid, Z.values
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1
     NT = _lag_gather(sys.N, k)
@@ -337,32 +334,29 @@ def _tail_convolution(
     return E
 
 
-def synthesis_kernels(
-    sys: SystemSpec, Z: FundamentalMatrix, R: ResolventKernel, grid: TimeGrid
-) -> SynthesisKernels:
+def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
     """Assemble the Q and H kernels of the closed-form optimal pair.
 
     The costate splits as p = Q0 head + int Q1 tail + int Q2 y and the
     optimal trajectory as w = H0 head + int H1 tail + int H2 y; all six
     maps are built from the resolvent with the shared trapezoid weights,
     so applying them reproduces the Nystrom solve to round-off.  The start
-    node is the resolvent's, and Ktilde is read from the tracking kernel
-    ``R`` was solved from, which must have been built from ``sys`` and ``Z``.
+    node is the resolvent's; Ktilde, Z, the plant and the grid are read
+    from the tracking kernel ``R`` was solved from.
     """
-    k = R.start_index
-    sys.check_grid(grid)
+    k, kernel, Z = R.start_index, R.kernel, R.kernel.Z
+    sys, grid, Zv = Z.sys, Z.grid, Z.values
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1
-    Zv = Z.values
     Rv = R.values
     w = grid.weights(k)
     bbt = sys.B @ sys.B.T
-    ktilde = R.kernel.ktilde
+    ktilde = kernel.ktilde
     rw = Rv * w[None, :, None, None]
 
     # costate maps
     q0 = ktilde[:, 0] - np.einsum("ijab,jbc->iac", rw, ktilde[:, 0], optimize=True)
-    e_tail = _tail_convolution(sys, Zv, grid, k)
+    e_tail = _tail_convolution(Z, k)
     q1a = np.zeros((nk, k + 1, d, d))
     ZCC = Zv @ (sys.C.T @ sys.C)
     for il in range(nk - 1):
@@ -389,26 +383,26 @@ def synthesis_kernels(
     )
     h1 = e_tail - np.einsum("iqab,qvbc->ivac", prop, q1, optimize=True)
     h2 = -np.einsum("iqab,qjbc->ijac", prop, q2, optimize=True)
-    return SynthesisKernels(k, h, sys.B.copy(), q0, q1, q2, h0, h1, h2)
+    return SynthesisKernels(k, kernel, q0, q1, q2, h0, h1, h2)
 
 
 def apply_synthesis(
     kernels: SynthesisKernels, xi: InitialState, y: ReferenceSignal
 ) -> tuple[ControlSignal, StateTrajectory]:
     """Evaluate the optimal pair (u, w) from the Q/H maps."""
-    k = kernels.start_index
+    k, Z = kernels.start_index, kernels.kernel.Z
     if xi.tau_index != k:
         raise ConfigurationError("state node differs from the synthesis node")
     ysub = y.values[k:]
     bracket = (
         np.einsum("iab,b->ia", kernels.q0, xi.head)
-        + _history(kernels.q1, xi.tail, kernels.h)
+        + _history(kernels.q1, xi.tail, Z.grid.h)
         + np.einsum("ijab,jb->ia", kernels.q2, ysub)
     )
-    u = -(bracket @ kernels.input_matrix)
+    u = -(bracket @ Z.sys.B)
     wvals = (
         np.einsum("iab,b->ia", kernels.h0, xi.head)
-        + _history(kernels.h1, xi.tail, kernels.h)
+        + _history(kernels.h1, xi.tail, Z.grid.h)
         + np.einsum("ijab,jb->ia", kernels.h2, ysub)
     )
     full = _start(xi, k + wvals.shape[0] - 1)
@@ -416,19 +410,14 @@ def apply_synthesis(
     return ControlSignal(k, u), StateTrajectory(k, full)
 
 
-def costate_residual(
-    sys: SystemSpec,
-    p: CostateTrajectory,
-    wplus: StateTrajectory,
-    y: ReferenceSignal,
-    grid: TimeGrid,
-) -> float:
-    """Max-node residual of the costate differential equation.
+def costate_residual(p: CostateTrajectory, wplus: StateTrajectory, y: ReferenceSignal) -> float:
+    """Max-node residual of the costate differential equation of p's plant.
 
     Checks p' = -A* p - int_t^T N*(s-t) p(s) ds - C*(C w - y) with a
     second-order finite-difference p'; the residual shrinks at least
     linearly in h.
     """
+    sys, grid = p.kernel.Z.sys, p.kernel.Z.grid
     k, n, h = p.start_index, grid.steps, grid.h
     pv = p.values
     nk = n - k + 1

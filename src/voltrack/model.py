@@ -13,9 +13,12 @@ with weight h/2 (a small d x d ``numpy.linalg.solve`` per step, second
 order in h).  Every integral of a kernel against a history, int_0^tau
 F(., s) tail(s) ds with F the plant's N, the feedback's P1 or a synthesis
 map, is the one quadrature :func:`_history`, and every trajectory starts
-from :func:`_start`: the tail below tau, the head at tau.  Nothing here
-imports scipy: its dense solvers load only where a dense system is
-factored (the Nystrom solve, the QP Cholesky).
+from :func:`_start`: the tail below tau, the head at tau.  The
+fundamental matrix Z carries the plant and grid :func:`fundamental_matrix`
+solved it for, so :func:`voc_solution` and every Fredholm stage built on
+Z read them from Z and take neither again.  Nothing here imports scipy:
+its dense solvers load only where a dense system is factored (the
+Nystrom solve, the QP Cholesky).
 """
 
 from __future__ import annotations
@@ -253,15 +256,12 @@ class StateTrajectory:
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    """Samples Z_i = Z(t_i) of the adjoint-kernel fundamental matrix."""
+    """Samples Z_i = Z(t_i) of the adjoint-kernel fundamental matrix of the
+    plant ``sys`` on ``grid``."""
 
+    sys: SystemSpec = field(repr=False)
+    grid: TimeGrid
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[1] != v.shape[2]:
-            raise ConfigurationError("Z must be sampled as (nodes, d, d)")
-        object.__setattr__(self, "values", v)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def fundamental_matrix(sys: SystemSpec, grid: TimeGrid) -> FundamentalMatrix:
         rhs = Z[i] + 0.5 * h * (f_prev + mem)
         Z[i + 1] = np.linalg.solve(M, rhs)
         f_prev = At @ Z[i + 1] + mem + 0.5 * h * (Nt[0] @ Z[i + 1])
-    return FundamentalMatrix(Z)
+    return FundamentalMatrix(sys, grid, Z)
 
 
 def simulate(
@@ -399,24 +399,17 @@ def simulate(
     return StateTrajectory(k, w)
 
 
-def voc_solution(
-    sys: SystemSpec,
-    grid: TimeGrid,
-    Z: FundamentalMatrix,
-    xi: InitialState,
-    u: ControlSignal,
-) -> StateTrajectory:
-    """Variation-of-constants evaluation of the trajectory.
+def voc_solution(Z: FundamentalMatrix, xi: InitialState, u: ControlSignal) -> StateTrajectory:
+    """Variation-of-constants evaluation of the trajectory of the plant
+    ``Z`` was solved for, on its grid.
 
     w(t) = Z*(t-tau) head + int_tau^t Z*(t-r) [f(r) + B u(r)] dr with f
     the tail forcing; agrees with :func:`simulate` to O(h^2).
     """
-    sys.check_grid(grid)
+    sys, grid = Z.sys, Z.grid
     _check_control(xi, u, grid, sys.m)
-    k, n, d, h = xi.tau_index, grid.steps, sys.d, grid.h
+    k, n, h = xi.tau_index, grid.steps, grid.h
     Zv = Z.values
-    if Zv.shape != (n + 1, d, d):
-        raise ConfigurationError("fundamental matrix not sampled on this grid")
     w = _start(xi, n)
     g = _tail_forcing(sys, xi, grid) + u.values @ sys.B.T
     for i in range(k + 1, n + 1):

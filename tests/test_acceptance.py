@@ -47,10 +47,10 @@ def _solve_all_routes(n):
     grid, sys, xi, y = make_tracking_instance(n)
     t0 = time.perf_counter()
     Z = fundamental_matrix(sys, grid)
-    kernel = build_kernel(sys, Z, grid, 0)
-    forcing = build_forcing(sys, Z, grid, xi, y)
-    p = solve_fredholm(kernel, forcing, grid)
-    uF = optimal_control_fredholm(p, sys.B)
+    kernel = build_kernel(Z, 0)
+    forcing = build_forcing(Z, xi, y)
+    p = solve_fredholm(kernel, forcing)
+    uF = optimal_control_fredholm(p)
     ric = solve_riccati(sys, grid)
     trk = solve_tracking(ric, y)
     uR, wR = closed_loop(ric, trk, xi)
@@ -140,12 +140,9 @@ def test_criterion_3_value_function_consistency(routes_200):
 
 def test_criterion_4_final_conditions_exact(routes_100):
     sol = routes_100
-    grid, sys, Z = sol["grid"], sol["sys"], sol["Z"]
-    R = resolvent(sol["kernel"], grid)
-    kern = synthesis_kernels(sys, Z, R, grid)
-    kern_T = synthesis_kernels(
-        sys, Z, resolvent(build_kernel(sys, Z, grid, 100), grid), grid
-    )
+    R = resolvent(sol["kernel"])
+    kern = synthesis_kernels(R)
+    kern_T = synthesis_kernels(resolvent(build_kernel(sol["Z"], 100)))
     values = {
         "P0(T)": np.abs(sol["ric"].p0[-1]).max(),
         "P1(.,T)": np.abs(sol["ric"].p1[:, -1]).max(),
@@ -249,10 +246,10 @@ def test_criterion_9_kernel_structure_invariants(routes_100):
     assert ksym <= 1e-10
     psym = max(np.abs(ric.p0[j] - ric.p0[j].T).max() for j in range(101))
     assert psym <= 1e-10
-    base = resolvent(kernel, grid).max_norm
+    base = resolvent(kernel).max_norm
     worst = base
     for k in range(1, 100):
-        worst = max(worst, resolvent(kernel.restrict(k), grid).max_norm)
+        worst = max(worst, resolvent(kernel.restrict(k)).max_norm)
     assert worst <= 2.0 * base
     print(
         f"\ncriterion 9 PASS: kernel symmetry {ksym:.1e}, P0 symmetry {psym:.1e}, "

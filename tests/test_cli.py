@@ -332,10 +332,10 @@ class TestSimulate:
     def test_singular_nystrom_matrix_exits_3(self, tmp_path, capsys, monkeypatch):
         # Ktilde(t_0, t_0) BB* w_0 = -8 * 1 * 1/8 = -1 exactly, so the Nystrom
         # matrix has an all-zero first column
-        def singular_kernel(sys, Z, grid, start_index):
-            ktilde = np.zeros((grid.steps + 1 - start_index,) * 2 + (1, 1))
+        def singular_kernel(Z, start_index):
+            ktilde = np.zeros((Z.grid.steps + 1 - start_index,) * 2 + (1, 1))
             ktilde[0, 0] = -8.0
-            return TrackingKernel(start_index, ktilde, sys.B)
+            return TrackingKernel(start_index, ktilde, Z)
 
         monkeypatch.setattr(fredholm, "build_kernel", singular_kernel)
         cfg = tmp_path / "c.json"
@@ -381,6 +381,101 @@ class TestSimulate:
             tolerances={"blowup": 100.0},
         )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, overrides, field",
+        [
+            (
+                ["synthesize", "--route", route],
+                {"reference": {"type": "polynomial", "coefficients": [[0, 1e308, 1e308]]}},
+                "reference.coefficients",
+            )
+            for route in ("fredholm", "riccati", "oracle")
+        ]
+        + [
+            (
+                ["simulate"],
+                {
+                    "initial_state": {
+                        "tau_index": 50,
+                        "head": [0.0],
+                        "tail": {"type": "polynomial", "coefficients": [[0, 1e308, 1e308]]},
+                    }
+                },
+                "initial_state.tail.coefficients",
+            )
+        ],        ids=["fredholm", "riccati", "oracle", "simulate_tail"],
+    )
+    def test_overflowing_polynomial_names_its_field(
+        self, tmp_path, capsys, argv, overrides, field
+    ):
+        # on [0, 10] the polynomial overflows to Infinity
+        cfg = tmp_path / "c.json"
+        write_config(cfg, horizon=10.0, **overrides)
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"field '{field}': values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, field, quoted",
+        [
+            ("simulate", {"kernel": {"type": "exponential", "terms": []}}, "kernel.terms", "[]"),
+            (
+                "simulate",
+                {"initial_state": {"tau_index": 100, "head": [0.0]}},
+                "initial_state.tau_index",
+                "got 100",
+            ),
+            (
+                "simulate",
+                {"initial_state": {"tau_index": 0, "head": [0.5, 1.5]}},
+                "initial_state.head",
+                "[0.5, 1.5]",
+            ),
+            (
+                "simulate",
+                {
+                    "initial_state": {
+                        "tau_index": 2,
+                        "head": [0.0],
+                        "tail": {"type": "polynomial", "coefficients": [[1.0], [2.0]]},
+                    }
+                },
+                "initial_state.tail.coefficients",
+                "got 2",
+            ),
+            (
+                "simulate",
+                {"reference": {"type": "polynomial", "coefficients": [[1.0], [2.0]]}},
+                "reference.coefficients",
+                "got 2",
+            ),
+            ("simulate", {"kernel": {"type": "gauss"}}, "kernel.type", "'gauss'"),
+            ("simulate", {"reference": {"type": "sine"}}, "reference.type", "'sine'"),
+            (
+                "simulate",
+                {"initial_state": {"tau_index": 2, "head": [0.0], "tail": {"type": "sine"}}},
+                "initial_state.tail.type",
+                "'sine'",
+            ),
+            ("simulate", {"control": {"type": "sine"}}, "control.type", "'sine'"),
+            (
+                "compare",
+                {"initial_state": {"tau_index": 99, "head": [0.0]}},
+                "initial_state.tau_index",
+                "got 99",
+            ),
+            ("convergence", {"grids": [50]}, "grids", "[50]"),
+            ("synthesize", {}, "route", "missing"),
+        ],
+    )
+    def test_message_names_the_field_and_quotes_the_value(
+        self, tmp_path, capsys, command, overrides, field, quoted
+    ):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: field '{field}': " in err and quoted in err
 
 
 class TestLongFieldWriter:

@@ -1,5 +1,4 @@
-"""Smoke test: the demo scripts that drive the Riccati route and the
-state-space operators run to completion."""
+"""Smoke test: the demo scripts run to completion."""
 
 import os
 import subprocess
@@ -13,7 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    ["03_riccati_feedback.py", "04_three_routes.py", "05_state_space_operators.py"],
+    [
+        "01_memory_dynamics.py",
+        "02_fredholm_costate.py",
+        "03_riccati_feedback.py",
+        "04_three_routes.py",
+        "05_state_space_operators.py",
+    ],
 )
 def test_demo_runs(script):
     env = dict(os.environ)

@@ -1,3 +1,5 @@
+import inspect
+import typing
 import warnings
 
 import numpy as np
@@ -35,14 +37,34 @@ from voltrack import (
 )
 
 
+def test_no_stage_takes_the_plant_or_the_grid():
+    # Z carries the plant and grid and every later artifact carries Z, so a
+    # stage that asked for either again could be handed one that disagrees
+    from voltrack import fredholm, model
+
+    stages = [model.voc_solution] + [
+        fn
+        for name, fn in vars(fredholm).items()
+        if not name.startswith("_")
+        and inspect.isfunction(fn)
+        and fn.__module__ == fredholm.__name__
+    ]
+    assert len(stages) >= 10
+    for fn in stages:
+        for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+            assert param.annotation is not inspect.Parameter.empty, (fn.__name__, name)
+            kinds = {param.annotation, *typing.get_args(param.annotation)}
+            assert not kinds & {SystemSpec, TimeGrid}, (fn.__name__, name)
+
+
 @pytest.fixture(scope="module")
 def solved_instance():
     """Fully assembled Fredholm route on the fixed instance, tau = 0."""
     grid, sys, xi, y = make_tracking_instance(100)
     Z = fundamental_matrix(sys, grid)
-    kernel = build_kernel(sys, Z, grid, 0)
-    forcing = build_forcing(sys, Z, grid, xi, y)
-    p = solve_fredholm(kernel, forcing, grid)
+    kernel = build_kernel(Z, 0)
+    forcing = build_forcing(Z, xi, y)
+    p = solve_fredholm(kernel, forcing)
     return grid, sys, xi, y, Z, kernel, forcing, p
 
 
@@ -51,9 +73,9 @@ def solved_with_tail():
     """Same plant restarted mid-horizon with a nontrivial tail."""
     grid, sys, xi, y = make_tracking_instance(80, tau_index=30)
     Z = fundamental_matrix(sys, grid)
-    kernel = build_kernel(sys, Z, grid, 30)
-    R = resolvent(kernel, grid)
-    kern = synthesis_kernels(sys, Z, R, grid)
+    kernel = build_kernel(Z, 30)
+    R = resolvent(kernel)
+    kern = synthesis_kernels(R)
     return grid, sys, xi, y, Z, kernel, R, kern
 
 
@@ -67,7 +89,7 @@ class TestBuildKernel:
         grid, sys, _, _ = make_tracking_instance(40)
         sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
         Z = fundamental_matrix(sys0, grid)
-        kernel = build_kernel(sys0, Z, grid, 0)
+        kernel = build_kernel(Z, 0)
         assert np.abs(kernel.ktilde).max() == 0.0
 
     def test_transpose_symmetry(self, solved_instance):
@@ -95,7 +117,7 @@ class TestBuildForcing:
         grid, sys, _, _ = make_tracking_instance(40)
         Z = fundamental_matrix(sys, grid)
         forcing = build_forcing(
-            sys, Z, grid, InitialState(0, [0.0, 0.0]), ReferenceSignal(np.zeros((41, 1)))
+            Z, InitialState(0, [0.0, 0.0]), ReferenceSignal(np.zeros((41, 1)))
         )
         assert np.abs(forcing.values).max() == 0.0
 
@@ -109,7 +131,7 @@ class TestBuildForcing:
         sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
         Z = fundamental_matrix(sys, grid)
         forcing = build_forcing(
-            sys, Z, grid, InitialState(0, [1.0]), ReferenceSignal(np.zeros((101, 1)))
+            Z, InitialState(0, [1.0]), ReferenceSignal(np.zeros((101, 1)))
         )
         np.testing.assert_allclose(
             forcing.values[:, 0], 1.0 - grid.nodes, atol=1e-12
@@ -121,16 +143,16 @@ class TestSolveFredholm:
         grid, sys, xi, y = make_tracking_instance(50)
         sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N)
         Z = fundamental_matrix(sys0, grid)
-        kernel = build_kernel(sys0, Z, grid, 0)
-        forcing = build_forcing(sys0, Z, grid, xi, y)
-        p = solve_fredholm(kernel, forcing, grid)
+        kernel = build_kernel(Z, 0)
+        forcing = build_forcing(Z, xi, y)
+        p = solve_fredholm(kernel, forcing)
         np.testing.assert_array_equal(p.values, forcing.values)
 
     def test_zero_forcing_zero_costate(self, solved_instance):
         grid, _, _, _, _, kernel, forcing, _ = solved_instance
         zero = ReferenceSignal(np.zeros((101, 1)))
-        zf = type(forcing)(0, np.zeros_like(forcing.values), np.zeros_like(forcing.values))
-        p = solve_fredholm(kernel, zf, grid)
+        zf = type(forcing)(0, np.zeros_like(forcing.values))
+        p = solve_fredholm(kernel, zf)
         assert np.abs(p.values).max() == 0.0
 
     def test_plugback_residual(self, solved_instance):
@@ -152,12 +174,12 @@ class TestResolvent:
         grid, sys, _, _ = make_tracking_instance(40)
         sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
         Z = fundamental_matrix(sys0, grid)
-        R = resolvent(build_kernel(sys0, Z, grid, 0), grid)
+        R = resolvent(build_kernel(Z, 0))
         assert np.abs(R.values).max() == 0.0
 
     def test_final_rows_zero(self, solved_instance):
         grid, _, _, _, _, kernel, _, _ = solved_instance
-        R = resolvent(kernel, grid)
+        R = resolvent(kernel)
         assert np.abs(R.values[-1]).max() == 0.0
         assert np.abs(R.values[:, -1]).max() == 0.0
 
@@ -166,8 +188,8 @@ class TestResolvent:
         grid, sys, _, _ = make_tracking_instance(40)
         sys_small = SystemSpec(sys.A, sys.B, 0.3 * sys.C, sys.N)
         Z = fundamental_matrix(sys_small, grid)
-        kernel = build_kernel(sys_small, Z, grid, 0)
-        R = resolvent(kernel, grid)
+        kernel = build_kernel(Z, 0)
+        R = resolvent(kernel)
         w = grid.weights(0)
         bbt = sys_small.B @ sys_small.B.T
         nk, d = 41, 2
@@ -183,10 +205,10 @@ class TestResolvent:
 
     def test_uniform_bound_over_tau_sweep(self, solved_instance):
         grid, _, _, _, _, kernel, _, _ = solved_instance
-        base = resolvent(kernel, grid).max_norm
+        base = resolvent(kernel).max_norm
         worst = base
         for k in range(5, 100, 5):
-            worst = max(worst, resolvent(kernel.restrict(k), grid).max_norm)
+            worst = max(worst, resolvent(kernel.restrict(k)).max_norm)
         assert worst <= 2.0 * base
 
 
@@ -255,28 +277,32 @@ class TestMaxNorm:
     def test_sweep_equals_per_window_resolvents(self, instance, request):
         grid, _, xi, _, _, kernel, *_ = request.getfixturevalue(instance)
         k = xi.tau_index
-        norms = resolvent_norms(kernel, grid)
+        norms = resolvent_norms(kernel)
         assert len(norms) == grid.steps - k
         for i, val in enumerate(norms):
-            R = resolvent(kernel.restrict(k + i), grid)
+            R = resolvent(kernel.restrict(k + i))
             assert val.hex() == R.max_norm.hex() == unscreened_max_norm(R.values).hex()
 
 
 class TestOptimalControl:
     def test_zero_costate(self, solved_instance):
-        grid, sys, *_ = solved_instance
-        p0 = type(solved_instance[-1])(0, np.zeros((101, 2)))
-        u = optimal_control_fredholm(p0, sys.B)
+        *_, p = solved_instance
+        p0 = type(p)(0, np.zeros((101, 2)), p.kernel)
+        u = optimal_control_fredholm(p0)
         assert np.abs(u.values).max() == 0.0
 
-    def test_zero_input_matrix(self, solved_instance):
-        *_, p = solved_instance
-        u = optimal_control_fredholm(p, np.zeros((2, 1)))
+    def test_zero_input_matrix(self):
+        grid, sys, xi, y = make_tracking_instance(50)
+        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N)
+        Z = fundamental_matrix(sys0, grid)
+        p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+        assert np.abs(p.values).max() > 0.0
+        u = optimal_control_fredholm(p)
         assert np.abs(u.values).max() == 0.0
 
     def test_beats_random_perturbations(self, solved_instance):
         grid, sys, xi, y, Z, _, _, p = solved_instance
-        u = optimal_control_fredholm(p, sys.B)
+        u = optimal_control_fredholm(p)
         w = simulate(sys, grid, xi, u)
         j_opt = cost(sys, grid, w, u, y)
         rng = np.random.default_rng(7)
@@ -290,37 +316,37 @@ class TestOptimalControl:
 class TestSynthesisKernels:
     def test_costate_route_agreement(self, solved_instance):
         grid, sys, xi, y, Z, kernel, forcing, p = solved_instance
-        R = resolvent(kernel, grid)
-        kern = synthesis_kernels(sys, Z, R, grid)
+        R = resolvent(kernel)
+        kern = synthesis_kernels(R)
         u_qh, w_qh = apply_synthesis(kern, xi, y)
-        u_p = optimal_control_fredholm(p, sys.B)
+        u_p = optimal_control_fredholm(p)
         scale = np.abs(u_p.values).max()
         assert np.abs(u_qh.values - u_p.values).max() / scale < 1e-8
-        w_voc = voc_solution(sys, grid, Z, xi, u_p)
+        w_voc = voc_solution(Z, xi, u_p)
         assert np.abs(w_qh.values - w_voc.values).max() < 1e-10
 
     def test_costate_route_agreement_with_tail(self, solved_with_tail):
         grid, sys, xi, y, Z, kernel, R, kern = solved_with_tail
-        forcing = build_forcing(sys, Z, grid, xi, y)
-        p = solve_fredholm(kernel, forcing, grid)
-        u_p = optimal_control_fredholm(p, sys.B)
+        forcing = build_forcing(Z, xi, y)
+        p = solve_fredholm(kernel, forcing)
+        u_p = optimal_control_fredholm(p)
         u_qh, _ = apply_synthesis(kern, xi, y)
         scale = np.abs(u_p.values).max()
         assert np.abs(u_qh.values - u_p.values).max() / scale < 1e-8
 
     def test_final_node_values(self, solved_instance):
         grid, sys, xi, y, Z, kernel, _, _ = solved_instance
-        R = resolvent(kernel, grid)
-        kern = synthesis_kernels(sys, Z, R, grid)
+        R = resolvent(kernel)
+        kern = synthesis_kernels(R)
         assert np.abs(kern.q0[-1]).max() == 0.0  # Q0 vanishes at the horizon
 
     def test_horizon_start_degenerates(self):
         # tau = T: the only node is the horizon itself
         grid, sys, _, _ = make_tracking_instance(40)
         Z = fundamental_matrix(sys, grid)
-        kernel = build_kernel(sys, Z, grid, 40)
-        R = resolvent(kernel, grid)
-        kern = synthesis_kernels(sys, Z, R, grid)
+        kernel = build_kernel(Z, 40)
+        R = resolvent(kernel)
+        kern = synthesis_kernels(R)
         np.testing.assert_array_equal(kern.h0[0], np.eye(2))
         assert np.abs(kern.h1).max() == 0.0
         assert np.abs(kern.h2).max() == 0.0
@@ -402,10 +428,8 @@ class TestDiscreteOptimality:
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
             Z = fundamental_matrix(sys, grid)
-            p = solve_fredholm(
-                build_kernel(sys, Z, grid, 0), build_forcing(sys, Z, grid, xi, y), grid
-            )
-            u = optimal_control_fredholm(p, sys.B)
+            p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+            u = optimal_control_fredholm(p)
             dmap = build_affine_map(sys, grid, xi)
             grads.append(np.abs(qp_gradient(dmap, y, u)).max())
         assert grads[0] < 1e-3
@@ -417,22 +441,22 @@ class TestCostateResidual:
         grid, sys, _, _ = make_tracking_instance(40)
         from voltrack import CostateTrajectory, StateTrajectory
 
-        pz = CostateTrajectory(0, np.zeros((41, 2)))
+        pz = CostateTrajectory(0, np.zeros((41, 2)), build_kernel(fundamental_matrix(sys, grid)))
         w = StateTrajectory(0, np.zeros((41, 2)))
         y = ReferenceSignal(np.zeros((41, 1)))
-        assert costate_residual(sys, pz, w, y, grid) == 0.0
+        assert costate_residual(pz, w, y) == 0.0
 
     def test_convergence_under_refinement(self):
         errs = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
             Z = fundamental_matrix(sys, grid)
-            kernel = build_kernel(sys, Z, grid, 0)
-            forcing = build_forcing(sys, Z, grid, xi, y)
-            p = solve_fredholm(kernel, forcing, grid)
-            u = optimal_control_fredholm(p, sys.B)
-            w = voc_solution(sys, grid, Z, xi, u)
-            errs.append(costate_residual(sys, p, w, y, grid))
+            kernel = build_kernel(Z, 0)
+            forcing = build_forcing(Z, xi, y)
+            p = solve_fredholm(kernel, forcing)
+            u = optimal_control_fredholm(p)
+            w = voc_solution(Z, xi, u)
+            errs.append(costate_residual(p, w, y))
         assert errs[0] / errs[1] >= 1.8
 
 
@@ -443,11 +467,12 @@ class TestSingularNystromMatrix:
         grid = TimeGrid(1.0, 4)
         ktilde = np.zeros((5, 5, 1, 1))
         ktilde[0, 0] = -8.0
-        kernel = TrackingKernel(0, ktilde, np.ones((1, 1)))
-        forcing = Forcing(0, np.ones((5, 1)), np.zeros((5, 1)))
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
+        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys, grid))
+        forcing = Forcing(0, np.ones((5, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raised at the pivot, not warned
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
-                solve_fredholm(kernel, forcing, grid)
+                solve_fredholm(kernel, forcing)
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
-                resolvent(kernel, grid)
+                resolvent(kernel)

@@ -117,9 +117,7 @@ class TestSimulate:
         w_base = simulate(sys, grid, xi, u)
         w_forced = simulate(sys, grid, xi, uf)
         Z = fundamental_matrix(sys, grid)
-        extra = voc_solution(
-            sys, grid, Z, InitialState(0, [0.0, 0.0]), ControlSignal(0, F)
-        )
+        extra = voc_solution(Z, InitialState(0, [0.0, 0.0]), ControlSignal(0, F))
         err = np.abs(w_forced.values - w_base.values - extra.values).max()
         assert err < 5e-4
 
@@ -140,7 +138,7 @@ class TestVocSolution:
         grid, sys, _, _ = make_tracking_instance(80)
         Z = fundamental_matrix(sys, grid)
         xi = InitialState(0, [1.0, -2.0])
-        w = voc_solution(sys, grid, Z, xi, ControlSignal.zero(grid, 1))
+        w = voc_solution(Z, xi, ControlSignal.zero(grid, 1))
         expect = np.einsum("qba,b->qa", Z.values, xi.head)
         assert np.abs(w.values - expect).max() < 1e-13
 
@@ -149,7 +147,7 @@ class TestVocSolution:
         sys = scalar_system(grid)
         Z = fundamental_matrix(sys, grid)
         u = ControlSignal(0, np.ones((101, 1)))
-        w = voc_solution(sys, grid, Z, InitialState(0, [0.0]), u)
+        w = voc_solution(Z, InitialState(0, [0.0]), u)
         np.testing.assert_allclose(w.values[:, 0], grid.nodes, atol=1e-13)
 
     @pytest.mark.parametrize("tau_index", [0, 25])
@@ -159,7 +157,7 @@ class TestVocSolution:
         t = grid.nodes[tau_index:]
         u = ControlSignal(tau_index, np.sin(5.0 * t)[:, None])
         ws = simulate(sys, grid, xi, u)
-        wv = voc_solution(sys, grid, Z, xi, u)
+        wv = voc_solution(Z, xi, u)
         assert np.abs(ws.values - wv.values).max() < 2e-4
 
     def test_second_order_agreement(self):
@@ -169,7 +167,7 @@ class TestVocSolution:
             Z = fundamental_matrix(sys, grid)
             u = ControlSignal(0, np.sin(5.0 * grid.nodes)[:, None])
             ws = simulate(sys, grid, xi, u)
-            wv = voc_solution(sys, grid, Z, xi, u)
+            wv = voc_solution(Z, xi, u)
             errs.append(np.abs(ws.values - wv.values).max())
         assert errs[0] / errs[1] > 3.5
 

@@ -328,10 +328,8 @@ class TestClosedLoop:
             trk = solve_tracking(ric, y)
             uR, _ = closed_loop(ric, trk, xi)
             Z = fundamental_matrix(sys, grid)
-            p = solve_fredholm(
-                build_kernel(sys, Z, grid, 0), build_forcing(sys, Z, grid, xi, y), grid
-            )
-            uF = optimal_control_fredholm(p, sys.B)
+            p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+            uF = optimal_control_fredholm(p)
             diffs.append(np.abs(uR.values - uF.values).max())
         assert diffs[0] < 5e-3
         assert diffs[0] / diffs[1] >= 1.8
@@ -345,10 +343,8 @@ class TestClosedLoop:
         n, k = 80, 30
         grid, sys, xi, y = make_tracking_instance(n, tau_index=k)
         Z = fundamental_matrix(sys, grid)
-        p = solve_fredholm(
-            build_kernel(sys, Z, grid, k), build_forcing(sys, Z, grid, xi, y), grid
-        )
-        uF = optimal_control_fredholm(p, sys.B)
+        p = solve_fredholm(build_kernel(Z, k), build_forcing(Z, xi, y))
+        uF = optimal_control_fredholm(p)
         ric = solve_riccati(sys, grid)
         trk = solve_tracking(ric, y)
         uR, wR = closed_loop(ric, trk, xi)
