@@ -242,10 +242,11 @@ class Instance:
                 f"field 'initial_state.head': expected {self.d} entries, got {head.tolist()!r}"
             )
         tail_spec = spec.get("tail")
-        if tail_spec is None or k == 0:
+        if tail_spec is None:
             return InitialState(k, head)
         tail = _signal(tail_spec, "initial_state.tail", self.grid.nodes[: k + 1], self.d)
-        return InitialState(k, head, tail)
+        # a one-node tail has quadrature weight 0; checked, then dropped
+        return InitialState(k, head, tail if k else None)
 
     def control(self) -> ControlSignal:
         spec = _section(self.cfg.get("control", {"type": "zero"}), "control")

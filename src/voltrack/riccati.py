@@ -27,6 +27,16 @@ term over the sweep; the columns add O(n^2 d^3)) and O(n^2 d^2)
 memory, ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
 Everything after the sweep reads the plant and grid from the solved
 :class:`RiccatiField` and the node tau from the state it is given.
+
+Two costs outside the arithmetic are kept out of the sweeps, with every
+bit unchanged.  The three-factor contractions (P0 BB* P1, P1* BB* P1 and
+P1* BB* d1) follow numpy's greedy einsum order, found once per sweep, as
+the pairwise matmul calls einsum itself would make, so no step runs
+einsum's parser.  And ``solve_riccati`` first allocates and frees one
+block twice the size of its largest G2 block: glibc then serves the
+growing blocks from its heap instead of mapping fresh pages for each,
+which in a new process (every CLI run) cost ~100k page faults at
+n = 240, d = 3.
 """
 
 from __future__ import annotations
@@ -135,6 +145,11 @@ def solve_riccati(
     q = j+1..n and nu_l <= tau_j, plus the one column q = j the corrector
     adds to carry the row to tau_j.  O(n^3 d^3) time, about n^3 d^3 / 6
     multiply-adds per G2 term, and O(n^2 d^2) memory (P1 only).
+
+    The P0 BB* P1 and P1* BB* P1 products run as the matmul pairs of
+    numpy's greedy einsum plan, made once per sweep, and an allocator
+    prime before the loop keeps the G2 blocks on reused heap pages; see
+    the module notes.
     """
     sys.check_grid(grid)
     n, d, h = grid.steps, sys.d, grid.h
@@ -148,11 +163,42 @@ def solve_riccati(
     nt = np.ascontiguousarray(N.transpose(1, 2, 0))
     pt = np.zeros((d, d, n + 1, n + 1))
     row_c = np.zeros((d, d, n))  # P2(tau_{j+1}, s_l, tau_{j+1}), l = 0..j
-    # the three-factor products contract in numpy's greedy order, planned
-    # once here; greedy pairs G2's factors by block width, and for d = 1 a
-    # one-column block (q0 = q1) would pair differently, so plan a wide one
-    g1_path = np.einsum_path("ab,bc,icd->iad", p0[n], bbt, p1[:n, n], optimize="greedy")[0]
-    g2_path = np.einsum_path("baq,bc,cdql->adql", pt[:, :, :, 0], bbt, pt, optimize="greedy")[0]
+    # The three-factor products run numpy's greedy einsum order pair by pair,
+    # through the matmul calls, reshapes and transposes einsum makes for it,
+    # so they match einsum bit for bit without its per-call parsing.  For
+    # d >= 2 greedy always pairs BB* with the narrower factor first, as
+    # written out below.  For d = 1 every pair is a product and greedy pairs
+    # by operand size, so the pair is planned once here, on a wide block: a
+    # one-column block (q0 = q1) would pair differently.
+    g1_pair = _first_pair("ab,bc,icd->iad", p0[n], bbt, p1[:n, n])
+    g2_pair = _first_pair("baq,bc,cdql->adql", pt[:, :, :, 0], bbt, pt)
+    # A freed block that glibc had mmap'd raises its mmap threshold to that
+    # block's size (up to 32 MiB) and its trim threshold to twice that.  The
+    # G2 blocks grow over the first half of the sweep, so each would
+    # otherwise be mmap'd afresh and fault in new pages.  One block of twice
+    # the largest, d^2 (n/2 + 1)^2 doubles, allocated and dropped here puts
+    # them and the contractions' temporaries on the heap, whose pages are
+    # reused; np.empty touches no page, so the resident size does not rise.
+    np.empty(2 * d * d * (n // 2 + 1) ** 2)
+
+    def p0_bbt_p1(P0c, p1col):
+        # P0 BB* P1 as [i, a, d]: bc,ab->ac, then ac,icd->iad
+        if d == 1:
+            return _scalar_triple(g1_pair, P0c, bbt, p1col)
+        pb = (bbt.T @ P0c.T).T
+        size = p1col.shape[0]
+        rows = pb @ p1col.transpose(1, 0, 2).reshape(d, size * d)
+        return rows.reshape(d, size, d).transpose(1, 0, 2)
+
+    def p1_bbt_p1(p1i, p1l):
+        # P1*(s_i, tau_q) BB* P1(nu_l, tau_q) as [a, d, q, l]: bc,baq->acq as
+        # a [c, a, q] product, then acq,cdql->adql as (q, a, c) by (q, c, d l)
+        if d == 1:
+            return _scalar_triple(g2_pair, p1i[:, :, :, None], bbt, p1l)
+        nq, nl = p1l.shape[2:]
+        caq = (bbt.T @ p1i.reshape(d, d * nq)).reshape(d, d, nq)
+        qcd = p1l.transpose(2, 0, 1, 3).reshape(nq, d, d * nl)
+        return (caq.transpose(2, 1, 0) @ qcd).reshape(nq, d, d, nl).transpose(1, 2, 0, 3)
 
     def g0(P0c, trace):
         return A.T @ P0c + P0c @ A + trace + trace.T - P0c @ bbt @ P0c + cc
@@ -163,7 +209,7 @@ def solve_riccati(
             np.einsum("ab,ibc->iac", A.T, p1col)
             + np.einsum("ab,ibc->iac", P0c, nrev)
             + s_row
-            - np.einsum("ab,bc,icd->iad", P0c, bbt, p1col, optimize=g1_path)
+            - p0_bbt_p1(P0c, p1col)
         )
 
     def g2_rows(i, q0, q1=n):
@@ -174,7 +220,7 @@ def solve_riccati(
         return (
             np.einsum("baq,bcql->acql", nt[:, :, q0 - i : q1 + 1 - i], p1l)
             + np.einsum("baq,bcql->acql", p1i, nl[:, :, : q1 + 1 - q0])
-            - np.einsum("baq,bc,cdql->adql", p1i, bbt, p1l, optimize=g2_path)
+            - p1_bbt_p1(p1i, p1l)
         )
 
     for j in range(n - 1, -1, -1):
@@ -234,17 +280,20 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     def g1(q, vec, d2_diag):  # d1 source at tau_q
         return (A.T - ric.p0[q] @ bbt) @ vec + d2_diag - cy[q]
 
-    # greedy contraction order, planned once: it pairs by operand size,
-    # and for d = 1 a one-row product pairs differently from longer ones
-    paths = {
-        size: np.einsum_path("iba,bc,c->ia", ric.p1[:size, n], bbt, d1[n], optimize="greedy")[0]
-        for size in (1, 2)
-    }
+    # numpy's greedy einsum order, run pair by pair as in solve_riccati: for
+    # d >= 2 it contracts BB* with vec first; for d = 1 it pairs by operand
+    # size, and a one-row product pairs differently from longer ones
+    pairs = {size: _first_pair("iba,bc,c->ia", ric.p1[:size, n], bbt, d1[n]) for size in (1, 2)}
+
+    def p1_bbt_vec(p1q, vec):
+        # P1* BB* vec as [i, a]: c,bc->b, then b,iba->ia
+        if d == 1:
+            return _scalar_triple(pairs[min(p1q.shape[0], 2)], p1q[:, 0], bbt, vec)
+        bv = vec.reshape(1, d) @ bbt.T
+        return (bv @ p1q.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
 
     def g2(q, vec, size):  # d2 source at tau_q, rows s_0..s_{size-1}
-        return np.einsum("iba,b->ia", N[q::-1][:size], vec) - np.einsum(
-            "iba,bc,c->ia", ric.p1[:size, q], bbt, vec, optimize=paths[min(size, 2)]
-        )
+        return np.einsum("iba,b->ia", N[q::-1][:size], vec) - p1_bbt_vec(ric.p1[:size, q], vec)
 
     def mdot(vec, j):
         bd = sys.B.T @ vec
@@ -260,6 +309,21 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
         d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (g2c + g2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
     return TrackingField(d1, d2, m)
+
+
+def _first_pair(subscripts, *operands) -> tuple:
+    """The two of three factors numpy's greedy order contracts first."""
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0][1])
+
+
+def _scalar_triple(pair, *factors):
+    """A three-factor contraction at d = 1, bit for bit as einsum runs the
+    planned ``pair`` first: no contracted index is wider than 1, so each
+    pairwise step is a product, and the size-one sums einsum takes before
+    the second product turn a -0 into +0."""
+    (k,) = {0, 1, 2}.difference(pair)
+    i, j = pair
+    return (factors[i] * factors[j] + 0.0) * (factors[k] + 0.0)
 
 
 def feedback_control(ric: RiccatiField, trk: TrackingField, xi: InitialState) -> np.ndarray:

@@ -40,6 +40,22 @@ def make_tracking_instance(n: int, tau_index: int = 0):
     return grid, sys, xi, y
 
 
+def seeded_plant(d, m, n, seed, table):
+    """A seeded plant with p = 2 outputs and a reference; ``table`` gives it
+    an explicit node table N instead of an exponential kernel.  C and N are
+    scaled up so that the P1 BB* P1 products are not lost in rounding next
+    to the N P1 ones, which makes a changed contraction order show."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, n)
+    A, B, C = 0.6 * rng.normal(size=(d, d)), rng.normal(size=(d, m)), 2.0 * rng.normal(size=(2, d))
+    if table:
+        N = rng.normal(size=(n + 1, d, d))
+    else:
+        N = exponential_kernel(grid, [(2.0 * rng.normal(size=(d, d)), 1.0)])
+    y = ReferenceSignal(rng.normal(size=(n + 1, 2)))
+    return grid, SystemSpec(A, B, C, N), y
+
+
 def scalar_memoryless(n: int, a: float = 0.0, b: float = 1.0, c: float = 1.0):
     """d = m = p = 1 plant without memory (classical tracking limit)."""
     grid = TimeGrid(1.0, n)

@@ -226,6 +226,20 @@ class TestSimulate:
             ({"reference": {"type": "table"}}, "reference.values"),
             ({"dims": {"d": 0, "m": 1, "p": 1}}, "dims.d"),
             ({"dims": {"d": 1, "m": -1, "p": 1}}, "dims.m"),
+            (
+                {"initial_state": {"tau_index": 0, "head": [0.0], "tail": {"type": "sine"}}},
+                "initial_state.tail.type",
+            ),
+            (
+                {
+                    "initial_state": {
+                        "tau_index": 0,
+                        "head": [0.0],
+                        "tail": {"type": "polynomial", "coefficients": "x"},
+                    }
+                },
+                "initial_state.tail.coefficients",
+            ),
         ],
     )
     def test_nested_field_error_names_its_path(self, tmp_path, capsys, overrides, field):

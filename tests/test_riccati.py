@@ -1,11 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
-from conftest import make_tracking_instance, p2_reference_value, p2_slice, scalar_memoryless
+from conftest import (
+    make_tracking_instance,
+    p2_reference_value,
+    p2_slice,
+    scalar_memoryless,
+    seeded_plant,
+)
 from voltrack import (
     BlowUpError,
     ControlSignal,
@@ -116,22 +126,6 @@ def reference_sweep(sys, grid, y):
         d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (t2c + t2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
     return p0, p1, d1, d2, m
-
-
-def seeded_plant(d, m, n, seed, table):
-    """A seeded plant with p = 2 outputs and a reference; ``table`` gives it
-    an explicit node table N instead of an exponential kernel.  C and N are
-    scaled up so that the P1 BB* P1 products are not lost in rounding next
-    to the N P1 ones, which makes a changed contraction order show."""
-    rng = np.random.default_rng(seed)
-    grid = TimeGrid(1.0, n)
-    A, B, C = 0.6 * rng.normal(size=(d, d)), rng.normal(size=(d, m)), 2.0 * rng.normal(size=(2, d))
-    if table:
-        N = rng.normal(size=(n + 1, d, d))
-    else:
-        N = exponential_kernel(grid, [(2.0 * rng.normal(size=(d, d)), 1.0)])
-    y = ReferenceSignal(rng.normal(size=(n + 1, 2)))
-    return grid, SystemSpec(A, B, C, N), y
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +241,57 @@ class TestSolveRiccati:
             solve_tracking(solve_riccati(sys, grid), y)
             counts.append(len(searches))
         assert counts[0] == counts[1] <= 4
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_einsum_parse_per_step(self, monkeypatch, d):
+        # einsum runs einsum_path's parser on every call, an explicit path
+        # included; the sweeps must call it a fixed number of times
+        from numpy._core import einsumfunc
+
+        calls = []
+        real = einsumfunc.einsum_path
+
+        def counting(*operands, **kwargs):
+            calls.append(kwargs.get("optimize"))
+            return real(*operands, **kwargs)
+
+        monkeypatch.setattr(einsumfunc, "einsum_path", counting)
+        monkeypatch.setattr(np, "einsum_path", counting)
+        counts = []
+        for n in (60, 120):
+            grid, sys, y = seeded_plant(d, 1, n, seed=7, table=False)
+            calls.clear()
+            solve_tracking(solve_riccati(sys, grid), y)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_first_sweep_of_a_process_reuses_pages(self):
+        # every CLI run is a fresh process, where growing G2 blocks that each
+        # get fresh mmap'd pages cost ~105k minor faults at n = 240, d = 3;
+        # this counts faults, not time
+        tests = Path(__file__).parent
+        probe = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from conftest import seeded_plant\n"
+            "from voltrack import solve_riccati\n"
+            "grid, plant, _ = seeded_plant(3, 2, 240, seed=7, table=False)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "solve_riccati(plant, grid, blowup_limit=np.inf)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 35_000
 
 
 class TestSolveTracking:
