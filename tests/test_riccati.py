@@ -28,7 +28,6 @@ from voltrack import (
     closed_loop,
     cost,
     di_residual,
-    exponential_kernel,
     extend_state,
     feedback_control,
     fundamental_matrix,
