@@ -52,23 +52,23 @@ xi = InitialState(0, [1.0, 0.0])
 
 ric = solve_riccati(sys, grid)
 trk = solve_tracking(ric, y)
-u, w = closed_loop(ric, trk, xi)
+u, w = closed_loop(trk, xi)
 J = cost(sys, grid, w, u, y)
-W = value_function(ric, trk, xi)
+W = value_function(trk, xi)
 print(f"\nclosed-loop cost {J:.8f} vs value function {W:.8f} "
       f"(gap {abs(J - W):.1e})")
 
 # dissipation: along the optimal pair the inequality is an equality
-rep = di_residual(ric, trk, w, u, y)
+rep = di_residual(trk, w, u)
 print(f"optimal-pair slack in [{rep.min_slack:.2e}, {rep.max_slack:.2e}]")
 du = 0.5 * rng.standard_normal(u.values.shape)
 up = ControlSignal(0, u.values + du)
-repp = di_residual(ric, trk, simulate(sys, grid, xi, up), up, y)
+repp = di_residual(trk, simulate(sys, grid, xi, up), up)
 print(f"perturbed-pair slack in [{repp.min_slack:.2e}, {repp.max_slack:.2e}] "
       "(nonnegative: energy is dissipated)")
 
 # restart: the feedback law is a genuine state feedback on (value, history)
 mid = n // 2
-u2, w2 = closed_loop(ric, trk, extend_state(w, mid))
+u2, w2 = closed_loop(trk, extend_state(w, mid))
 print(f"restart at t = 0.5: control tail reproduced to "
       f"{np.abs(u2.values - u.values[mid:]).max():.1e}")

@@ -48,7 +48,7 @@ def routes(n):
     uF = optimal_control_fredholm(p)
     ric = solve_riccati(sys, grid)
     trk = solve_tracking(ric, y)
-    uR, _ = closed_loop(ric, trk, xi)
+    uR, _ = closed_loop(trk, xi)
     uO = solve_qp(build_affine_map(sys, grid, xi), y)
     wts = grid.weights(0)
 

@@ -46,8 +46,8 @@ for n in (50, 100, 200):
     j = n // 2
     om = make_domain_element(omega_seed, j, grid)
     xe = make_domain_element(xi_seed, j, grid)
-    r1 = riccati_operator_residual(ric, j, om, xe)
-    r2 = tracking_operator_residual(trk, ric, j, xe, y)
+    r1 = riccati_operator_residual(ric, om, xe)
+    r2 = tracking_operator_residual(trk, xe)
     # the Riccati operator is selfadjoint in the state inner product
     sym = abs(
         state_inner(grid, om, riccati_operator(ric, xe))

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys as _sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -357,8 +358,8 @@ def _route_fredholm(inst: Instance):
 def _route_riccati(inst: Instance):
     ric = riccati.solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
     trk = riccati.solve_tracking(ric, inst.reference)
-    u, w = riccati.closed_loop(ric, trk, inst.state)
-    return _record(inst, u, w, ric=ric, trk=trk)
+    u, w = riccati.closed_loop(trk, inst.state)
+    return _record(inst, u, w, trk=trk)  # trk carries its Riccati field
 
 
 def _route_oracle(inst: Instance):
@@ -371,13 +372,44 @@ def _route_oracle(inst: Instance):
 _ROUTES = {"fredholm": _route_fredholm, "riccati": _route_riccati, "oracle": _route_oracle}
 
 
-def _solve_routes(inst: Instance) -> dict:
-    """All three route records, for the commands that cross-check them."""
+def _route(flag: str | None, cfg: dict) -> str:
+    """The synthesis route from --route, else the config's route."""
+    route = flag or cfg.get("route")
+    if route is None:
+        raise ConfigurationError("field 'route': missing; pass --route or set it in the config")
+    if not isinstance(route, str) or route not in _ROUTES:
+        raise ConfigurationError(
+            f"field 'route': expected one of fredholm|riccati|oracle, got {route!r}"
+        )
+    return route
+
+
+def _check_cross_start(inst: Instance) -> None:
+    """Refuse a start too late for the commands that cross-check the routes."""
     if inst.state.tau_index > inst.grid.steps - 2:  # the DI stencil needs 3 nodes in [tau, T]
         raise ConfigurationError(
             "field 'initial_state.tau_index': compare and verify need at most "
             f"steps-2 = {inst.grid.steps - 2}, got {inst.state.tau_index}"
         )
+
+
+def _ladder(cfg: dict, grids: list[int]) -> list[tuple[Instance, ControlSignal]]:
+    """The instance and control of every convergence grid.
+
+    Node k lies at time k T / n, so a start k > 0 would put each grid at its
+    own tau; the grids compare one problem only from tau = 0.
+    """
+    insts = [Instance(cfg, n) for n in grids]
+    if insts[0].state.tau_index:
+        raise ConfigurationError(
+            "field 'initial_state.tau_index': convergence needs 0, since node k lies "
+            f"at time k*T/n on each grid; got {insts[0].state.tau_index}"
+        )
+    return [(inst, inst.control()) for inst in insts]
+
+
+def _solve_routes(inst: Instance) -> dict:
+    """All three route records, for the commands that cross-check them."""
     return {name: build(inst) for name, build in _ROUTES.items()}
 
 
@@ -400,7 +432,7 @@ def _discrepancies(inst: Instance, controls: dict) -> list[tuple[str, float]]:
 
 def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
     """Largest entry at T of every field whose final condition is exactly zero."""
-    ric, trk, kt = ricc.ric, ricc.trk, fred.p.kernel.ktilde
+    ric, trk, kt = ricc.trk.ric, ricc.trk, fred.p.kernel.ktilde
     return [
         ("P0(T) = 0", float(np.abs(ric.p0[-1]).max())),
         ("P1(.,T) = 0", float(np.abs(ric.p1[:, -1]).max())),
@@ -417,7 +449,7 @@ def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
 
 def _value_gap(inst: Instance, ricc) -> tuple[float, float]:
     """Value function at the initial state and its relative gap to the Riccati cost."""
-    W = riccati.value_function(ricc.ric, ricc.trk, inst.state)
+    W = riccati.value_function(ricc.trk, inst.state)
     return W, abs(W - ricc.J) / (1.0 + abs(W))
 
 
@@ -426,26 +458,21 @@ def _value_gap(inst: Instance, ricc) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def run_simulate(inst: Instance, outdir: Path) -> int:
-    u = inst.control()
+def run_simulate(inst: Instance, u: ControlSignal, outdir: Path) -> int:
     w = simulate(inst.sys, inst.grid, inst.state, u)
     _check_finite(w.values, inst.blowup, "trajectory")
     _write_trajectory(outdir / "trajectory.tsv", inst, w, u)
     return EXIT_OK
 
 
-def run_synthesize(inst: Instance, outdir: Path, route: str) -> int:
-    if not isinstance(route, str) or route not in _ROUTES:
-        raise ConfigurationError(
-            f"field 'route': expected one of fredholm|riccati|oracle, got {route!r}"
-        )
+def run_synthesize(inst: Instance, route: str, outdir: Path) -> int:
     rec = _ROUTES[route](inst)
     _check_finite(rec.w.values, inst.blowup, "trajectory")
     _write_control(outdir / "control.tsv", inst, rec.u)
     _write_trajectory(outdir / "trajectory.tsv", inst, rec.w, rec.u)
     (outdir / "cost.txt").write_text((_FMT % rec.J) + "\n")
     if route == "riccati":
-        ric, trk, nodes, d = rec.ric, rec.trk, inst.grid.nodes, inst.d
+        ric, trk, nodes, d = rec.trk.ric, rec.trk, inst.grid.nodes, inst.d
         p0_cols = [f"p0_{a+1}{b+1}" for a in range(d) for b in range(d)]
         for name, cols, vals in (
             ("p0", p0_cols, ric.p0.reshape(-1, d * d)),
@@ -462,7 +489,7 @@ def run_compare(inst: Instance, outdir: Path) -> int:
     recs = _solve_routes(inst)
     fred, ricc = recs["fredholm"], recs["riccati"]
     W, gap = _value_gap(inst, ricc)
-    report = riccati.di_residual(ricc.ric, ricc.trk, ricc.w, ricc.u, inst.reference)
+    report = riccati.di_residual(ricc.trk, ricc.w, ricc.u)
     res = fredholm.resolvent(fred.p.kernel)
     lines = ["tracking synthesis comparison report", ""]
     lines += [f"cost_{name}\t" + _FMT % rec.J for name, rec in recs.items()]
@@ -482,23 +509,21 @@ def run_compare(inst: Instance, outdir: Path) -> int:
     return EXIT_OK
 
 
-def run_convergence(inst_cfg: dict, outdir: Path, grids: list[int]) -> int:
+def run_convergence(ladder: list[tuple[Instance, ControlSignal]], outdir: Path) -> int:
     rows = []
-    for n in grids:
-        inst = Instance(inst_cfg, n)
+    for inst, u in ladder:
         fred = _route_fredholm(inst)
         Z, controls = fred.p.kernel.Z, {"fredholm": fred.u}
         del fred  # only Z and the controls outlive each route
         controls["riccati"] = _route_riccati(inst).u
         controls["oracle"] = _route_oracle(inst).u
         three = max(val for _, val in _discrepancies(inst, controls))
-        u = inst.control()
         ws = simulate(inst.sys, inst.grid, inst.state, u)
         wv = voc_solution(Z, inst.state, u)
         voc_err = float(np.abs(ws.values - wv.values).max())
-        rows.append([float(n), inst.grid.h, three, math.nan, voc_err, math.nan])
-    for q in range(1, len(grids)):
-        ratio = math.log(grids[q] / grids[q - 1])
+        rows.append([float(inst.grid.steps), inst.grid.h, three, math.nan, voc_err, math.nan])
+    for q in range(1, len(rows)):
+        ratio = math.log(rows[q][0] / rows[q - 1][0])
         for col in (2, 4):  # observed order of each error column, written next to it
             if rows[q][col] > 0:
                 rows[q][col + 1] = math.log(rows[q - 1][col] / rows[q][col]) / ratio
@@ -519,7 +544,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     grid, sysm, k = inst.grid, inst.sys, inst.state.tau_index
     recs = _solve_routes(inst)
     fred, ricc, orac = recs["fredholm"], recs["riccati"], recs["oracle"]
-    ric, trk, kernel = ricc.ric, ricc.trk, fred.p.kernel
+    ric, trk, kernel = ricc.trk.ric, ricc.trk, fred.p.kernel
     uF, uR, wR = fred.u, ricc.u, ricc.w
     res = fredholm.resolvent(kernel)
 
@@ -549,7 +574,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         1e-6 * (1.0 + abs(jO)),
     )
     check("qp_discrete_optimality", max(jO - fred.J, jO - ricc.J), 1e-12 * (1.0 + abs(jO)))
-    rep = riccati.di_residual(ric, trk, wR, uR, inst.reference)
+    rep = riccati.di_residual(trk, wR, uR)
     check("di_optimal_slack", max(rep.max_slack, -rep.min_slack), 5.0 * grid.h)
     rng = np.random.default_rng(20260810)
     worst = 0.0
@@ -557,10 +582,10 @@ def run_verify(inst: Instance, outdir: Path) -> int:
         du = 0.5 * rng.standard_normal(uR.values.shape)
         up = ControlSignal(k, uR.values + du)
         wp = simulate(sysm, grid, inst.state, up)
-        worst = max(worst, -riccati.di_residual(ric, trk, wp, up, inst.reference).min_slack)
+        worst = max(worst, -riccati.di_residual(trk, wp, up).min_slack)
     check("di_perturbed_direction", worst, 1e-8)
     mid = (k + grid.steps) // 2
-    u2, _ = riccati.closed_loop(ric, trk, extend_state(wR, mid))
+    u2, _ = riccati.closed_loop(trk, extend_state(wR, mid))
     check(
         "restart_reproducibility",
         float(np.abs(u2.values - uR.values[mid - k :]).max()),
@@ -612,15 +637,18 @@ def _grid_sizes(flag: str | None, cfg: dict) -> list[int]:
     return grids
 
 
-def _output_dir(flag: str | None, cfg: dict) -> Path:
-    """The directory from --out, else the config's output_dir, created if missing."""
+def _output_dir(flag: str | None, cfg: dict) -> tuple[str, Path]:
+    """The directory from --out, else the config's output_dir, with the field's name."""
     if flag is not None:
-        key, raw = "--out", flag
-    else:
-        key, raw = "output_dir", cfg.get("output_dir", ".")
-        if not isinstance(raw, str):
-            raise ConfigurationError(f"field 'output_dir': expected a path, got {raw!r}")
-    outdir = Path(raw)
+        return "--out", Path(flag)
+    raw = cfg.get("output_dir", ".")
+    if not isinstance(raw, str):
+        raise ConfigurationError(f"field 'output_dir': expected a path, got {raw!r}")
+    return "output_dir", Path(raw)
+
+
+def _created(key: str, outdir: Path) -> Path:
+    """``outdir``, made if missing; a failure names the field ``key``."""
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -657,22 +685,20 @@ def main(argv=None) -> int:
         size_key = "--n" if args.n is not None else "steps"
     try:
         cfg = _load_config(args.config)
-        outdir = _output_dir(args.out, cfg)
+        out_key, outdir = _output_dir(args.out, cfg)
+        # the whole config is validated before the output directory is made
         if args.command == "convergence":
-            return run_convergence(cfg, outdir, _grid_sizes(args.grids, cfg))
-        inst = Instance(cfg, args.n)
-        if args.command == "simulate":
-            return run_simulate(inst, outdir)
-        if args.command == "synthesize":
-            route = args.route or cfg.get("route")
-            if route is None:
-                raise ConfigurationError(
-                    "field 'route': missing; pass --route or set it in the config"
-                )
-            return run_synthesize(inst, outdir, route)
-        if args.command == "compare":
-            return run_compare(inst, outdir)
-        return run_verify(inst, outdir)
+            run = partial(run_convergence, _ladder(cfg, _grid_sizes(args.grids, cfg)))
+        else:
+            inst = Instance(cfg, args.n)
+            if args.command == "simulate":
+                run = partial(run_simulate, inst, inst.control())
+            elif args.command == "synthesize":
+                run = partial(run_synthesize, inst, _route(args.route, cfg))
+            else:
+                _check_cross_start(inst)
+                run = partial(run_compare if args.command == "compare" else run_verify, inst)
+        return run(_created(out_key, outdir))
     # LinAlgError subclasses ValueError, so it must be caught first
     except (BlowUpError, SingularSystemError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)

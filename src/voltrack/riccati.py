@@ -25,8 +25,9 @@ tau_q) tail(s) ds.  Costs in the node count n: ``solve_riccati``
 O(n^3 d^3) time (the blocks, about n^3 d^3 / 6 multiply-adds per G2
 term over the sweep; the columns add O(n^2 d^3)) and O(n^2 d^2)
 memory, ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
-Everything after the sweep reads the plant and grid from the solved
-:class:`RiccatiField` and the node tau from the state it is given.
+Everything after the sweeps reads the plant and grid from the solved
+:class:`RiccatiField`, the field and reference from the
+:class:`TrackingField`, and the node tau from the state it is given.
 
 Two costs outside the arithmetic are kept out of the sweeps, with every
 bit unchanged.  The three-factor contractions (P0 BB* P1, P1* BB* P1 and
@@ -90,12 +91,15 @@ class RiccatiField:
 
 @dataclass(frozen=True)
 class TrackingField:
-    """Reference-driven coefficients d1, d2 and the scalar M.
+    """Coefficients d1, d2 and the scalar M driven by the reference ``y``
+    through the Riccati field ``ric``.
 
     ``d1[j]`` is d1(tau_j), ``d2[i, j]`` is d2(s_i, tau_j) for i <= j,
     ``m[j]`` is M(tau_j).  All vanish identically when y = 0.
     """
 
+    ric: RiccatiField = field(repr=False)
+    y: ReferenceSignal = field(repr=False)
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
@@ -113,7 +117,6 @@ class DIReport:
     the node values), near zero only along the optimal pair.
     """
 
-    start_index: int
     slack: np.ndarray
     pointwise: np.ndarray
 
@@ -264,7 +267,8 @@ def solve_riccati(
 
 def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     """Backward sweep of the reference-driven equations for d1, d2, M
-    on the plant and grid ``ric`` was solved for."""
+    on the plant and grid ``ric`` was solved for; the field keeps ``ric``
+    and ``y``."""
     sys, grid = ric.sys, ric.grid
     n, d, h = grid.steps, sys.d, grid.h
     A, N = sys.A, sys.N
@@ -308,7 +312,7 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
         d1[j] = d1c + 0.5 * h * (g1c + g1p)
         d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (g2c + g2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
-    return TrackingField(d1, d2, m)
+    return TrackingField(ric, y, d1, d2, m)
 
 
 def _first_pair(subscripts, *operands) -> tuple:
@@ -326,17 +330,15 @@ def _scalar_triple(pair, *factors):
     return (factors[i] * factors[j] + 0.0) * (factors[k] + 0.0)
 
 
-def feedback_control(ric: RiccatiField, trk: TrackingField, xi: InitialState) -> np.ndarray:
+def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:
     """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]
     at the state's node tau."""
-    k = xi.tau_index
+    ric, k = trk.ric, xi.tau_index
     hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.grid.h)[0]
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
 
 
-def closed_loop(
-    ric: RiccatiField, trk: TrackingField, xi0: InitialState
-) -> tuple[ControlSignal, StateTrajectory]:
+def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, StateTrajectory]:
     """Simulate the plant forward under the running feedback law.
 
     At every node the control equals the feedback evaluated on the
@@ -345,6 +347,7 @@ def closed_loop(
     from any mid-run state reproduces the tail of the pair node for
     node.
     """
+    ric = trk.ric
     sys, grid = ric.sys, ric.grid
     k, n, d, mdim, h = xi0.tau_index, grid.steps, sys.d, sys.m, grid.h
     A, B, N = sys.A, sys.B, sys.N
@@ -389,13 +392,14 @@ def _tail_contractions(ric: RiccatiField, j: int, tail: np.ndarray) -> tuple:
     return x, z
 
 
-def _value_form(ric: RiccatiField, trk: TrackingField, j: int, head, tail, x, z) -> float:
+def _value_form(trk: TrackingField, j: int, head, tail, x, z) -> float:
     """The quadratic value form at node j for the state (head, tail).
 
     ``x``, ``z`` are the tail's contractions (:func:`_tail_contractions`);
     the P2 double integral is exactly the trapezoid sum over q in [j, n]
     of 2 x_q.z_q - |B* z_q|^2.  O((n-j) d^2 + j d).
     """
+    ric = trk.ric
     bz = z @ ric.sys.B
     quad2 = ric.grid.weights(j) @ (2.0 * (x * z).sum(axis=1) - (bz * bz).sum(axis=1))
     d2_tail = np.einsum("i,ia,ia->", ric.grid.weights(0, j), tail, trk.d2[: j + 1, j])
@@ -409,18 +413,17 @@ def _value_form(ric: RiccatiField, trk: TrackingField, j: int, head, tail, x, z)
     )
 
 
-def value_function(ric: RiccatiField, trk: TrackingField, omega: InitialState) -> float:
+def value_function(trk: TrackingField, omega: InitialState) -> float:
     """Evaluate the quadratic value form at the state ``omega``, at its node k;
     O(n (n-k) d^2)."""
     k = omega.tau_index
-    x, z = _tail_contractions(ric, k, omega.tail)
-    return float(_value_form(ric, trk, k, omega.head, omega.tail, x, z))
+    x, z = _tail_contractions(trk.ric, k, omega.tail)
+    return float(_value_form(trk, k, omega.head, omega.tail, x, z))
 
 
-def di_residual(
-    ric: RiccatiField, trk: TrackingField, w: StateTrajectory, u: ControlSignal, y: ReferenceSignal
-) -> DIReport:
-    """Dissipation diagnostics for an admissible pair (w, u).
+def di_residual(trk: TrackingField, w: StateTrajectory, u: ControlSignal) -> DIReport:
+    """Dissipation diagnostics for an admissible pair (w, u) against the
+    reference ``trk`` was solved for.
 
     Evaluates the value function at the running state of every node
     and reports the integral slack and the pointwise differential
@@ -428,10 +431,11 @@ def di_residual(
     forward from node to node as prefix sums, one term per node, so the
     whole call is O(n^2 d^2).
     """
+    ric = trk.ric
     sys, grid = ric.sys, ric.grid
     k, n, h = u.start_index, grid.steps, grid.h
     nk = n - k + 1
-    res = w.values[k:] @ sys.C.T - y.values[k:]
+    res = w.values[k:] @ sys.C.T - trk.y.values[k:]
     g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
     run = np.zeros(nk)
     run[1:] = np.cumsum(0.5 * h * (g[:-1] + g[1:]))
@@ -445,9 +449,9 @@ def di_residual(
         if j >= k:
             end = 0.5 * h if j else 0.0  # trapezoid weight of the node-j end point
             x, z = xs[j:] + end * tx, zs[j:] + end * tz
-            vals[j - k] = _value_form(ric, trk, j, wv[j], wv[: j + 1], x, z)
+            vals[j - k] = _value_form(trk, j, wv[j], wv[: j + 1], x, z)
         inner = h if j else 0.5 * h  # its weight once later nodes exist
         xs[j:] += inner * tx
         zs[j:] += inner * tz
     slack = run + vals - vals[0]
-    return DIReport(k, slack, g + _node_derivative(vals, h))
+    return DIReport(slack, g + _node_derivative(vals, h))

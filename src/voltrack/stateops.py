@@ -17,8 +17,9 @@ difference across the neighboring nodes with the test elements
 re-sampled from their smooth generators at each node.  The P2 block of
 the Riccati operator acts through the tail contractions of
 :mod:`voltrack.riccati`, so no P2 slice is ever formed.  The Riccati
-and tracking operators read the plant and grid from the solved field
-and the node from the element.
+and tracking operators and their residuals read the plant and grid from
+the solved field, the Riccati field and reference from the tracking
+field, and the node from the element.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import (
-    ReferenceSignal,
     SystemSpec,
     TimeGrid,
     _history,
@@ -73,10 +73,6 @@ class StateElement:
         object.__setattr__(self, "tail", tail)
         if tail.shape != (self.tau_index + 1, head.size):
             raise ConfigurationError("tail must cover ages 0..tau with d channels")
-
-    @property
-    def d(self) -> int:
-        return self.head.size
 
 
 def make_domain_element(
@@ -151,19 +147,16 @@ def _resample(elem: StateElement, j: int, grid: TimeGrid) -> StateElement:
     return make_domain_element(elem.seed, j, grid)
 
 
-def riccati_operator_residual(
-    ric: RiccatiField, tau_index: int, omega: StateElement, xi: StateElement
-) -> float:
+def riccati_operator_residual(ric: RiccatiField, omega: StateElement, xi: StateElement) -> float:
     """Residual of the operator form of the feedback-synthesis identity.
 
     Evaluates d/dtau <Omega, P Xi> + <A Omega, P Xi> + <P Omega, A Xi>
     - <B* P Omega, B* P Xi> + <C Omega, C Xi> with the tau-derivative
     across the neighboring nodes; first-order small in h.  ``omega`` and
-    ``xi`` are re-sampled from their generators at ``tau_index`` and its
-    neighbors.
+    ``xi`` are re-sampled from their generators at the node of ``xi`` and
+    its neighbors.
     """
-    sys, grid = ric.sys, ric.grid
-    j = tau_index
+    sys, grid, j = ric.sys, ric.grid, xi.tau_index
 
     def quad(c: int) -> float:
         om = _resample(omega, c, grid)
@@ -188,16 +181,15 @@ def riccati_operator_residual(
     return abs(total)
 
 
-def tracking_operator_residual(
-    trk: TrackingField, ric: RiccatiField, tau_index: int, xi: StateElement, y: ReferenceSignal
-) -> float:
+def tracking_operator_residual(trk: TrackingField, xi: StateElement) -> float:
     """Residual of the operator form of the tracking equations.
 
     Checks d/dtau <d(tau), Xi> = -<d(tau), (A - B B* P) Xi> + <y, C Xi>
-    with the same node-based tau-derivative; first-order small.
+    at the node of ``xi`` with the same node-based tau-derivative;
+    first-order small.
     """
+    ric, j = trk.ric, xi.tau_index
     sys, grid = ric.sys, ric.grid
-    j = tau_index
 
     def pair(c: int) -> float:
         return state_inner(grid, tracking_element(trk, c), _resample(xi, c, grid))
@@ -211,6 +203,6 @@ def tracking_operator_residual(
     rhs = (
         -state_inner(grid, dj, a_xc)
         + float(dj.head @ (sys.B @ (sys.B.T @ p_head)))
-        + float(y.values[j] @ (sys.C @ xc.head))
+        + float(trk.y.values[j] @ (sys.C @ xc.head))
     )
     return abs(dterm - rhs)

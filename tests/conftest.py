@@ -89,10 +89,11 @@ def p2_slice(ric, j: int) -> np.ndarray:
     return S
 
 
-def p2_reference_value(ric, trk, j: int, head, tail) -> float:
+def p2_reference_value(trk, j: int, head, tail) -> float:
     """The value form at node j with its P2 double integral taken over the
-    explicitly built slice ``p2_slice(ric, j)``: the reference the library's
-    tail contractions must reproduce."""
+    explicitly built slice ``p2_slice(trk.ric, j)``: the reference the
+    library's tail contractions must reproduce."""
+    ric = trk.ric
     wt = trapezoid_weights(j + 1, ric.grid.h)
     p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
     quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, p2_slice(ric, j), tail, wt, optimize=True)

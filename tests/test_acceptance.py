@@ -53,7 +53,7 @@ def _solve_all_routes(n):
     uF = optimal_control_fredholm(p)
     ric = solve_riccati(sys, grid)
     trk = solve_tracking(ric, y)
-    uR, wR = closed_loop(ric, trk, xi)
+    uR, wR = closed_loop(trk, xi)
     dmap = build_affine_map(sys, grid, xi)
     uO = solve_qp(dmap, y)
     elapsed = time.perf_counter() - t0
@@ -120,7 +120,7 @@ def test_criterion_2_classical_limit():
 def test_criterion_3_value_function_consistency(routes_200):
     sol = routes_200
     grid, sys, xi, y = sol["grid"], sol["sys"], sol["xi"], sol["y"]
-    W = value_function(sol["ric"], sol["trk"], xi)
+    W = value_function(sol["trk"], xi)
     J = cost(sys, grid, sol["wR"], sol["uR"], y)
     rel = abs(W - J) / (1.0 + abs(W))
     assert rel <= 1e-2
@@ -129,7 +129,7 @@ def test_criterion_3_value_function_consistency(routes_200):
     for j in nodes:
         omega = InitialState(j, np.zeros(2), np.zeros((j + 1, 2)))
         exact = exact and (
-            value_function(sol["ric"], sol["trk"], omega) == sol["trk"].m[j]
+            value_function(sol["trk"], omega) == sol["trk"].m[j]
         )
     assert exact
     print(
@@ -166,7 +166,7 @@ def test_criterion_4_final_conditions_exact(routes_100):
 def test_criterion_5_dissipation_inequality(routes_100):
     sol = routes_100
     grid, sys, xi, y = sol["grid"], sol["sys"], sol["xi"], sol["y"]
-    rep = di_residual(sol["ric"], sol["trk"], sol["wR"], sol["uR"], y)
+    rep = di_residual(sol["trk"], sol["wR"], sol["uR"])
     opt_slack = max(rep.max_slack, -rep.min_slack)
     assert opt_slack <= 5.0 * grid.h
     rng = np.random.default_rng(99)
@@ -175,7 +175,7 @@ def test_criterion_5_dissipation_inequality(routes_100):
         du = 0.5 * rng.standard_normal(sol["uR"].values.shape)
         up = ControlSignal(0, sol["uR"].values + du)
         wp = simulate(sys, grid, xi, up)
-        repp = di_residual(sol["ric"], sol["trk"], wp, up, y)
+        repp = di_residual(sol["trk"], wp, up)
         worst = min(worst, repp.min_slack)
         assert repp.min_slack >= -1e-8
     print(
@@ -189,7 +189,7 @@ def test_criterion_6_semigroup_restart(routes_100):
     grid, sys = sol["grid"], sol["sys"]
     mid = 50
     xi_mid = extend_state(sol["wR"], mid)
-    u2, w2 = closed_loop(sol["ric"], sol["trk"], xi_mid)
+    u2, w2 = closed_loop(sol["trk"], xi_mid)
     err = np.abs(u2.values - sol["uR"].values[mid:]).max()
     assert err <= 1e-8
     print(f"\ncriterion 6 PASS: restart control discrepancy {err:.2e} <= 1e-8")
@@ -206,8 +206,8 @@ def test_criterion_7_operator_identities():
             j = round(tau * n)
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
-            res_r[(n, tau)] = riccati_operator_residual(ric, j, om, xe)
-            res_t[(n, tau)] = tracking_operator_residual(trk, ric, j, xe, y)
+            res_r[(n, tau)] = riccati_operator_residual(ric, om, xe)
+            res_t[(n, tau)] = tracking_operator_residual(trk, xe)
     worst = np.inf
     for tau in taus:
         for lo, hi in ((50, 100), (100, 200)):

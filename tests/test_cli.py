@@ -678,6 +678,28 @@ def test_start_at_last_interior_node_is_refused(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.txt"))
 
 
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("simulate", {"dims": []}, "dims"),
+        ("simulate", {"control": {"type": "table", "values": [[0.0]]}}, "control.values"),
+        ("synthesize", {"route": "lqr"}, "route"),
+        ("compare", {"initial_state": {"tau_index": 99, "head": [0.0]}}, "initial_state.tau_index"),
+        ("verify", {"initial_state": {"tau_index": 99, "head": [0.0]}}, "initial_state.tau_index"),
+        ("convergence", {"initial_state": {"tau_index": 5, "head": [0.0]}}, "initial_state.tau_index"),
+        # a node table fits the first grid only, so the second grid's instance fails
+        ("convergence", {"kernel": {"type": "table", "values": [[0.0]] * 21}}, "kernel.values"),
+    ],
+)
+def test_refused_config_creates_no_output_dir(tmp_path, capsys, command, overrides, field):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, steps=20, grids=[20, 40], **overrides)
+    out = tmp_path / "new" / "a" / "b"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 class TestConvergence:
     def test_orders(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -702,6 +724,18 @@ class TestConvergence:
         orders_voc = data[1:, 5]
         assert (orders_three >= 1.0).all()
         assert (orders_voc >= 1.8).all()
+
+    def test_start_after_zero_is_refused(self, tmp_path, capsys):
+        # node 20 lies at tau = 0.4 / 0.2 / 0.1 on the grids 50 / 100 / 200, so
+        # their errors would measure three different problems
+        cfg = tmp_path / "c.json"
+        raw = tracking_config(cfg, steps=50)
+        raw["initial_state"] = {"tau_index": 20, "head": [0.9, -0.4]}
+        cfg.write_text(json.dumps(raw))
+        argv = ["convergence", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv + ["--grids", "50,100,200"]) == 2
+        assert "field 'initial_state.tau_index'" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.tsv").exists()
 
     def test_grid_override_flag_is_refused(self, tmp_path, capsys):
         # the grid sizes come from --grids or grids alone, so --n is an error

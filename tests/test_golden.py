@@ -1,0 +1,142 @@
+"""Golden digests of every CLI command's output.
+
+Each command runs on three configs: the demo config, a copy that starts
+at node 20 from a polynomial history whose value at tau equals the head,
+and a d=1 zero-kernel, zero-reference config whose fields are all +-0.
+The SHA-256 digest of every output file, of stdout and of stderr, and the
+exit code, are compared with the digests recorded for this numpy, scipy
+and BLAS stack in ``golden_digests.json``; on any other stack the test
+skips and names the versions.
+
+All runs share one subprocess, which pins BLAS threads to 1.  Run this
+file as a script to print the digests, or with ``--record`` to store them
+for the current stack:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "golden_digests.json"
+DEMO = HERE.parent / "demos" / "configs" / "tracking.json"
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def configs() -> dict:
+    demo = json.loads(DEMO.read_text())
+    history = copy.deepcopy(demo)
+    # value at tau = 20/100 = 0.2 is (1, 0), the head: no jump at tau
+    history["initial_state"] = {
+        "tau_index": 20,
+        "head": [1.0, 0.0],
+        "tail": {"type": "polynomial", "coefficients": [[0.6, 1.5, 2.5], [0.3, -2.0, 2.5]]},
+    }
+    scalar = {
+        "dims": {"d": 1, "m": 1, "p": 1},
+        "horizon": 1.0,
+        "steps": 40,
+        "A": [-0.5],
+        "B": [1.0],
+        "C": [1.0],
+        "kernel": {"type": "zero"},
+        "reference": {"type": "zero"},
+        "initial_state": {"tau_index": 0, "head": [1.0]},
+    }
+    return {"demo": demo, "history": history, "scalar": scalar}
+
+
+def commands(name: str) -> dict:
+    runs = {
+        "simulate": ["simulate"],
+        "synthesize_fredholm": ["synthesize", "--route", "fredholm"],
+        "synthesize_riccati": ["synthesize", "--route", "riccati"],
+        "synthesize_oracle": ["synthesize", "--route", "oracle"],
+        "compare": ["compare"],
+        "verify": ["verify"],
+    }
+    # a history start is refused by convergence: each grid would start at its own tau
+    if name != "history":
+        runs["convergence"] = ["convergence", "--grids", "50,100,200"]
+    return runs
+
+
+def stack() -> str:
+    """The numpy, scipy and BLAS versions the digests depend on."""
+    import numpy as np
+    import scipy
+
+    def blas(mod):
+        try:  # older numpy and scipy have no dict form
+            dep = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            return "BLAS unknown"
+        return f"{dep['name']} {dep['version']}"
+
+    return f"numpy {np.__version__} ({blas(np)}), scipy {scipy.__version__} ({blas(scipy)})"
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all() -> dict:
+    from voltrack.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in configs().items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            for run, argv in commands(name).items():
+                outdir = Path(tmp) / name / run
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv + ["--config", str(path), "--out", str(outdir)])
+                files = sorted(outdir.iterdir()) if outdir.is_dir() else []
+                out[f"{name}/{run}"] = {
+                    "exit": code,
+                    "stdout": digest(stdout.getvalue().encode()),
+                    "stderr": digest(stderr.getvalue().encode()),
+                    "files": {f.name: digest(f.read_bytes()) for f in files},
+                }
+    return out
+
+
+def test_cli_outputs_match_recorded_digests():
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    recorded = json.loads(DIGESTS.read_text())
+    if got["stack"] not in recorded:
+        pytest.skip(f"no digests recorded for {got['stack']}")
+    want = recorded[got["stack"]]
+    assert sorted(got["runs"]) == sorted(want)
+    for run in want:
+        assert got["runs"][run] == want[run], run
+
+
+if __name__ == "__main__":
+    os.environ.update({var: "1" for var in THREADS})  # before numpy loads BLAS
+    result = {"stack": stack(), "runs": run_all()}
+    if sys.argv[1:] == ["--record"]:
+        recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+        recorded[result["stack"]] = result["runs"]
+        DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    else:
+        print(json.dumps(result))

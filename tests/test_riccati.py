@@ -133,7 +133,7 @@ def solved_feedback():
     grid, sys, xi, y = make_tracking_instance(100)
     ric = solve_riccati(sys, grid)
     trk = solve_tracking(ric, y)
-    u, w = closed_loop(ric, trk, xi)
+    u, w = closed_loop(trk, xi)
     return grid, sys, xi, y, ric, trk, u, w
 
 
@@ -188,8 +188,8 @@ class TestSolveRiccati:
         grid, _, _, _, ric, trk, _, w = solved_feedback
         for j in (17, 42, 83):
             omega = extend_state(w, j)
-            W = value_function(ric, trk, omega)
-            ref = p2_reference_value(ric, trk, j, omega.head, omega.tail)
+            W = value_function(trk, omega)
+            ref = p2_reference_value(trk, j, omega.head, omega.tail)
             assert abs(W - ref) <= 1e-13 * abs(ref)
 
     def test_blowup_guard(self):
@@ -307,6 +307,13 @@ class TestSolveTracking:
         assert np.abs(trk.d2[:, -1]).max() == 0.0
         assert trk.m[-1] == 0.0
 
+    def test_carries_its_riccati_field_and_reference(self, solved_feedback):
+        # the consumers read both from the field, so none can pair it with
+        # another plant's Riccati field or another reference
+        _, _, _, y, ric, trk, _, _ = solved_feedback
+        assert trk.ric is ric and trk.y is y
+        assert repr(trk) == "TrackingField()"
+
     def test_uncontrolled_scalar_oracle(self):
         # B = 0, A = 0, C = 1, N = 0: d2 = 0 and d1(tau) = -int_tau^T y
         grid, sys = scalar_memoryless(150, b=0.0)
@@ -325,26 +332,26 @@ class TestFeedbackControl:
         grid, sys, _, _, ric, _, _, _ = solved_feedback
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
         xi0 = InitialState(40, np.zeros(2), np.zeros((41, 2)))
-        u = feedback_control(ric, trk0, xi0)
+        u = feedback_control(trk0, xi0)
         assert np.abs(u).max() == 0.0
 
     def test_horizon_limit_is_zero(self, solved_feedback):
         grid, _, _, _, ric, trk, _, w = solved_feedback
-        u = feedback_control(ric, trk, extend_state(w, 100))
+        u = feedback_control(trk, extend_state(w, 100))
         assert np.abs(u).max() == 0.0
 
     def test_tanh_gain(self):
         grid, sys = scalar_memoryless(200)
         ric = solve_riccati(sys, grid)
         trk = solve_tracking(ric, ReferenceSignal(np.zeros((201, 1))))
-        u0 = feedback_control(ric, trk, InitialState(0, [1.0]))
+        u0 = feedback_control(trk, InitialState(0, [1.0]))
         assert abs(u0[0] + TANH1) < 1e-3
 
     def test_perfect_square_around_minimizer(self, solved_feedback):
         # the stage form ||u - fb||^2 - ||fb||^2 grows by exactly
         # ||delta||^2 when the feedback value is perturbed by delta
         grid, sys, xi, y, ric, trk, _, _ = solved_feedback
-        fb = feedback_control(ric, trk, xi)
+        fb = feedback_control(trk, xi)
 
         def form(u):
             return float((u - fb) @ (u - fb) - fb @ fb)
@@ -360,7 +367,7 @@ class TestClosedLoop:
     def test_zero_problem(self, solved_feedback):
         grid, sys, _, _, ric, _, _, _ = solved_feedback
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
-        u, w = closed_loop(ric, trk0, InitialState(0, np.zeros(2)))
+        u, w = closed_loop(trk0, InitialState(0, np.zeros(2)))
         assert np.abs(u.values).max() == 0.0
         assert np.abs(w.values).max() == 0.0
 
@@ -370,7 +377,7 @@ class TestClosedLoop:
             grid, sys, xi, y = make_tracking_instance(n)
             ric = solve_riccati(sys, grid)
             trk = solve_tracking(ric, y)
-            uR, _ = closed_loop(ric, trk, xi)
+            uR, _ = closed_loop(trk, xi)
             Z = fundamental_matrix(sys, grid)
             p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
             uF = optimal_control_fredholm(p)
@@ -391,25 +398,25 @@ class TestClosedLoop:
         uF = optimal_control_fredholm(p)
         ric = solve_riccati(sys, grid)
         trk = solve_tracking(ric, y)
-        uR, wR = closed_loop(ric, trk, xi)
+        uR, wR = closed_loop(trk, xi)
         uO = solve_qp(build_affine_map(sys, grid, xi), y)
         assert rel_l2(grid, k, uF.values, uR.values) < 5e-3
         assert rel_l2(grid, k, uO.values, uR.values) < 2e-2
-        W = value_function(ric, trk, xi)
+        W = value_function(trk, xi)
         J = cost(sys, grid, wR, uR, y)
         assert abs(W - J) / (1.0 + abs(W)) < 1e-2
 
     def test_restart_reproduces_tail(self, solved_feedback):
         grid, sys, _, _, ric, trk, u, w = solved_feedback
         mid = 50
-        u2, w2 = closed_loop(ric, trk, extend_state(w, mid))
+        u2, w2 = closed_loop(trk, extend_state(w, mid))
         assert np.abs(u2.values - u.values[mid:]).max() < 1e-12
         assert np.abs(w2.values[mid:] - w.values[mid:]).max() < 1e-12
 
     def test_feedback_matches_along_run(self, solved_feedback):
         grid, sys, _, _, ric, trk, u, w = solved_feedback
         for j in (0, 30, 77):
-            ufb = feedback_control(ric, trk, extend_state(w, j))
+            ufb = feedback_control(trk, extend_state(w, j))
             assert np.abs(ufb - u.values[j]).max() < 1e-12
 
 
@@ -418,17 +425,17 @@ class TestValueFunction:
         grid, sys, _, _, ric, trk, _, _ = solved_feedback
         for j in range(0, 101, 5):
             omega = InitialState(j, np.zeros(2), np.zeros((j + 1, 2)))
-            assert value_function(ric, trk, omega) == trk.m[j]
+            assert value_function(trk, omega) == trk.m[j]
 
     def test_zero_problem_zero_value(self, solved_feedback):
         grid, sys, _, _, ric, _, _, _ = solved_feedback
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
         omega = InitialState(60, np.zeros(2), np.zeros((61, 2)))
-        assert value_function(ric, trk0, omega) == 0.0
+        assert value_function(trk0, omega) == 0.0
 
     def test_matches_closed_loop_cost(self, solved_feedback):
         grid, sys, xi, y, ric, trk, u, w = solved_feedback
-        W = value_function(ric, trk, xi)
+        W = value_function(trk, xi)
         J = cost(sys, grid, w, u, y)
         assert abs(W - J) / (1.0 + abs(W)) < 1e-3
 
@@ -436,7 +443,7 @@ class TestValueFunction:
         # any spliced control costs at least the value, with equality
         # only for the optimal splice
         grid, sys, xi, y, ric, trk, u, w = solved_feedback
-        W = value_function(ric, trk, xi)
+        W = value_function(trk, xi)
         rng = np.random.default_rng(4)
         mid = 40
         for _ in range(5):
@@ -447,9 +454,7 @@ class TestValueFunction:
                 xi,
                 ControlSignal(0, np.vstack([u_head, np.zeros((100 - mid, 1))])),
             )
-            u_tail, w_tail = closed_loop(
-                ric, trk, extend_state(w_head, mid)
-            )
+            u_tail, w_tail = closed_loop(trk, extend_state(w_head, mid))
             spliced_u = ControlSignal(0, np.vstack([u_head[:-1], u_tail.values]))
             spliced_w = simulate(sys, grid, xi, spliced_u)
             J = cost(sys, grid, spliced_w, spliced_u, y)
@@ -461,7 +466,7 @@ class TestValueFunction:
 class TestDIResidual:
     def test_optimal_pair_near_equality(self, solved_feedback):
         grid, sys, xi, y, ric, trk, u, w = solved_feedback
-        rep = di_residual(ric, trk, w, u, y)
+        rep = di_residual(trk, w, u)
         assert max(rep.max_slack, -rep.min_slack) <= 5.0 * grid.h
         assert rep.max_pointwise <= 0.5
 
@@ -472,7 +477,7 @@ class TestDIResidual:
             du = 0.5 * rng.standard_normal(u.values.shape)
             up = ControlSignal(0, u.values + du)
             wp = simulate(sys, grid, xi, up)
-            rep = di_residual(ric, trk, wp, up, y)
+            rep = di_residual(trk, wp, up)
             assert rep.min_slack >= -1e-8
 
     def test_zero_problem_zero_slack(self, solved_feedback):
@@ -480,9 +485,7 @@ class TestDIResidual:
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
         u0 = ControlSignal.zero(grid, 1)
         w0 = simulate(sys, grid, InitialState(0, np.zeros(2)), u0)
-        rep = di_residual(
-            ric, trk0, w0, u0, ReferenceSignal(np.zeros((101, 1)))
-        )
+        rep = di_residual(trk0, w0, u0)
         assert np.abs(rep.slack).max() == 0.0
         assert rep.max_pointwise == 0.0
 
@@ -507,17 +510,17 @@ class TestTailContraction:
         trk = solve_tracking(ric, y)
         u = ControlSignal(k, 0.3 * rng.normal(size=(n + 1 - k, 2)))
         w = simulate(sys, grid, xi, u)
-        rep = di_residual(ric, trk, w, u, y)
+        rep = di_residual(trk, w, u)
         # slack = running cost + value(node) - value(tau), so the node values are
         # recovered from it up to the common value at tau
         res = w.values[k:] @ sys.C.T - y.values[k:]
         g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
         run = np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (g[:-1] + g[1:]))])
         nodes = (k, k + 1, (k + n) // 2, n - 1, n)
-        ref = {j: p2_reference_value(ric, trk, j, w.values[j], w.values[: j + 1]) for j in nodes}
+        ref = {j: p2_reference_value(trk, j, w.values[j], w.values[: j + 1]) for j in nodes}
         scale = max(abs(v) for v in ref.values())
         for j in nodes:
-            W = value_function(ric, trk, extend_state(w, j))
+            W = value_function(trk, extend_state(w, j))
             assert abs(W - ref[j]) <= 1e-13 * scale
             assert abs(rep.slack[j - k] - run[j - k] + ref[k] - ref[j]) <= 1e-13 * scale
         stored = [
@@ -544,5 +547,5 @@ class TestTailContraction:
         assert np.array_equal(f, _tail_contractions(ric, k, xi.tail)[0])
         if k == 0:
             assert f.shape == (n + 1, 2) and np.array_equal(f, np.zeros((n + 1, 2)))
-        u, _ = closed_loop(ric, trk, xi)
-        assert np.array_equal(u.values[0], feedback_control(ric, trk, xi))
+        u, _ = closed_loop(trk, xi)
+        assert np.array_equal(u.values[0], feedback_control(trk, xi))

@@ -95,7 +95,7 @@ class TestRiccatiOperatorResidual:
         ric = solve_riccati(sys0, grid)
         om = make_domain_element(OMEGA_SEED, 30, grid)
         xe = make_domain_element(XI_SEED, 30, grid)
-        assert riccati_operator_residual(ric, 30, om, xe) == 0.0
+        assert riccati_operator_residual(ric, om, xe) == 0.0
 
     def test_any_node_first_order(self):
         # the tau-derivative differences the neighboring nodes, so the
@@ -107,7 +107,7 @@ class TestRiccatiOperatorResidual:
             j = 33 * n // 100
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = riccati_operator_residual(ric, j, om, xe)
+            res[n] = riccati_operator_residual(ric, om, xe)
         assert math.isfinite(res[100])
         assert res[100] / res[200] >= 1.8
 
@@ -120,7 +120,7 @@ class TestRiccatiOperatorResidual:
             ric = solve_riccati(sys, grid)
             om = make_domain_element(OMEGA_SEED, n, grid)
             xe = make_domain_element(XI_SEED, n, grid)
-            res[n] = riccati_operator_residual(ric, n, om, xe)
+            res[n] = riccati_operator_residual(ric, om, xe)
         assert res[50] / res[100] >= 1.8
 
     def test_refinement_drops_residual(self):
@@ -131,7 +131,7 @@ class TestRiccatiOperatorResidual:
             j = n // 2
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = riccati_operator_residual(ric, j, om, xe)
+            res[n] = riccati_operator_residual(ric, om, xe)
         assert res[40] / res[80] >= 1.8
 
 
@@ -140,9 +140,7 @@ class TestTrackingOperatorResidual:
         grid, sys, _, ric, _ = operator_setup
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
         xe = make_domain_element(XI_SEED, 50, grid)
-        res = tracking_operator_residual(
-            trk0, ric, 50, xe, ReferenceSignal(np.zeros((101, 1)))
-        )
+        res = tracking_operator_residual(trk0, xe)
         assert res == 0.0
 
     def test_horizon_endpoint_first_order(self):
@@ -152,7 +150,7 @@ class TestTrackingOperatorResidual:
             ric = solve_riccati(sys, grid)
             trk = solve_tracking(ric, y)
             xe = make_domain_element(XI_SEED, n, grid)
-            res[n] = tracking_operator_residual(trk, ric, n, xe, y)
+            res[n] = tracking_operator_residual(trk, xe)
         assert res[50] / res[100] >= 1.8
 
     def test_refinement_drops_residual(self):
@@ -163,5 +161,5 @@ class TestTrackingOperatorResidual:
             trk = solve_tracking(ric, y)
             j = n // 2
             xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = tracking_operator_residual(trk, ric, j, xe, y)
+            res[n] = tracking_operator_residual(trk, xe)
         assert res[40] / res[80] >= 1.8
