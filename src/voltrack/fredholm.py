@@ -7,11 +7,11 @@ The optimal control is u(t) = -B* p(t) where the costate p solves
 with the tracking kernel Ktilde(t,r) = int_{max(t,r)}^T Z(s-t) C*C Z*(s-r) ds
 and a forcing Y built from the free response and the reference signal.
 The equation is discretized by the Nystrom method with trapezoid weights
-and solved by one dense LU (scipy's ``lu_factor``/``lu_solve``, imported
-on the first solve); the resolvent kernel R re-expresses the solution as
-p = Y - R Y and feeds the synthesis kernels Q0/Q1/Q2 (costate) and
-H0/H1/H2 (trajectory).  ``resolvent_norms`` gives the largest block norm
-of R on every window [t_kk, T] from one Ktilde BB* product.
+and solved by one dense LU (numpy's LAPACK ``gesv``, O(n^3 d^3)); the
+resolvent kernel R re-expresses the solution as p = Y - R Y and feeds the
+synthesis kernels Q0/Q1/Q2 (costate) and H0/H1/H2 (trajectory).
+``resolvent_norms`` gives the largest block norm of R on every window
+[t_kk, T] from one Ktilde BB* product.
 
 Every stage builds on the one before it, and each artifact carries what
 it was built from: Z carries the plant and grid ``fundamental_matrix``
@@ -31,7 +31,6 @@ weight h/2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,25 +234,23 @@ def _kernel_bbt(kernel: TrackingKernel) -> np.ndarray:
 
 
 def _nystrom_solve(kb: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + Ktilde BB* W) x = rhs by one dense LU.
+    """Solve (I + Ktilde BB* W) x = rhs by one dense LU, O(n^3 d^3).
 
     ``kb`` holds the Ktilde BB* blocks of one window and ``w`` its
-    trapezoid weights.  scipy only warns on an exactly zero pivot; that is
-    raised here as :class:`SingularSystemError` before it can turn into
-    NaNs downstream.
+    trapezoid weights.  A NaN or inf in the system and an exactly zero
+    pivot both raise :class:`SingularSystemError`; unchecked, LAPACK would
+    return NaNs for the first and numpy raises ``LinAlgError`` on the
+    second.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
     nk, d = kb.shape[0], kb.shape[2]
     big = (kb * w[None, :, None, None]).transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
     big[np.diag_indices_from(big)] += 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            lu = lu_factor(big)
-        except LinAlgWarning as exc:
-            raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
-    return lu_solve(lu, rhs)
+    if not (np.isfinite(big).all() and np.isfinite(rhs).all()):
+        raise SingularSystemError("Nystrom system has non-finite entries")
+    try:
+        return np.linalg.solve(big, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
 
 
 def _resolvent_values(kb: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -266,7 +263,8 @@ def _resolvent_values(kb: np.ndarray, w: np.ndarray) -> np.ndarray:
 def solve_fredholm(kernel: TrackingKernel, forcing: Forcing) -> CostateTrajectory:
     """Nystrom solve of p + int_tau^T Ktilde(t,r) BB* p(r) dr = Y.
 
-    A zero pivot raises :class:`SingularSystemError`.
+    Cost O(n^3 d^3) for the dense LU, after O(n^2 d^3) to form Ktilde BB*.
+    A non-finite system or a zero pivot raises :class:`SingularSystemError`.
     """
     k = kernel.start_index
     if forcing.start_index != k:
@@ -282,8 +280,9 @@ def solve_fredholm(kernel: TrackingKernel, forcing: Forcing) -> CostateTrajector
 def resolvent(kernel: TrackingKernel) -> ResolventKernel:
     """Resolvent R solving R(t,r) + int Ktilde(t,v) BB* R(v,r) dv = Ktilde(t,r) BB*.
 
-    One dense factorization is reused for all column right-hand sides; a
-    zero pivot raises :class:`SingularSystemError`.
+    One dense factorization serves all n d column right-hand sides, so the
+    cost is O(n^3 d^3) in all.  A non-finite system or a zero pivot raises
+    :class:`SingularSystemError`.
     """
     k = kernel.start_index
     values = _resolvent_values(_kernel_bbt(kernel), kernel.Z.grid.weights(k))
@@ -296,8 +295,8 @@ def resolvent_norms(kernel: TrackingKernel) -> list[float]:
     Entry i equals ``resolvent(kernel.restrict(k + i)).max_norm``
     bit for bit: Ktilde BB* is formed once on the kernel's window and
     sliced, since restriction is a plain slice.  Each window still takes
-    its own dense solve, O(n^4 d^3) over the sweep, plus O(n^3 d^2) for
-    the Frobenius screens of the block norms.
+    its own dense solve with n d right-hand sides, O(n^4 d^3) over the
+    sweep, plus O(n^3 d^2) for the Frobenius screens of the block norms.
     """
     k, grid = kernel.start_index, kernel.Z.grid
     kb = _kernel_bbt(kernel)

@@ -16,9 +16,9 @@ map, is the one quadrature :func:`_history`, and every trajectory starts
 from :func:`_start`: the tail below tau, the head at tau.  The
 fundamental matrix Z carries the plant and grid :func:`fundamental_matrix`
 solved it for, so :func:`voc_solution` and every Fredholm stage built on
-Z read them from Z and take neither again.  Nothing here imports scipy:
-its dense solvers load only where a dense system is factored (the
-Nystrom solve, the QP Cholesky).
+Z read them from Z and take neither again.  The package needs numpy
+only: every dense solve, here and in the Nystrom and QP routes, is
+``numpy.linalg.solve``.
 """
 
 from __future__ import annotations

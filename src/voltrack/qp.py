@@ -9,9 +9,10 @@ unit-impulse responses.  From a zero state the integrator is
 shift-invariant, so the impulse at node k + r gives the node-(k+1)
 response moved down r - 1 blocks: G takes 2m impulse runs (nodes k and
 k + 1 per input channel), O(m n^2 d^2) in all, not one run per node.
-The minimizer solves the SPD normal equations; the trapezoid weights w
-match the cost used everywhere else, so the oracle's optimality is exact
-on the shared grid, not merely asymptotic.
+The minimizer solves the SPD normal equations by one dense LU (numpy's
+LAPACK ``gesv``); the trapezoid weights w match the cost used everywhere
+else, so the oracle's optimality is exact on the shared grid, not merely
+asymptotic.
 """
 
 from __future__ import annotations
@@ -125,17 +126,22 @@ def qp_gradient(
 
 
 def solve_qp(dmap: DiscreteAffineMap, y: ReferenceSignal) -> ControlSignal:
-    """Minimize the discrete cost via the SPD normal equations (scipy Cholesky)."""
-    from scipy.linalg import cho_factor, cho_solve
+    """Minimize the discrete cost via the SPD normal equations.
 
+    Forming H = G* W G costs O(n^3 p m^2) and its dense LU O(n^3 m^3).  A
+    NaN or inf in the system and an exactly zero pivot both raise
+    :class:`SingularSystemError`.
+    """
     wp, wm = _weight_vectors(dmap)
     H = dmap.G.T @ (wp[:, None] * dmap.G)
     H[np.diag_indices_from(H)] += wm
     rhs = -dmap.G.T @ (wp * (dmap.g - y.values[dmap.start_index :].reshape(-1)))
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+        raise SingularSystemError("QP normal equations have non-finite entries")
     try:
-        sol = cho_solve(cho_factor(H), rhs)
+        sol = np.linalg.solve(H, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise SingularSystemError(f"normal equations not SPD: {exc}") from exc
+        raise SingularSystemError(f"QP normal equations are singular: {exc}") from exc
     return ControlSignal(dmap.start_index, sol.reshape(-1, dmap.m))
 
 

@@ -12,28 +12,31 @@ import pytest
 from voltrack import (
     SingularSystemError,
     TrackingKernel,
+    cli,
     fredholm,
+    qp,
     riccati,
+    simulate,
     solve_riccati,
     solve_tracking,
 )
 from voltrack.cli import Instance, _write_long_field, _write_rows, main
 
-SCIPY_PROBE = """
+NO_SCIPY_PROBE = """
 import sys
 from voltrack.cli import main
 
-def loaded(argv):
-    if argv:
-        assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-    return "scipy" in sys.modules
-
-print([loaded(argv) for argv in (
-    [],
+for argv in (
     ["simulate"],
-    ["synthesize", "--route", "riccati"],
     ["synthesize", "--route", "fredholm"],
-)])
+    ["synthesize", "--route", "riccati"],
+    ["synthesize", "--route", "oracle"],
+    ["compare"],
+    ["verify"],
+    ["convergence", "--grids", "30,60"],
+):
+    assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
@@ -104,19 +107,19 @@ def read_table(path):
     return header, data
 
 
-def test_scipy_loads_only_for_a_dense_factorization(tmp_path):
-    # import, simulate and the Riccati route factor no dense system; the
-    # Nystrom solve of the Fredholm route does (one fresh process, in order)
+def test_no_command_loads_scipy(tmp_path):
+    # every dense solve is numpy's; one fresh process runs every command
+    # (at 20 steps verify fails its three-way bound, so 30)
     cfg = tmp_path / "c.json"
-    tracking_config(cfg, steps=20)
+    tracking_config(cfg, steps=30)
     src = str(Path(fredholm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path)],
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(cfg), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["[False,", "False,", "False,", "True]"]
+    assert res.stdout.splitlines()[-1] == "[]"  # verify prints its checks first
 
 
 class TestSimulate:
@@ -342,6 +345,34 @@ class TestSimulate:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"field '{field}'" in err and "at least 2 steps" in err
+
+    def test_non_finite_nystrom_system_exits_3(self, tmp_path, capsys, monkeypatch):
+        build_kernel = fredholm.build_kernel
+
+        def nan_kernel(Z, start_index):
+            kernel = build_kernel(Z, start_index)
+            kernel.ktilde[1, 2] = np.nan
+            return kernel
+
+        monkeypatch.setattr(fredholm, "build_kernel", nan_kernel)
+        cfg = tmp_path / "c.json"
+        tracking_config(cfg, steps=10)
+        assert main(["synthesize", "--route", "fredholm", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "Nystrom system has non-finite entries" in capsys.readouterr().err
+
+    def test_non_finite_normal_equations_exit_3(self, tmp_path, capsys, monkeypatch):
+        build_affine_map = qp.build_affine_map
+
+        def inf_map(*args):
+            dmap = build_affine_map(*args)
+            dmap.G[3, 1] = np.inf
+            return dmap
+
+        monkeypatch.setattr(qp, "build_affine_map", inf_map)
+        cfg = tmp_path / "c.json"
+        tracking_config(cfg, steps=10)
+        assert main(["synthesize", "--route", "oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "QP normal equations have non-finite entries" in capsys.readouterr().err
 
     def test_singular_nystrom_matrix_exits_3(self, tmp_path, capsys, monkeypatch):
         # Ktilde(t_0, t_0) BB* w_0 = -8 * 1 * 1/8 = -1 exactly, so the Nystrom
@@ -724,6 +755,23 @@ class TestConvergence:
         orders_voc = data[1:, 5]
         assert (orders_three >= 1.0).all()
         assert (orders_voc >= 1.8).all()
+
+    def test_routes_simulate_only_what_is_read(self, tmp_path, monkeypatch):
+        # per grid at m = 1: 2m + 1 impulse runs for the oracle's map and one
+        # for the simulate/voc error; no route's trajectory is simulated
+        calls = []
+
+        def counting_simulate(*args):
+            calls.append(args[1].steps)
+            return simulate(*args)
+
+        monkeypatch.setattr(cli, "simulate", counting_simulate)
+        monkeypatch.setattr(qp, "simulate", counting_simulate)
+        cfg = tmp_path / "c.json"
+        tracking_config(cfg, steps=20)
+        argv = ["convergence", "--config", str(cfg), "--out", str(tmp_path), "--grids", "20,40"]
+        assert main(argv) == 0
+        assert calls.count(20) == calls.count(40) == 4 and len(calls) == 8
 
     def test_start_after_zero_is_refused(self, tmp_path, capsys):
         # node 20 lies at tau = 0.4 / 0.2 / 0.1 on the grids 50 / 100 / 200, so

@@ -476,3 +476,18 @@ class TestSingularNystromMatrix:
                 solve_fredholm(kernel, forcing)
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
                 resolvent(kernel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_raises_in_solve_and_resolvent(self, bad):
+        grid = TimeGrid(1.0, 4)
+        ktilde = np.zeros((5, 5, 1, 1))
+        ktilde[1, 2] = bad
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
+        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys, grid))
+        forcing = Forcing(0, np.ones((5, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before LAPACK sees it
+            with pytest.raises(SingularSystemError, match="non-finite entries"):
+                solve_fredholm(kernel, forcing)
+            with pytest.raises(SingularSystemError, match="non-finite entries"):
+                resolvent(kernel)

@@ -4,9 +4,10 @@ Each command runs on three configs: the demo config, a copy that starts
 at node 20 from a polynomial history whose value at tau equals the head,
 and a d=1 zero-kernel, zero-reference config whose fields are all +-0.
 The SHA-256 digest of every output file, of stdout and of stderr, and the
-exit code, are compared with the digests recorded for this numpy, scipy
-and BLAS stack in ``golden_digests.json``; on any other stack the test
-skips and names the versions.
+exit code, are compared with the digests recorded for this numpy and
+BLAS stack in ``golden_digests.json``; on any other stack the test skips
+and names the versions.  No output depends on scipy, which voltrack does
+not import.
 
 All runs share one subprocess, which pins BLAS threads to 1.  Run this
 file as a script to print the digests, or with ``--record`` to store them
@@ -73,18 +74,15 @@ def commands(name: str) -> dict:
 
 
 def stack() -> str:
-    """The numpy, scipy and BLAS versions the digests depend on."""
+    """The numpy and BLAS versions the digests depend on."""
     import numpy as np
-    import scipy
 
-    def blas(mod):
-        try:  # older numpy and scipy have no dict form
-            dep = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        except (TypeError, KeyError):
-            return "BLAS unknown"
-        return f"{dep['name']} {dep['version']}"
-
-    return f"numpy {np.__version__} ({blas(np)}), scipy {scipy.__version__} ({blas(scipy)})"
+    try:  # older numpy has no dict form
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{dep['name']} {dep['version']}"
+    except (TypeError, KeyError):
+        blas = "BLAS unknown"
+    return f"numpy {np.__version__} ({blas})"
 
 
 def digest(data: bytes) -> str:

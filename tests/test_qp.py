@@ -151,7 +151,7 @@ class TestShiftConstruction:
 def test_route_imports_nothing_from_the_other_routes(route):
     # the cross-check is only independent if no route shares code with another;
     # all three share the plant model, the history quadrature included
-    allowed = {"numpy", "scipy"} | set(_sys.stdlib_module_names)
+    allowed = {"numpy"} | set(_sys.stdlib_module_names)
     tree = ast.parse(Path(route.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
