@@ -384,7 +384,7 @@ def _route(flag: str | None, cfg: dict) -> str:
         raise ConfigurationError("field 'route': missing; pass --route or set it in the config")
     if not isinstance(route, str) or route not in _ROUTES:
         raise ConfigurationError(
-            f"field 'route': expected one of fredholm|riccati|oracle, got {route!r}"
+            f"field 'route': expected one of {'|'.join(_ROUTES)}, got {route!r}"
         )
     return route
 
@@ -677,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "convergence":  # its grid sizes come from --grids or grids
             sp.add_argument("--n", type=int, default=None, help="override grid steps")
         if name == "synthesize":
-            sp.add_argument("--route", choices=("fredholm", "riccati", "oracle"))
+            sp.add_argument("--route", choices=tuple(_ROUTES))
         if name == "convergence":
             sp.add_argument(
                 "--grids", default=None, help="comma-separated list of grid sizes"

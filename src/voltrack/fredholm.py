@@ -103,10 +103,9 @@ class Forcing:
 class CostateTrajectory:
     """Costate samples p_i on nodes tau..T; p(T) = 0.
 
-    ``kernel`` is the tracking kernel the costate was solved from.
+    ``kernel``, the tracking kernel the costate was solved from, holds tau.
     """
 
-    start_index: int
     values: np.ndarray = field(repr=False)
     kernel: TrackingKernel = field(repr=False)
 
@@ -115,10 +114,9 @@ class CostateTrajectory:
 class ResolventKernel:
     """Resolvent samples R(t_i, r_j; tau) on [tau, T]^2 node pairs.
 
-    ``kernel`` is the tracking kernel the resolvent was solved from.
+    ``kernel``, the tracking kernel the resolvent was solved from, holds tau.
     """
 
-    start_index: int
     values: np.ndarray = field(repr=False)
     kernel: TrackingKernel = field(repr=False)
 
@@ -161,10 +159,9 @@ class SynthesisKernels:
     q0, q1, h0, h1 hold plain node samples (applied with trapezoid
     weights); q2 and h2 are stored weighted, i.e. with the s-quadrature
     over [tau, T] (including the diagonal-jump split) already folded in.
-    ``kernel`` is the tracking kernel the maps were built from.
+    ``kernel``, the tracking kernel the maps were built from, holds tau.
     """
 
-    start_index: int
     kernel: TrackingKernel = field(repr=False)
     q0: np.ndarray = field(repr=False)
     q1: np.ndarray = field(repr=False)
@@ -274,7 +271,7 @@ def solve_fredholm(kernel: TrackingKernel, forcing: Forcing) -> CostateTrajector
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("Nystrom solve produced non-finite values")
     d = kernel.ktilde.shape[2]
-    return CostateTrajectory(k, sol.reshape(-1, d), kernel)
+    return CostateTrajectory(sol.reshape(-1, d), kernel)
 
 
 def resolvent(kernel: TrackingKernel) -> ResolventKernel:
@@ -286,7 +283,7 @@ def resolvent(kernel: TrackingKernel) -> ResolventKernel:
     """
     k = kernel.start_index
     values = _resolvent_values(_kernel_bbt(kernel), kernel.Z.grid.weights(k))
-    return ResolventKernel(k, values, kernel)
+    return ResolventKernel(values, kernel)
 
 
 def resolvent_norms(kernel: TrackingKernel) -> list[float]:
@@ -308,7 +305,7 @@ def resolvent_norms(kernel: TrackingKernel) -> list[float]:
 
 def optimal_control_fredholm(p: CostateTrajectory) -> ControlSignal:
     """u(t) = -B* p(t), node by node, B the input matrix of p's plant."""
-    return ControlSignal(p.start_index, -(p.values @ p.kernel.Z.sys.B))
+    return ControlSignal(p.kernel.start_index, -(p.values @ p.kernel.Z.sys.B))
 
 
 def _row_weight_matrix(nk: int, h: float) -> np.ndarray:
@@ -343,7 +340,7 @@ def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
     node is the resolvent's; Ktilde, Z, the plant and the grid are read
     from the tracking kernel ``R`` was solved from.
     """
-    k, kernel, Z = R.start_index, R.kernel, R.kernel.Z
+    k, kernel, Z = R.kernel.start_index, R.kernel, R.kernel.Z
     sys, grid, Zv = Z.sys, Z.grid, Z.values
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1
@@ -382,14 +379,14 @@ def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
     )
     h1 = e_tail - np.einsum("iqab,qvbc->ivac", prop, q1, optimize=True)
     h2 = -np.einsum("iqab,qjbc->ijac", prop, q2, optimize=True)
-    return SynthesisKernels(k, kernel, q0, q1, q2, h0, h1, h2)
+    return SynthesisKernels(kernel, q0, q1, q2, h0, h1, h2)
 
 
 def apply_synthesis(
     kernels: SynthesisKernels, xi: InitialState, y: ReferenceSignal
 ) -> tuple[ControlSignal, StateTrajectory]:
     """Evaluate the optimal pair (u, w) from the Q/H maps."""
-    k, Z = kernels.start_index, kernels.kernel.Z
+    k, Z = kernels.kernel.start_index, kernels.kernel.Z
     if xi.tau_index != k:
         raise ConfigurationError("state node differs from the synthesis node")
     ysub = y.values[k:]
@@ -417,7 +414,7 @@ def costate_residual(p: CostateTrajectory, wplus: StateTrajectory, y: ReferenceS
     linearly in h.
     """
     sys, grid = p.kernel.Z.sys, p.kernel.Z.grid
-    k, n, h = p.start_index, grid.steps, grid.h
+    k, n, h = p.kernel.start_index, grid.steps, grid.h
     pv = p.values
     nk = n - k + 1
     dp = _node_derivative(pv, h)

@@ -133,9 +133,10 @@ def solve_qp(dmap: DiscreteAffineMap, y: ReferenceSignal) -> ControlSignal:
     :class:`SingularSystemError`.
     """
     wp, wm = _weight_vectors(dmap)
-    H = dmap.G.T @ (wp[:, None] * dmap.G)
-    H[np.diag_indices_from(H)] += wm
-    rhs = -dmap.G.T @ (wp * (dmap.g - y.values[dmap.start_index :].reshape(-1)))
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below reports it
+        H = dmap.G.T @ (wp[:, None] * dmap.G)
+        H[np.diag_indices_from(H)] += wm
+        rhs = -dmap.G.T @ (wp * (dmap.g - y.values[dmap.start_index :].reshape(-1)))
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise SingularSystemError("QP normal equations have non-finite entries")
     try:

@@ -30,10 +30,11 @@ Everything after the sweeps reads the plant and grid from the solved
 :class:`TrackingField`, and the node tau from the state it is given.
 
 Two costs outside the arithmetic are kept out of the sweeps, with every
-bit unchanged.  The three-factor contractions (P0 BB* P1, P1* BB* P1 and
-P1* BB* d1) follow numpy's greedy einsum order, found once per sweep, as
-the pairwise matmul calls einsum itself would make, so no step runs
-einsum's parser.  And ``solve_riccati`` first allocates and frees one
+bit unchanged.  The three-factor contractions run in numpy's greedy
+einsum order, written out as the matmul calls einsum itself would make,
+so no step runs einsum's parser or planner: (P0 BB*) P1, (P1* BB*) P1
+or for d = 1 (P1* P1) BB*, and P1* (BB* d1) or for a one-row product at
+d = 1 (P1* BB*) d1.  And ``solve_riccati`` first allocates and frees one
 block twice the size of its largest G2 block: glibc then serves the
 growing blocks from its heap instead of mapping fresh pages for each,
 which in a new process (every CLI run) cost ~100k page faults at
@@ -149,10 +150,10 @@ def solve_riccati(
     adds to carry the row to tau_j.  O(n^3 d^3) time, about n^3 d^3 / 6
     multiply-adds per G2 term, and O(n^2 d^2) memory (P1 only).
 
-    The P0 BB* P1 and P1* BB* P1 products run as the matmul pairs of
-    numpy's greedy einsum plan, made once per sweep, and an allocator
-    prime before the loop keeps the G2 blocks on reused heap pages; see
-    the module notes.
+    The P0 BB* P1 and P1* BB* P1 products run in fixed orders, (P0 BB*)
+    P1 and (P1* BB*) P1, or (P1* P1) BB* for d = 1, as matmul pairs, and
+    an allocator prime before the loop keeps the G2 blocks on reused heap
+    pages; see the module notes.
     """
     sys.check_grid(grid)
     n, d, h = grid.steps, sys.d, grid.h
@@ -168,13 +169,9 @@ def solve_riccati(
     row_c = np.zeros((d, d, n))  # P2(tau_{j+1}, s_l, tau_{j+1}), l = 0..j
     # The three-factor products run numpy's greedy einsum order pair by pair,
     # through the matmul calls, reshapes and transposes einsum makes for it,
-    # so they match einsum bit for bit without its per-call parsing.  For
-    # d >= 2 greedy always pairs BB* with the narrower factor first, as
-    # written out below.  For d = 1 every pair is a product and greedy pairs
-    # by operand size, so the pair is planned once here, on a wide block: a
-    # one-column block (q0 = q1) would pair differently.
-    g1_pair = _first_pair("ab,bc,icd->iad", p0[n], bbt, p1[:n, n])
-    g2_pair = _first_pair("baq,bc,cdql->adql", pt[:, :, :, 0], bbt, pt)
+    # so they match einsum bit for bit without its parsing or planning.  For
+    # d = 1 greedy pairs by operand size, alike at every n; G2 keeps a wide
+    # block's pair on a one-column block (q0 = q1), where einsum would not.
     # A freed block that glibc had mmap'd raises its mmap threshold to that
     # block's size (up to 32 MiB) and its trim threshold to twice that.  The
     # G2 blocks grow over the first half of the sweep, so each would
@@ -187,7 +184,7 @@ def solve_riccati(
     def p0_bbt_p1(P0c, p1col):
         # P0 BB* P1 as [i, a, d]: bc,ab->ac, then ac,icd->iad
         if d == 1:
-            return _scalar_triple(g1_pair, P0c, bbt, p1col)
+            return _scalar_triple(P0c, bbt, p1col)
         pb = (bbt.T @ P0c.T).T
         size = p1col.shape[0]
         rows = pb @ p1col.transpose(1, 0, 2).reshape(d, size * d)
@@ -197,7 +194,7 @@ def solve_riccati(
         # P1*(s_i, tau_q) BB* P1(nu_l, tau_q) as [a, d, q, l]: bc,baq->acq as
         # a [c, a, q] product, then acq,cdql->adql as (q, a, c) by (q, c, d l)
         if d == 1:
-            return _scalar_triple(g2_pair, p1i[:, :, :, None], bbt, p1l)
+            return _scalar_triple(p1i[:, :, :, None], p1l, bbt)
         nq, nl = p1l.shape[2:]
         caq = (bbt.T @ p1i.reshape(d, d * nq)).reshape(d, d, nq)
         qcd = p1l.transpose(2, 0, 1, 3).reshape(nq, d, d * nl)
@@ -284,15 +281,13 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     def g1(q, vec, d2_diag):  # d1 source at tau_q
         return (A.T - ric.p0[q] @ bbt) @ vec + d2_diag - cy[q]
 
-    # numpy's greedy einsum order, run pair by pair as in solve_riccati: for
-    # d >= 2 it contracts BB* with vec first; for d = 1 it pairs by operand
-    # size, and a one-row product pairs differently from longer ones
-    pairs = {size: _first_pair("iba,bc,c->ia", ric.p1[:size, n], bbt, d1[n]) for size in (1, 2)}
-
     def p1_bbt_vec(p1q, vec):
-        # P1* BB* vec as [i, a]: c,bc->b, then b,iba->ia
+        # P1* BB* vec as [i, a]: c,bc->b, then b,iba->ia; for d = 1 a one-row
+        # product pairs P1 with BB* first, as greedy einsum does
         if d == 1:
-            return _scalar_triple(pairs[min(p1q.shape[0], 2)], p1q[:, 0], bbt, vec)
+            if p1q.shape[0] == 1:
+                return _scalar_triple(p1q[:, 0], bbt, vec)
+            return _scalar_triple(bbt, vec, p1q[:, 0])
         bv = vec.reshape(1, d) @ bbt.T
         return (bv @ p1q.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
 
@@ -315,19 +310,12 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     return TrackingField(ric, y, d1, d2, m)
 
 
-def _first_pair(subscripts, *operands) -> tuple:
-    """The two of three factors numpy's greedy order contracts first."""
-    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0][1])
-
-
-def _scalar_triple(pair, *factors):
-    """A three-factor contraction at d = 1, bit for bit as einsum runs the
-    planned ``pair`` first: no contracted index is wider than 1, so each
-    pairwise step is a product, and the size-one sums einsum takes before
-    the second product turn a -0 into +0."""
-    (k,) = {0, 1, 2}.difference(pair)
-    i, j = pair
-    return (factors[i] * factors[j] + 0.0) * (factors[k] + 0.0)
+def _scalar_triple(x, y, z):
+    """A three-factor contraction at d = 1, bit for bit as einsum runs it
+    when it pairs x with y first: no contracted index is wider than 1, so
+    each pairwise step is a product, and the size-one sums einsum takes
+    before the second product turn a -0 into +0."""
+    return (x * y + 0.0) * (z + 0.0)
 
 
 def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:

@@ -360,6 +360,7 @@ class TestSimulate:
         assert main(["synthesize", "--route", "fredholm", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "Nystrom system has non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # refused, not warned
     def test_non_finite_normal_equations_exit_3(self, tmp_path, capsys, monkeypatch):
         build_affine_map = qp.build_affine_map
 

@@ -254,7 +254,7 @@ class TestMaxNorm:
     @settings(max_examples=300, deadline=None, database=None)
     @given(block_arrays())
     def test_screen_equals_one_svd_per_block(self, values):
-        R = ResolventKernel(0, values, None)
+        R = ResolventKernel(values, None)
         assert outcome(lambda: R.max_norm) == outcome(lambda: unscreened_max_norm(values))
 
     @pytest.mark.parametrize("magnitude", [1e-300, 5e-163, 1e-162, 1e170, 1e300])
@@ -263,14 +263,14 @@ class TestMaxNorm:
         # keep a few bits, enough to misorder unscaled Frobenius norms
         for seed in range(5):
             values = magnitude * np.random.default_rng(seed).standard_normal((6, 6, 3, 3))
-            R = ResolventKernel(0, values, None)
+            R = ResolventKernel(values, None)
             assert R.max_norm.hex() == unscreened_max_norm(values).hex()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_block_as_unscreened(self, bad):
         values = np.random.default_rng(3).standard_normal((5, 4, 2, 2))
         values[2, 1, 0, 1] = bad
-        R = ResolventKernel(0, values, None)
+        R = ResolventKernel(values, None)
         assert outcome(lambda: R.max_norm) == outcome(lambda: unscreened_max_norm(values))
 
     @pytest.mark.parametrize("instance", ["solved_instance", "solved_with_tail"])
@@ -287,7 +287,7 @@ class TestMaxNorm:
 class TestOptimalControl:
     def test_zero_costate(self, solved_instance):
         *_, p = solved_instance
-        p0 = type(p)(0, np.zeros((101, 2)), p.kernel)
+        p0 = type(p)(np.zeros((101, 2)), p.kernel)
         u = optimal_control_fredholm(p0)
         assert np.abs(u.values).max() == 0.0
 
@@ -441,7 +441,7 @@ class TestCostateResidual:
         grid, sys, _, _ = make_tracking_instance(40)
         from voltrack import CostateTrajectory, StateTrajectory
 
-        pz = CostateTrajectory(0, np.zeros((41, 2)), build_kernel(fundamental_matrix(sys, grid)))
+        pz = CostateTrajectory(np.zeros((41, 2)), build_kernel(fundamental_matrix(sys, grid)))
         w = StateTrajectory(0, np.zeros((41, 2)))
         y = ReferenceSignal(np.zeros((41, 1)))
         assert costate_residual(pz, w, y) == 0.0

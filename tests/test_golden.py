@@ -1,8 +1,11 @@
 """Golden digests of every CLI command's output.
 
-Each command runs on three configs: the demo config, a copy that starts
+Each command runs on four configs: the demo config, a copy that starts
 at node 20 from a polynomial history whose value at tau equals the head,
-and a d=1 zero-kernel, zero-reference config whose fields are all +-0.
+a d=1 zero-kernel, zero-reference config whose fields are all +-0, and a
+d=1, m=2, p=2 config with a node-table kernel and reference, drawn as
+``conftest.seeded_plant`` draws them, on which a changed d=1 contraction
+order in the Riccati sweeps shows.
 The SHA-256 digest of every output file, of stdout and of stderr, and the
 exit code, are compared with the digests recorded for this numpy and
 BLAS stack in ``golden_digests.json``; on any other stack the test skips
@@ -55,7 +58,21 @@ def configs() -> dict:
         "reference": {"type": "zero"},
         "initial_state": {"tau_index": 0, "head": [1.0]},
     }
-    return {"demo": demo, "history": history, "scalar": scalar}
+    from conftest import seeded_plant  # here, so numpy loads after the thread pins
+
+    _, plant, y = seeded_plant(1, 2, 40, seed=5, table=True)
+    table = {
+        "dims": {"d": 1, "m": 2, "p": 2},
+        "horizon": 1.0,
+        "steps": 40,
+        "A": plant.A.ravel().tolist(),
+        "B": plant.B.ravel().tolist(),
+        "C": plant.C.ravel().tolist(),
+        "kernel": {"type": "table", "values": plant.N.reshape(-1, 1).tolist()},
+        "reference": {"type": "table", "values": y.values.tolist()},
+        "initial_state": {"tau_index": 0, "head": [1.0]},
+    }
+    return {"demo": demo, "history": history, "scalar": scalar, "table": table}
 
 
 def commands(name: str) -> dict:
@@ -67,8 +84,9 @@ def commands(name: str) -> dict:
         "compare": ["compare"],
         "verify": ["verify"],
     }
-    # a history start is refused by convergence: each grid would start at its own tau
-    if name != "history":
+    # convergence refuses a history start, since each grid would start at its own
+    # tau, and a node table, which is sampled on one grid only
+    if name not in ("history", "table"):
         runs["convergence"] = ["convergence", "--grids", "50,100,200"]
     return runs
 
