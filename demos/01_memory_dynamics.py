@@ -28,8 +28,8 @@ print("scalar plant, N(t) = 1: exact solution cosh(t)")
 print(f"{'n':>6} {'w(1)':>18} {'error':>12}")
 for n in (50, 100, 200, 400):
     grid = TimeGrid(1.0, n)
-    sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], np.ones((n + 1, 1, 1)))
-    w = simulate(sys, grid, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
+    sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], np.ones((n + 1, 1, 1)), grid)
+    w = simulate(sys, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
     err = abs(w.values[-1, 0] - math.cosh(1.0))
     print(f"{n:>6} {w.values[-1, 0]:>18.12f} {err:>12.3e}")
 
@@ -45,12 +45,12 @@ print(f"{'n':>6} {'max node gap':>14} {'ratio':>8}")
 prev = None
 for n in (50, 100, 200, 400):
     grid = TimeGrid(1.0, n)
-    sys = SystemSpec(A, [[0.0], [1.0]], [[1.0, 0.0]], exponential_kernel(grid, [(G, 1.0)]))
+    sys = SystemSpec(A, [[0.0], [1.0]], [[1.0, 0.0]], exponential_kernel(grid, [(G, 1.0)]), grid)
     xi = InitialState(0, [0.5, -0.3])
     u = ControlSignal(0, np.sin(5.0 * grid.nodes)[:, None])
-    Z = fundamental_matrix(sys, grid)
+    Z = fundamental_matrix(sys)
     gap = np.abs(
-        simulate(sys, grid, xi, u).values - voc_solution(Z, xi, u).values
+        simulate(sys, xi, u).values - voc_solution(Z, xi, u).values
     ).max()
     ratio = "" if prev is None else f"{prev / gap:7.2f}"
     print(f"{n:>6} {gap:>14.3e} {ratio:>8}")

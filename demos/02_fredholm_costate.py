@@ -35,17 +35,17 @@ grid = TimeGrid(1.0, n)
 A = 0.6 * rng.normal(size=(2, 2))
 G = 0.8 * rng.normal(size=(2, 2))
 sys = SystemSpec(A, rng.normal(size=(2, 1)), rng.normal(size=(1, 2)),
-                 exponential_kernel(grid, [(G, 1.0)]))
+                 exponential_kernel(grid, [(G, 1.0)]), grid)
 y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
 xi = InitialState(0, [1.0, 0.0])
 
-Z = fundamental_matrix(sys, grid)
+Z = fundamental_matrix(sys)
 kernel = build_kernel(Z, 0)
 forcing = build_forcing(Z, xi, y)
 p = solve_fredholm(kernel, forcing)
 u = optimal_control_fredholm(p)
-w = simulate(sys, grid, xi, u)
-J = cost(sys, grid, w, u, y)
+w = simulate(sys, xi, u)
+J = cost(sys, w, u, y)
 
 print(f"optimal tracking cost: {J:.8f}")
 print(f"costate endpoint |p(T)| = {np.abs(p.values[-1]).max():.1e} (exact zero)")
@@ -56,7 +56,7 @@ worst = np.inf
 for _ in range(200):
     du = 0.3 * rng.standard_normal(u.values.shape)
     up = ControlSignal(0, u.values + du)
-    Jp = cost(sys, grid, simulate(sys, grid, xi, up), up, y)
+    Jp = cost(sys, simulate(sys, xi, up), up, y)
     worst = min(worst, Jp - J)
 print(f"smallest cost gap over 200 perturbed controls: {worst:.3e} (>= 0)")
 

@@ -33,8 +33,8 @@ from voltrack import (
 
 # --- classical limit ------------------------------------------------------
 grid = TimeGrid(1.0, 200)
-sys0 = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
-ric0 = solve_riccati(sys0, grid)
+sys0 = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+ric0 = solve_riccati(sys0)
 print("classical limit (no memory): P0(0) =", f"{ric0.p0[0, 0, 0]:.6f}",
       " tanh(1) =", f"{math.tanh(1.0):.6f}")
 print("memory block |P1| stays zero:", np.abs(ric0.p1).max())
@@ -46,14 +46,14 @@ grid = TimeGrid(1.0, n)
 A = 0.6 * rng.normal(size=(2, 2))
 G = 0.8 * rng.normal(size=(2, 2))
 sys = SystemSpec(A, rng.normal(size=(2, 1)), rng.normal(size=(1, 2)),
-                 exponential_kernel(grid, [(G, 1.0)]))
+                 exponential_kernel(grid, [(G, 1.0)]), grid)
 y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
 xi = InitialState(0, [1.0, 0.0])
 
-ric = solve_riccati(sys, grid)
+ric = solve_riccati(sys)
 trk = solve_tracking(ric, y)
 u, w = closed_loop(trk, xi)
-J = cost(sys, grid, w, u, y)
+J = cost(sys, w, u, y)
 W = value_function(trk, xi)
 print(f"\nclosed-loop cost {J:.8f} vs value function {W:.8f} "
       f"(gap {abs(J - W):.1e})")
@@ -63,7 +63,7 @@ rep = di_residual(trk, w, u)
 print(f"optimal-pair slack in [{rep.min_slack:.2e}, {rep.max_slack:.2e}]")
 du = 0.5 * rng.standard_normal(u.values.shape)
 up = ControlSignal(0, u.values + du)
-repp = di_residual(trk, simulate(sys, grid, xi, up), up)
+repp = di_residual(trk, simulate(sys, xi, up), up)
 print(f"perturbed-pair slack in [{repp.min_slack:.2e}, {repp.max_slack:.2e}] "
       "(nonnegative: energy is dissipated)")
 

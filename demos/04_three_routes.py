@@ -40,23 +40,23 @@ C = rng.normal(size=(1, 2))
 
 def routes(n):
     grid = TimeGrid(1.0, n)
-    sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]))
+    sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]), grid)
     y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
     xi = InitialState(0, [1.0, 0.0])
-    Z = fundamental_matrix(sys, grid)
+    Z = fundamental_matrix(sys)
     p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
     uF = optimal_control_fredholm(p)
-    ric = solve_riccati(sys, grid)
+    ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)
     uR, _ = closed_loop(trk, xi)
-    uO = solve_qp(build_affine_map(sys, grid, xi), y)
+    uO = solve_qp(build_affine_map(sys, xi), y)
     wts = grid.weights(0)
 
     def rel(a, b):
         return math.sqrt(wts @ ((a - b) ** 2).sum(1)) / math.sqrt(wts @ (b**2).sum(1))
 
     costs = tuple(
-        cost(sys, grid, simulate(sys, grid, xi, u), u, y) for u in (uO, uF, uR)
+        cost(sys, simulate(sys, xi, u), u, y) for u in (uO, uF, uR)
     )
     return (
         rel(uO.values, uF.values),

@@ -39,9 +39,9 @@ print("operator-identity residuals at tau = 0.5")
 print(f"{'n':>5} {'riccati-op':>12} {'tracking-op':>12} {'P-symmetry':>12}")
 for n in (50, 100, 200):
     grid = TimeGrid(1.0, n)
-    sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]))
+    sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]), grid)
     y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
-    ric = solve_riccati(sys, grid)
+    ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)
     j = n // 2
     om = make_domain_element(omega_seed, j, grid)

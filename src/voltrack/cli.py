@@ -187,7 +187,7 @@ class Instance:
         A = _matrix(cfg, "A", self.d, self.d)
         B = _matrix(cfg, "B", self.d, self.m)
         C = _matrix(cfg, "C", self.p, self.d)
-        self.sys = SystemSpec(A, B, C, self._kernel(cfg))
+        self.sys = SystemSpec(A, B, C, self._kernel(cfg), self.grid)
         self.reference = ReferenceSignal(
             _signal(cfg.get("reference"), "reference", self.grid.nodes, self.p)
         )
@@ -340,13 +340,13 @@ def _check_finite(arr: np.ndarray, limit: float, what: str) -> None:
 
 def _record(inst: Instance, u: ControlSignal, w: StateTrajectory, **artifacts):
     """One route's optimal pair (u, w), its cost J, and the artifacts reports read."""
-    J = cost(inst.sys, inst.grid, w, u, inst.reference)
+    J = cost(inst.sys, w, u, inst.reference)
     return SimpleNamespace(u=u, w=w, J=J, **artifacts)
 
 
 def _costate(inst: Instance):
     """The Nystrom costate; it carries its kernel, the kernel its Z."""
-    Z = fundamental_matrix(inst.sys, inst.grid)
+    Z = fundamental_matrix(inst.sys)
     kernel = fredholm.build_kernel(Z, inst.state.tau_index)
     return fredholm.solve_fredholm(kernel, fredholm.build_forcing(Z, inst.state, inst.reference))
 
@@ -356,21 +356,21 @@ def _route_fredholm(inst: Instance):
     u = fredholm.optimal_control_fredholm(p)
     # report the plant response to the synthesized control so costs are
     # comparable across routes on the shared integrator
-    w = simulate(inst.sys, inst.grid, inst.state, u)
+    w = simulate(inst.sys, inst.state, u)
     return _record(inst, u, w, p=p)
 
 
 def _route_riccati(inst: Instance):
-    ric = riccati.solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
+    ric = riccati.solve_riccati(inst.sys, blowup_limit=inst.blowup)
     trk = riccati.solve_tracking(ric, inst.reference)
     u, w = riccati.closed_loop(trk, inst.state)
     return _record(inst, u, w, trk=trk)  # trk carries its Riccati field
 
 
 def _route_oracle(inst: Instance):
-    dmap = qp.build_affine_map(inst.sys, inst.grid, inst.state)
+    dmap = qp.build_affine_map(inst.sys, inst.state)
     u = qp.solve_qp(dmap, inst.reference)
-    w = simulate(inst.sys, inst.grid, inst.state, u)
+    w = simulate(inst.sys, inst.state, u)
     return _record(inst, u, w, dmap=dmap)
 
 
@@ -464,7 +464,7 @@ def _value_gap(inst: Instance, ricc) -> tuple[float, float]:
 
 
 def run_simulate(inst: Instance, u: ControlSignal, outdir: Path) -> int:
-    w = simulate(inst.sys, inst.grid, inst.state, u)
+    w = simulate(inst.sys, inst.state, u)
     _check_finite(w.values, inst.blowup, "trajectory")
     _write_trajectory(outdir / "trajectory.tsv", inst, w, u)
     return EXIT_OK
@@ -523,10 +523,10 @@ def run_convergence(ladder: list[tuple[Instance, ControlSignal]], outdir: Path) 
         Z, controls = p.kernel.Z, {"fredholm": fredholm.optimal_control_fredholm(p)}
         del p  # the kernel goes before the Riccati sweep
         controls["riccati"] = _route_riccati(inst).u
-        dmap = qp.build_affine_map(inst.sys, inst.grid, inst.state)
+        dmap = qp.build_affine_map(inst.sys, inst.state)
         controls["oracle"] = qp.solve_qp(dmap, inst.reference)
         three = max(val for _, val in _discrepancies(inst, controls))
-        ws = simulate(inst.sys, inst.grid, inst.state, u)
+        ws = simulate(inst.sys, inst.state, u)
         wv = voc_solution(Z, inst.state, u)
         voc_err = float(np.abs(ws.values - wv.values).max())
         rows.append([float(inst.grid.steps), inst.grid.h, three, math.nan, voc_err, math.nan])
@@ -549,7 +549,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     def check(name: str, value: float, tol: float):
         results.append((name, value <= tol, value))
 
-    grid, sysm, k = inst.grid, inst.sys, inst.state.tau_index
+    grid, k = inst.grid, inst.state.tau_index
     recs = _solve_routes(inst)
     fred, ricc, orac = recs["fredholm"], recs["riccati"], recs["oracle"]
     ric, trk, kernel = ricc.trk.ric, ricc.trk, fred.p.kernel
@@ -589,7 +589,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     for _ in range(10):
         du = 0.5 * rng.standard_normal(uR.values.shape)
         up = ControlSignal(k, uR.values + du)
-        wp = simulate(sysm, grid, inst.state, up)
+        wp = simulate(inst.sys, inst.state, up)
         worst = max(worst, -riccati.di_residual(trk, wp, up).min_slack)
     check("di_perturbed_direction", worst, 1e-8)
     mid = (k + grid.steps) // 2

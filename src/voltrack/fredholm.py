@@ -14,10 +14,11 @@ synthesis kernels Q0/Q1/Q2 (costate) and H0/H1/H2 (trajectory).
 [t_kk, T] from one Ktilde BB* product.
 
 Every stage builds on the one before it, and each artifact carries what
-it was built from: Z carries the plant and grid ``fundamental_matrix``
-solved it for, the tracking kernel carries Z, and the costate, the
-resolvent and the synthesis maps carry the tracking kernel.  So no stage
-after ``fundamental_matrix`` takes the plant or the grid again.
+it was built from: the plant carries the grid its kernel is sampled on,
+Z carries the plant ``fundamental_matrix`` solved it for, the tracking
+kernel carries Z, and the costate, the resolvent and the synthesis maps
+carry the tracking kernel.  So no stage after ``fundamental_matrix``
+takes the plant or the grid again.
 
 Discrete conventions
 --------------------
@@ -177,8 +178,8 @@ def build_kernel(Z: FundamentalMatrix, start_index: int = 0) -> TrackingKernel:
     Trapezoid quadrature on Z's grid; assembled one lag diagonal at a
     time so the whole table costs O(n^2) matrix products.
     """
-    sys, grid = Z.sys, Z.grid
-    n, d, h = grid.steps, sys.d, grid.h
+    sys = Z.sys
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
     k = start_index
     if not 0 <= k <= n:
         raise ConfigurationError("start index outside the grid")
@@ -209,9 +210,9 @@ def build_forcing(Z: FundamentalMatrix, xi: InitialState, y: ReferenceSignal) ->
     Y0 is the free response of Z's plant from the initial state (head
     propagated by Z* plus the tail-driven convolution term).
     """
-    sys, grid = Z.sys, Z.grid
-    k, n, h = xi.tau_index, grid.steps, grid.h
-    zero_u = ControlSignal.zero(grid, sys.m, k)
+    sys = Z.sys
+    k, n, h = xi.tau_index, sys.grid.steps, sys.grid.h
+    zero_u = ControlSignal.zero(sys.grid, sys.m, k)
     y0 = voc_solution(Z, xi, zero_u).values[k:]
     v = (y0 @ sys.C.T - y.values[k:]) @ sys.C  # C*(C Y0 - y), row-vector form
     nk = n - k + 1
@@ -267,7 +268,7 @@ def solve_fredholm(kernel: TrackingKernel, forcing: Forcing) -> CostateTrajector
     if forcing.start_index != k:
         raise ConfigurationError("kernel and forcing live on different windows")
     kb = _kernel_bbt(kernel)
-    sol = _nystrom_solve(kb, kernel.Z.grid.weights(k), forcing.values.reshape(-1))
+    sol = _nystrom_solve(kb, kernel.Z.sys.grid.weights(k), forcing.values.reshape(-1))
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("Nystrom solve produced non-finite values")
     d = kernel.ktilde.shape[2]
@@ -282,7 +283,7 @@ def resolvent(kernel: TrackingKernel) -> ResolventKernel:
     :class:`SingularSystemError`.
     """
     k = kernel.start_index
-    values = _resolvent_values(_kernel_bbt(kernel), kernel.Z.grid.weights(k))
+    values = _resolvent_values(_kernel_bbt(kernel), kernel.Z.sys.grid.weights(k))
     return ResolventKernel(values, kernel)
 
 
@@ -295,7 +296,7 @@ def resolvent_norms(kernel: TrackingKernel) -> list[float]:
     its own dense solve with n d right-hand sides, O(n^4 d^3) over the
     sweep, plus O(n^3 d^2) for the Frobenius screens of the block norms.
     """
-    k, grid = kernel.start_index, kernel.Z.grid
+    k, grid = kernel.start_index, kernel.Z.sys.grid
     kb = _kernel_bbt(kernel)
     return [
         _max_block_norm(_resolvent_values(kb[i:, i:], grid.weights(k + i)))
@@ -318,8 +319,8 @@ def _row_weight_matrix(nk: int, h: float) -> np.ndarray:
 
 def _tail_convolution(Z: FundamentalMatrix, k: int) -> np.ndarray:
     """E[s, v] = int_tau^{t_s} Z*(t_s - r) N(r - t_v) dr for v = 0..k, s = k..n."""
-    sys, grid, Zv = Z.sys, Z.grid, Z.values
-    n, d, h = grid.steps, sys.d, grid.h
+    sys, Zv = Z.sys, Z.values
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
     nk = n - k + 1
     NT = _lag_gather(sys.N, k)
     E = np.zeros((nk, k + 1, d, d))
@@ -337,11 +338,11 @@ def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
     optimal trajectory as w = H0 head + int H1 tail + int H2 y; all six
     maps are built from the resolvent with the shared trapezoid weights,
     so applying them reproduces the Nystrom solve to round-off.  The start
-    node is the resolvent's; Ktilde, Z, the plant and the grid are read
-    from the tracking kernel ``R`` was solved from.
+    node is the resolvent's; Ktilde, Z and the plant are read from the
+    tracking kernel ``R`` was solved from.
     """
     k, kernel, Z = R.kernel.start_index, R.kernel, R.kernel.Z
-    sys, grid, Zv = Z.sys, Z.grid, Z.values
+    sys, grid, Zv = Z.sys, Z.sys.grid, Z.values
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1
     Rv = R.values
@@ -386,19 +387,19 @@ def apply_synthesis(
     kernels: SynthesisKernels, xi: InitialState, y: ReferenceSignal
 ) -> tuple[ControlSignal, StateTrajectory]:
     """Evaluate the optimal pair (u, w) from the Q/H maps."""
-    k, Z = kernels.kernel.start_index, kernels.kernel.Z
+    k, sys = kernels.kernel.start_index, kernels.kernel.Z.sys
     if xi.tau_index != k:
         raise ConfigurationError("state node differs from the synthesis node")
     ysub = y.values[k:]
     bracket = (
         np.einsum("iab,b->ia", kernels.q0, xi.head)
-        + _history(kernels.q1, xi.tail, Z.grid.h)
+        + _history(kernels.q1, xi.tail, sys.grid.h)
         + np.einsum("ijab,jb->ia", kernels.q2, ysub)
     )
-    u = -(bracket @ Z.sys.B)
+    u = -(bracket @ sys.B)
     wvals = (
         np.einsum("iab,b->ia", kernels.h0, xi.head)
-        + _history(kernels.h1, xi.tail, Z.grid.h)
+        + _history(kernels.h1, xi.tail, sys.grid.h)
         + np.einsum("ijab,jb->ia", kernels.h2, ysub)
     )
     full = _start(xi, k + wvals.shape[0] - 1)
@@ -413,8 +414,8 @@ def costate_residual(p: CostateTrajectory, wplus: StateTrajectory, y: ReferenceS
     second-order finite-difference p'; the residual shrinks at least
     linearly in h.
     """
-    sys, grid = p.kernel.Z.sys, p.kernel.Z.grid
-    k, n, h = p.kernel.start_index, grid.steps, grid.h
+    sys = p.kernel.Z.sys
+    k, n, h = p.kernel.start_index, sys.grid.steps, sys.grid.h
     pv = p.values
     nk = n - k + 1
     dp = _node_derivative(pv, h)

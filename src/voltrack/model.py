@@ -13,10 +13,11 @@ with weight h/2 (a small d x d ``numpy.linalg.solve`` per step, second
 order in h).  Every integral of a kernel against a history, int_0^tau
 F(., s) tail(s) ds with F the plant's N, the feedback's P1 or a synthesis
 map, is the one quadrature :func:`_history`, and every trajectory starts
-from :func:`_start`: the tail below tau, the head at tau.  The
-fundamental matrix Z carries the plant and grid :func:`fundamental_matrix`
-solved it for, so :func:`voc_solution` and every Fredholm stage built on
-Z read them from Z and take neither again.  The package needs numpy
+from :func:`_start`: the tail below tau, the head at tau.  The plant
+carries the grid its kernel is sampled on, so no stage takes a grid
+beside a plant; the fundamental matrix Z carries the plant
+:func:`fundamental_matrix` solved it for, so :func:`voc_solution` and
+every Fredholm stage built on Z read it from Z.  The package needs numpy
 only: every dense solve, here and in the Nystrom and QP routes, is
 ``numpy.linalg.solve``.
 """
@@ -101,6 +102,7 @@ class SystemSpec:
     B : (d, m) input matrix.
     C : (p, d) output matrix.
     N : (steps+1, d, d) kernel samples, ``N[i] = N(t_i)``.
+    grid : the grid N is sampled on; every stage runs on it.
 
     A and N(t) are not assumed to commute.
     """
@@ -109,6 +111,7 @@ class SystemSpec:
     B: np.ndarray
     C: np.ndarray
     N: np.ndarray
+    grid: TimeGrid
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -128,6 +131,10 @@ class SystemSpec:
             raise ConfigurationError("C must be p x d")
         if N.ndim != 3 or N.shape[1:] != (d, d):
             raise ConfigurationError("N must be sampled as (nodes, d, d)")
+        if N.shape[0] != self.grid.steps + 1:
+            raise ConfigurationError(
+                f"kernel sampled on {N.shape[0]} nodes, grid has {self.grid.steps + 1}"
+            )
 
     @property
     def d(self) -> int:
@@ -140,12 +147,6 @@ class SystemSpec:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    def check_grid(self, grid: TimeGrid) -> None:
-        if self.N.shape[0] != grid.steps + 1:
-            raise ConfigurationError(
-                f"kernel sampled on {self.N.shape[0]} nodes, grid has {grid.steps + 1}"
-            )
 
 
 def exponential_kernel(grid: TimeGrid, terms) -> np.ndarray:
@@ -257,10 +258,9 @@ class StateTrajectory:
 @dataclass(frozen=True)
 class FundamentalMatrix:
     """Samples Z_i = Z(t_i) of the adjoint-kernel fundamental matrix of the
-    plant ``sys`` on ``grid``."""
+    plant ``sys`` on its grid."""
 
     sys: SystemSpec = field(repr=False)
-    grid: TimeGrid
     values: np.ndarray = field(repr=False)
 
 
@@ -289,22 +289,22 @@ def _start(xi: InitialState, n: int) -> np.ndarray:
     return w
 
 
-def _tail_forcing(sys: SystemSpec, xi: InitialState, grid: TimeGrid) -> np.ndarray:
+def _tail_forcing(sys: SystemSpec, xi: InitialState) -> np.ndarray:
     """f(t_i) = int_0^tau N(t_i - s) tail(s) ds for i = tau..n.
 
     Returns an array of shape (n - tau + 1, d); zero when tau_index == 0.
     The tail's own junction value enters at s = tau (weight h/2).
     """
-    return _history(_lag_gather(sys.N, xi.tau_index), xi.tail, grid.h)
+    return _history(_lag_gather(sys.N, xi.tau_index), xi.tail, sys.grid.h)
 
 
-def _check_control(xi: InitialState, u: ControlSignal, grid: TimeGrid, m: int) -> None:
+def _check_control(sys: SystemSpec, xi: InitialState, u: ControlSignal) -> None:
     k = xi.tau_index
     if u.start_index != k:
         raise ConfigurationError(
             f"control window starts at node {u.start_index}, state sits at node {k}"
         )
-    if u.values.shape != (grid.steps + 1 - k, m):
+    if u.values.shape != (sys.grid.steps + 1 - k, sys.m):
         raise ConfigurationError("control values do not cover nodes tau..n")
 
 
@@ -341,15 +341,14 @@ def _node_derivative(v: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def fundamental_matrix(sys: SystemSpec, grid: TimeGrid) -> FundamentalMatrix:
+def fundamental_matrix(sys: SystemSpec) -> FundamentalMatrix:
     """Solve Z'(t) = A* Z(t) + int_0^t N*(t-s) Z(s) ds, Z(0) = I.
 
     Z is the adjoint-kernel fundamental matrix; the forward flow of the
     plant is its transpose, w(t) = Z*(t) w(0) for the free system.
     Second-order accurate in h.
     """
-    sys.check_grid(grid)
-    n, d, h = grid.steps, sys.d, grid.h
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
     At = sys.A.T
     Nt = np.transpose(sys.N, (0, 2, 1))
     Z = np.zeros((n + 1, d, d))
@@ -363,24 +362,21 @@ def fundamental_matrix(sys: SystemSpec, grid: TimeGrid) -> FundamentalMatrix:
         rhs = Z[i] + 0.5 * h * (f_prev + mem)
         Z[i + 1] = np.linalg.solve(M, rhs)
         f_prev = At @ Z[i + 1] + mem + 0.5 * h * (Nt[0] @ Z[i + 1])
-    return FundamentalMatrix(sys, grid, Z)
+    return FundamentalMatrix(sys, Z)
 
 
-def simulate(
-    sys: SystemSpec, grid: TimeGrid, xi: InitialState, u: ControlSignal
-) -> StateTrajectory:
+def simulate(sys: SystemSpec, xi: InitialState, u: ControlSignal) -> StateTrajectory:
     """Time-step the plant from node tau with control u.
 
     The returned trajectory is extended to [0, tau) by the tail of the
     initial state; its value at the junction node is the head.
     """
-    sys.check_grid(grid)
-    _check_control(xi, u, grid, sys.m)
-    k, n, d, h = xi.tau_index, grid.steps, sys.d, grid.h
+    _check_control(sys, xi, u)
+    k, n, d, h = xi.tau_index, sys.grid.steps, sys.d, sys.grid.h
     if xi.d != d:
         raise ConfigurationError("state dimension does not match the plant")
     w = _start(xi, n)
-    f = _tail_forcing(sys, xi, grid)
+    f = _tail_forcing(sys, xi)
     Bu = u.values @ sys.B.T
     M = _step_matrix(sys.A, sys.N[0], h)
     f_prev = sys.A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
@@ -406,12 +402,12 @@ def voc_solution(Z: FundamentalMatrix, xi: InitialState, u: ControlSignal) -> St
     w(t) = Z*(t-tau) head + int_tau^t Z*(t-r) [f(r) + B u(r)] dr with f
     the tail forcing; agrees with :func:`simulate` to O(h^2).
     """
-    sys, grid = Z.sys, Z.grid
-    _check_control(xi, u, grid, sys.m)
-    k, n, h = xi.tau_index, grid.steps, grid.h
+    sys = Z.sys
+    _check_control(sys, xi, u)
+    k, n, h = xi.tau_index, sys.grid.steps, sys.grid.h
     Zv = Z.values
     w = _start(xi, n)
-    g = _tail_forcing(sys, xi, grid) + u.values @ sys.B.T
+    g = _tail_forcing(sys, xi) + u.values @ sys.B.T
     for i in range(k + 1, n + 1):
         wts = trapezoid_weights(i - k + 1, h)
         w[i] = Zv[i - k].T @ xi.head + np.einsum(
@@ -420,17 +416,11 @@ def voc_solution(Z: FundamentalMatrix, xi: InitialState, u: ControlSignal) -> St
     return StateTrajectory(k, w)
 
 
-def cost(
-    sys: SystemSpec,
-    grid: TimeGrid,
-    w: StateTrajectory,
-    u: ControlSignal,
-    y: ReferenceSignal,
-) -> float:
+def cost(sys: SystemSpec, w: StateTrajectory, u: ControlSignal, y: ReferenceSignal) -> float:
     """Trapezoid value of int_tau^T ||C w - y||^2 + ||u||^2 dt, tau the
     control window's start."""
     k = u.start_index
-    wts = grid.weights(k)
+    wts = sys.grid.weights(k)
     res = w.values[k:] @ sys.C.T - y.values[k:]
     return float(wts @ ((res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)))
 

@@ -27,7 +27,6 @@ from .model import (
     InitialState,
     ReferenceSignal,
     SystemSpec,
-    TimeGrid,
     simulate,
 )
 
@@ -58,9 +57,7 @@ class DiscreteAffineMap:
     weights: np.ndarray = field(repr=False)
 
 
-def build_affine_map(
-    sys: SystemSpec, grid: TimeGrid, xi: InitialState
-) -> DiscreteAffineMap:
+def build_affine_map(sys: SystemSpec, xi: InitialState) -> DiscreteAffineMap:
     """Assemble (G, g) from 2m + 1 integrator runs.
 
     g is the zero-control run from xi.  Column block r of G is the output
@@ -78,17 +75,17 @@ def build_affine_map(
     for the runs plus O(n^2 p m) to fill G, against O(m n^3 d^2) for one
     run per node and channel.
     """
-    k = xi.tau_index
+    k, grid = xi.tau_index, sys.grid
     nk = grid.steps + 1 - k
     m, p = sys.m, sys.p
-    g_traj = simulate(sys, grid, xi, ControlSignal.zero(grid, m, k))
+    g_traj = simulate(sys, xi, ControlSignal.zero(grid, m, k))
     g_vec = (g_traj.values[k:] @ sys.C.T).reshape(-1)
     zero_state = InitialState(k, np.zeros(sys.d))
 
     def response(q: int, a: int) -> np.ndarray:
         uvals = np.zeros((nk, m))
         uvals[q, a] = 1.0
-        run = simulate(sys, grid, zero_state, ControlSignal(k, uvals))
+        run = simulate(sys, zero_state, ControlSignal(k, uvals))
         return (run.values[k:] @ sys.C.T).reshape(-1)
 
     G = np.zeros((nk * p, nk * m))

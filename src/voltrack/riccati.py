@@ -25,9 +25,10 @@ tau_q) tail(s) ds.  Costs in the node count n: ``solve_riccati``
 O(n^3 d^3) time (the blocks, about n^3 d^3 / 6 multiply-adds per G2
 term over the sweep; the columns add O(n^2 d^3)) and O(n^2 d^2)
 memory, ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
-Everything after the sweeps reads the plant and grid from the solved
-:class:`RiccatiField`, the field and reference from the
-:class:`TrackingField`, and the node tau from the state it is given.
+The plant carries the grid its kernel is sampled on, and everything
+after the sweeps reads the plant from the solved :class:`RiccatiField`,
+the field and reference from the :class:`TrackingField`, and the node
+tau from the state it is given.
 
 Two costs outside the arithmetic are kept out of the sweeps, with every
 bit unchanged.  The three-factor contractions run in numpy's greedy
@@ -55,7 +56,6 @@ from .model import (
     ReferenceSignal,
     StateTrajectory,
     SystemSpec,
-    TimeGrid,
     _history,
     _lag_gather,
     _node_derivative,
@@ -78,14 +78,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiccatiField:
-    """Backward-swept coefficients P0 and P1 of the plant ``sys`` on ``grid``.
+    """Backward-swept coefficients P0 and P1 of the plant ``sys`` on its grid.
 
     ``p0[j]`` is P0(tau_j); ``p1[i, j]`` is P1(s_i, tau_j) for i <= j
     (zero above the diagonal).  P2 is never stored.
     """
 
     sys: SystemSpec = field(repr=False)
-    grid: TimeGrid
     p0: np.ndarray = field(repr=False)
     p1: np.ndarray = field(repr=False)
 
@@ -134,9 +133,7 @@ class DIReport:
         return float(np.abs(self.pointwise).max())
 
 
-def solve_riccati(
-    sys: SystemSpec, grid: TimeGrid, *, blowup_limit: float = 1e8
-) -> RiccatiField:
+def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField:
     """Backward sweep of the memory-Riccati system from tau = T.
 
     Final conditions P0(T) = 0, P1(., T) = 0, P2(., ., T) = 0 hold
@@ -155,8 +152,7 @@ def solve_riccati(
     an allocator prime before the loop keeps the G2 blocks on reused heap
     pages; see the module notes.
     """
-    sys.check_grid(grid)
-    n, d, h = grid.steps, sys.d, grid.h
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
     cc = sys.C.T @ sys.C
@@ -259,15 +255,15 @@ def solve_riccati(
                 f"Riccati sweep exceeded node-norm bound {blowup_limit:g} at node {j}",
                 node_index=j,
             )
-    return RiccatiField(sys, grid, p0, p1)
+    return RiccatiField(sys, p0, p1)
 
 
 def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     """Backward sweep of the reference-driven equations for d1, d2, M
-    on the plant and grid ``ric`` was solved for; the field keeps ``ric``
-    and ``y``."""
-    sys, grid = ric.sys, ric.grid
-    n, d, h = grid.steps, sys.d, grid.h
+    on the plant ``ric`` was solved for; the field keeps ``ric`` and
+    ``y``."""
+    sys = ric.sys
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
     yv = y.values
@@ -322,7 +318,7 @@ def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:
     """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]
     at the state's node tau."""
     ric, k = trk.ric, xi.tau_index
-    hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.grid.h)[0]
+    hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.sys.grid.h)[0]
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
 
 
@@ -336,8 +332,8 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     node.
     """
     ric = trk.ric
-    sys, grid = ric.sys, ric.grid
-    k, n, d, mdim, h = xi0.tau_index, grid.steps, sys.d, sys.m, grid.h
+    sys = ric.sys
+    k, n, d, mdim, h = xi0.tau_index, sys.grid.steps, sys.d, sys.m, sys.grid.h
     A, B, N = sys.A, sys.B, sys.N
     w = _start(xi0, n)
     # tail forcing and tail contribution to the feedback history, per future node
@@ -375,8 +371,8 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
 def _tail_contractions(ric: RiccatiField, j: int, tail: np.ndarray) -> tuple:
     """x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds,
     q = j..n, for the history ``tail[i]`` at s_i, i = 0..j; O((n-j) j d^2)."""
-    x = _history(_lag_gather(ric.sys.N, j), tail, ric.grid.h)
-    z = _history(ric.p1[: j + 1, j:].transpose(1, 0, 2, 3), tail, ric.grid.h)
+    x = _history(_lag_gather(ric.sys.N, j), tail, ric.sys.grid.h)
+    z = _history(ric.p1[: j + 1, j:].transpose(1, 0, 2, 3), tail, ric.sys.grid.h)
     return x, z
 
 
@@ -389,8 +385,8 @@ def _value_form(trk: TrackingField, j: int, head, tail, x, z) -> float:
     """
     ric = trk.ric
     bz = z @ ric.sys.B
-    quad2 = ric.grid.weights(j) @ (2.0 * (x * z).sum(axis=1) - (bz * bz).sum(axis=1))
-    d2_tail = np.einsum("i,ia,ia->", ric.grid.weights(0, j), tail, trk.d2[: j + 1, j])
+    quad2 = ric.sys.grid.weights(j) @ (2.0 * (x * z).sum(axis=1) - (bz * bz).sum(axis=1))
+    d2_tail = np.einsum("i,ia,ia->", ric.sys.grid.weights(0, j), tail, trk.d2[: j + 1, j])
     return (
         head @ (ric.p0[j] @ head)
         + 2.0 * head @ z[0]
@@ -420,8 +416,8 @@ def di_residual(trk: TrackingField, w: StateTrajectory, u: ControlSignal) -> DIR
     whole call is O(n^2 d^2).
     """
     ric = trk.ric
-    sys, grid = ric.sys, ric.grid
-    k, n, h = u.start_index, grid.steps, grid.h
+    sys = ric.sys
+    k, n, h = u.start_index, sys.grid.steps, sys.grid.h
     nk = n - k + 1
     res = w.values[k:] @ sys.C.T - trk.y.values[k:]
     g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)

@@ -16,10 +16,11 @@ second-order difference stencils, and the tau-derivative is a finite
 difference across the neighboring nodes with the test elements
 re-sampled from their smooth generators at each node.  The P2 block of
 the Riccati operator acts through the tail contractions of
-:mod:`voltrack.riccati`, so no P2 slice is ever formed.  The Riccati
-and tracking operators and their residuals read the plant and grid from
-the solved field, the Riccati field and reference from the tracking
-field, and the node from the element.
+:mod:`voltrack.riccati`, so no P2 slice is ever formed.  The plant
+carries the grid its kernel is sampled on; the Riccati and tracking
+operators and their residuals read the plant from the solved field, the
+Riccati field and reference from the tracking field, and the node from
+the element.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ def make_domain_element(
     return StateElement(tau_index, tail[0].copy(), tail, seed=seed)
 
 
-def state_operator(sys: SystemSpec, grid: TimeGrid, elem: StateElement) -> StateElement:
+def state_operator(sys: SystemSpec, elem: StateElement) -> StateElement:
     """Action of the transport generator: memory-coupled head, -D_s tail."""
-    k, h = elem.tau_index, grid.h
+    k, h = elem.tau_index, sys.grid.h
     head = sys.A @ elem.head + _history(sys.N[None, : k + 1], elem.tail, h)[0]
     return StateElement(k, head, -_node_derivative(elem.tail, h))
 
@@ -106,7 +107,7 @@ def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:
     """
     j = elem.tau_index
     x, z = _tail_contractions(ric, j, elem.tail[::-1])
-    wq = ric.grid.weights(j)[:, None]
+    wq = ric.sys.grid.weights(j)[:, None]
     p2_tail = np.einsum("qiba,qb->ia", _lag_gather(ric.sys.N, j), wq * z) + np.einsum(
         "iqba,qb->ia", ric.p1[: j + 1, j:], wq * (x - z @ ric.sys.B @ ric.sys.B.T)
     )
@@ -134,8 +135,8 @@ def _tau_derivative(ric: RiccatiField, j: int, f: Callable[[int], float]) -> flo
 
     Central inside the grid, one-sided at tau = 0 and tau = T.
     """
-    lo, hi = max(j - 1, 0), min(j + 1, ric.grid.steps)
-    return (f(hi) - f(lo)) / (ric.grid.nodes[hi] - ric.grid.nodes[lo])
+    lo, hi = max(j - 1, 0), min(j + 1, ric.sys.grid.steps)
+    return (f(hi) - f(lo)) / (ric.sys.grid.nodes[hi] - ric.sys.grid.nodes[lo])
 
 
 def _resample(elem: StateElement, j: int, grid: TimeGrid) -> StateElement:
@@ -156,7 +157,7 @@ def riccati_operator_residual(ric: RiccatiField, omega: StateElement, xi: StateE
     ``xi`` are re-sampled from their generators at the node of ``xi`` and
     its neighbors.
     """
-    sys, grid, j = ric.sys, ric.grid, xi.tau_index
+    sys, grid, j = ric.sys, ric.sys.grid, xi.tau_index
 
     def quad(c: int) -> float:
         om = _resample(omega, c, grid)
@@ -169,8 +170,8 @@ def riccati_operator_residual(ric: RiccatiField, omega: StateElement, xi: StateE
     xc = _resample(xi, j, grid)
     p_om = riccati_operator(ric, om)
     p_xc = riccati_operator(ric, xc)
-    a_om = state_operator(sys, grid, om)
-    a_xc = state_operator(sys, grid, xc)
+    a_om = state_operator(sys, om)
+    a_xc = state_operator(sys, xc)
     total = (
         dterm
         + state_inner(grid, a_om, p_xc)
@@ -189,7 +190,7 @@ def tracking_operator_residual(trk: TrackingField, xi: StateElement) -> float:
     first-order small.
     """
     ric, j = trk.ric, xi.tau_index
-    sys, grid = ric.sys, ric.grid
+    sys, grid = ric.sys, ric.sys.grid
 
     def pair(c: int) -> float:
         return state_inner(grid, tracking_element(trk, c), _resample(xi, c, grid))
@@ -198,7 +199,7 @@ def tracking_operator_residual(trk: TrackingField, xi: StateElement) -> float:
 
     xc = _resample(xi, j, grid)
     dj = tracking_element(trk, j)
-    a_xc = state_operator(sys, grid, xc)
+    a_xc = state_operator(sys, xc)
     p_head = riccati_operator(ric, xc).head
     rhs = (
         -state_inner(grid, dj, a_xc)

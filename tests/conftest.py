@@ -27,7 +27,7 @@ def make_tracking_instance(n: int, tau_index: int = 0):
     B = rng.normal(size=(2, 1))
     C = rng.normal(size=(1, 2))
     grid = TimeGrid(1.0, n)
-    sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]))
+    sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]), grid)
     y = ReferenceSignal(
         (0.8 * np.sin(2.0 * np.pi * grid.nodes) + 0.3 * (1.0 - grid.nodes))[:, None]
     )
@@ -53,13 +53,13 @@ def seeded_plant(d, m, n, seed, table):
     else:
         N = exponential_kernel(grid, [(2.0 * rng.normal(size=(d, d)), 1.0)])
     y = ReferenceSignal(rng.normal(size=(n + 1, 2)))
-    return grid, SystemSpec(A, B, C, N), y
+    return grid, SystemSpec(A, B, C, N, grid), y
 
 
 def scalar_memoryless(n: int, a: float = 0.0, b: float = 1.0, c: float = 1.0):
     """d = m = p = 1 plant without memory (classical tracking limit)."""
     grid = TimeGrid(1.0, n)
-    sys = SystemSpec([[a]], [[b]], [[c]], zero_kernel(grid, 1))
+    sys = SystemSpec([[a]], [[b]], [[c]], zero_kernel(grid, 1), grid)
     return grid, sys
 
 
@@ -81,7 +81,7 @@ def p2_slice(ric, j: int) -> np.ndarray:
     """
     bbt = ric.sys.B @ ric.sys.B.T
     S = np.zeros((j + 1, j + 1) + ric.p0.shape[1:])
-    for q, wt in enumerate(ric.grid.weights(j), start=j):
+    for q, wt in enumerate(ric.sys.grid.weights(j), start=j):
         p1col, nrev = ric.p1[: j + 1, q], ric.sys.N[q::-1][: j + 1]
         t1 = np.einsum("iba,lbc->ilac", nrev, p1col)
         t3 = np.einsum("iba,bc,lcd->ilad", p1col, bbt, p1col, optimize=True)
@@ -94,7 +94,7 @@ def p2_reference_value(trk, j: int, head, tail) -> float:
     explicitly built slice ``p2_slice(trk.ric, j)``: the reference the
     library's tail contractions must reproduce."""
     ric = trk.ric
-    wt = trapezoid_weights(j + 1, ric.grid.h)
+    wt = trapezoid_weights(j + 1, ric.sys.grid.h)
     p1_tail = np.einsum("iab,ib,i->a", ric.p1[: j + 1, j], tail, wt)
     quad2 = np.einsum("i,ia,ilab,lb,l->", wt, tail, p2_slice(ric, j), tail, wt, optimize=True)
     d2_tail = np.einsum("i,ia,ia->", wt, tail, trk.d2[: j + 1, j])

@@ -46,15 +46,15 @@ XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
 def _solve_all_routes(n):
     grid, sys, xi, y = make_tracking_instance(n)
     t0 = time.perf_counter()
-    Z = fundamental_matrix(sys, grid)
+    Z = fundamental_matrix(sys)
     kernel = build_kernel(Z, 0)
     forcing = build_forcing(Z, xi, y)
     p = solve_fredholm(kernel, forcing)
     uF = optimal_control_fredholm(p)
-    ric = solve_riccati(sys, grid)
+    ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)
     uR, wR = closed_loop(trk, xi)
-    dmap = build_affine_map(sys, grid, xi)
+    dmap = build_affine_map(sys, xi)
     uO = solve_qp(dmap, y)
     elapsed = time.perf_counter() - t0
     return dict(
@@ -104,7 +104,7 @@ def test_criterion_2_classical_limit():
     from conftest import scalar_memoryless
 
     grid, sys = scalar_memoryless(200)
-    ric = solve_riccati(sys, grid)
+    ric = solve_riccati(sys)
     err = abs(ric.p0[0, 0, 0] - math.tanh(1.0))
     p1max = np.abs(ric.p1).max()
     p2max = np.abs(p2_slice(ric, 0)).max()
@@ -121,7 +121,7 @@ def test_criterion_3_value_function_consistency(routes_200):
     sol = routes_200
     grid, sys, xi, y = sol["grid"], sol["sys"], sol["xi"], sol["y"]
     W = value_function(sol["trk"], xi)
-    J = cost(sys, grid, sol["wR"], sol["uR"], y)
+    J = cost(sys, sol["wR"], sol["uR"], y)
     rel = abs(W - J) / (1.0 + abs(W))
     assert rel <= 1e-2
     exact = True
@@ -174,7 +174,7 @@ def test_criterion_5_dissipation_inequality(routes_100):
     for _ in range(100):
         du = 0.5 * rng.standard_normal(sol["uR"].values.shape)
         up = ControlSignal(0, sol["uR"].values + du)
-        wp = simulate(sys, grid, xi, up)
+        wp = simulate(sys, xi, up)
         repp = di_residual(sol["trk"], wp, up)
         worst = min(worst, repp.min_slack)
         assert repp.min_slack >= -1e-8
@@ -200,7 +200,7 @@ def test_criterion_7_operator_identities():
     res_r, res_t = {}, {}
     for n in (50, 100, 200):
         grid, sys, _, y = make_tracking_instance(n)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         trk = solve_tracking(ric, y)
         for tau in taus:
             j = round(tau * n)
@@ -227,10 +227,10 @@ def test_criterion_8_oracle_integrity(routes_100):
     jO = qp_cost(sol["dmap"], y, sol["uO"])
     grad = gradient_check(sol["dmap"], y, sol["uO"], 1e-5)
     assert grad <= 1e-6 * (1.0 + abs(jO))
-    wO = simulate(sys, grid, xi, sol["uO"])
-    jO_model = cost(sys, grid, wO, sol["uO"], y)
-    jF = cost(sys, grid, simulate(sys, grid, xi, sol["uF"]), sol["uF"], y)
-    jR = cost(sys, grid, sol["wR"], sol["uR"], y)
+    wO = simulate(sys, xi, sol["uO"])
+    jO_model = cost(sys, wO, sol["uO"], y)
+    jF = cost(sys, simulate(sys, xi, sol["uF"]), sol["uF"], y)
+    jR = cost(sys, sol["wR"], sol["uR"], y)
     assert jO_model <= jF + 1e-12 * (1 + abs(jF))
     assert jO_model <= jR + 1e-12 * (1 + abs(jR))
     print(

@@ -379,7 +379,7 @@ class TestSimulate:
         # Ktilde(t_0, t_0) BB* w_0 = -8 * 1 * 1/8 = -1 exactly, so the Nystrom
         # matrix has an all-zero first column
         def singular_kernel(Z, start_index):
-            ktilde = np.zeros((Z.grid.steps + 1 - start_index,) * 2 + (1, 1))
+            ktilde = np.zeros((Z.sys.grid.steps + 1 - start_index,) * 2 + (1, 1))
             ktilde[0, 0] = -8.0
             return TrackingKernel(start_index, ktilde, Z)
 
@@ -592,7 +592,7 @@ class TestSynthesize:
         argv = ["synthesize", "--config", str(cfg), "--out", str(tmp_path), "--route", "riccati"]
         assert main(argv) == 0
         inst = Instance(raw, None)
-        ric = solve_riccati(inst.sys, inst.grid, blowup_limit=inst.blowup)
+        ric = solve_riccati(inst.sys, blowup_limit=inst.blowup)
         trk = solve_tracking(ric, inst.reference)
         nodes = inst.grid.nodes
         for name, field in (("p1", ric.p1), ("d2", trk.d2)):
@@ -763,7 +763,7 @@ class TestConvergence:
         calls = []
 
         def counting_simulate(*args):
-            calls.append(args[1].steps)
+            calls.append(args[0].grid.steps)
             return simulate(*args)
 
         monkeypatch.setattr(cli, "simulate", counting_simulate)

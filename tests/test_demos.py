@@ -1,4 +1,4 @@
-"""Smoke test: the demo scripts run to completion."""
+"""Smoke test: the demo scripts and the README's quick start run to completion."""
 
 import os
 import subprocess
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         "03_riccati_feedback.py",
         "04_three_routes.py",
         "05_state_space_operators.py",
+        "README.md",
     ],
 )
 def test_demo_runs(script):
@@ -25,8 +26,14 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    if script == "README.md":  # the library quick start, its one python block
+        text = (ROOT / script).read_text()
+        (block,) = [part.split("```")[0] for part in text.split("```python\n")[1:]]
+        argv = [sys.executable, "-c", block]
+    else:
+        argv = [sys.executable, str(ROOT / "demos" / script)]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        argv,
         capture_output=True,
         text=True,
         env=env,

@@ -11,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_tracking_instance
 from voltrack import (
     ControlSignal,
+    CostateTrajectory,
     Forcing,
     InitialState,
     ReferenceSignal,
     ResolventKernel,
     SingularSystemError,
+    SynthesisKernels,
     SystemSpec,
     TimeGrid,
     TrackingKernel,
@@ -38,30 +40,62 @@ from voltrack import (
 
 
 def test_no_stage_takes_the_plant_or_the_grid():
-    # Z carries the plant and grid and every later artifact carries Z, so a
-    # stage that asked for either again could be handed one that disagrees
-    from voltrack import fredholm, model
+    # The plant carries the grid its kernel is sampled on, Z and the Riccati
+    # field carry the plant, and every later artifact carries one of them, so
+    # a stage that took a grid beside any of these could be handed one that
+    # disagrees.  Only functions that take no plant take a grid: the kernel
+    # samplers, the zero control and the state-space elements.
+    from voltrack import fredholm, model, qp, riccati, stateops
 
-    stages = [model.voc_solution] + [
-        fn
-        for name, fn in vars(fredholm).items()
-        if not name.startswith("_")
-        and inspect.isfunction(fn)
-        and fn.__module__ == fredholm.__name__
-    ]
-    assert len(stages) >= 10
-    for fn in stages:
+    def public(mod):
+        return [
+            fn
+            for name, fn in vars(mod).items()
+            if not name.startswith("_")
+            and inspect.isfunction(fn)
+            and fn.__module__ == mod.__name__
+        ]
+
+    def kinds(fn):
+        out = set()
         for name, param in inspect.signature(fn, eval_str=True).parameters.items():
-            assert param.annotation is not inspect.Parameter.empty, (fn.__name__, name)
-            kinds = {param.annotation, *typing.get_args(param.annotation)}
-            assert not kinds & {SystemSpec, TimeGrid}, (fn.__name__, name)
+            if param.annotation is inspect.Parameter.empty:
+                assert fn in grid_only, (fn.__name__, name)
+            out |= {param.annotation, *typing.get_args(param.annotation)}
+        return out
+
+    carriers = {
+        SystemSpec,
+        model.FundamentalMatrix,
+        riccati.RiccatiField,
+        riccati.TrackingField,
+        TrackingKernel,
+        CostateTrajectory,
+        ResolventKernel,
+        SynthesisKernels,
+    }
+    grid_only = [
+        model.exponential_kernel,
+        model.zero_kernel,
+        ControlSignal.zero,
+        stateops.make_domain_element,
+        stateops.state_inner,
+    ]
+    stages = [fn for mod in (model, fredholm, riccati, qp, stateops) for fn in public(mod)]
+    assert len(stages) >= 35
+    assert {fn for fn in stages + [ControlSignal.zero] if TimeGrid in kinds(fn)} == set(grid_only)
+    for fn in grid_only:
+        assert not kinds(fn) & carriers, fn.__name__
+    # after fundamental_matrix no stage takes the plant either
+    for fn in [model.voc_solution] + public(fredholm):
+        assert not kinds(fn) & {SystemSpec, TimeGrid}, fn.__name__
 
 
 @pytest.fixture(scope="module")
 def solved_instance():
     """Fully assembled Fredholm route on the fixed instance, tau = 0."""
     grid, sys, xi, y = make_tracking_instance(100)
-    Z = fundamental_matrix(sys, grid)
+    Z = fundamental_matrix(sys)
     kernel = build_kernel(Z, 0)
     forcing = build_forcing(Z, xi, y)
     p = solve_fredholm(kernel, forcing)
@@ -72,7 +106,7 @@ def solved_instance():
 def solved_with_tail():
     """Same plant restarted mid-horizon with a nontrivial tail."""
     grid, sys, xi, y = make_tracking_instance(80, tau_index=30)
-    Z = fundamental_matrix(sys, grid)
+    Z = fundamental_matrix(sys)
     kernel = build_kernel(Z, 30)
     R = resolvent(kernel)
     kern = synthesis_kernels(R)
@@ -87,8 +121,8 @@ class TestBuildKernel:
 
     def test_zero_output_matrix(self):
         grid, sys, _, _ = make_tracking_instance(40)
-        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
-        Z = fundamental_matrix(sys0, grid)
+        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N, sys.grid)
+        Z = fundamental_matrix(sys0)
         kernel = build_kernel(Z, 0)
         assert np.abs(kernel.ktilde).max() == 0.0
 
@@ -115,7 +149,7 @@ class TestBuildKernel:
 class TestBuildForcing:
     def test_zero_data_zero_forcing(self):
         grid, sys, _, _ = make_tracking_instance(40)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         forcing = build_forcing(
             Z, InitialState(0, [0.0, 0.0]), ReferenceSignal(np.zeros((41, 1)))
         )
@@ -128,8 +162,8 @@ class TestBuildForcing:
     def test_hand_integrated_constant_case(self):
         # A = 0, N = 0, C = 1, head = 1, y = 0: Y(t) = T - t
         grid = TimeGrid(1.0, 100)
-        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
-        Z = fundamental_matrix(sys, grid)
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        Z = fundamental_matrix(sys)
         forcing = build_forcing(
             Z, InitialState(0, [1.0]), ReferenceSignal(np.zeros((101, 1)))
         )
@@ -141,8 +175,8 @@ class TestBuildForcing:
 class TestSolveFredholm:
     def test_zero_input_matrix_returns_forcing(self):
         grid, sys, xi, y = make_tracking_instance(50)
-        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N)
-        Z = fundamental_matrix(sys0, grid)
+        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N, sys.grid)
+        Z = fundamental_matrix(sys0)
         kernel = build_kernel(Z, 0)
         forcing = build_forcing(Z, xi, y)
         p = solve_fredholm(kernel, forcing)
@@ -172,8 +206,8 @@ class TestSolveFredholm:
 class TestResolvent:
     def test_zero_kernel_zero_resolvent(self):
         grid, sys, _, _ = make_tracking_instance(40)
-        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
-        Z = fundamental_matrix(sys0, grid)
+        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N, sys.grid)
+        Z = fundamental_matrix(sys0)
         R = resolvent(build_kernel(Z, 0))
         assert np.abs(R.values).max() == 0.0
 
@@ -186,8 +220,8 @@ class TestResolvent:
     def test_two_term_neumann_with_remainder_bound(self):
         # scale the output matrix down so the integral operator is small
         grid, sys, _, _ = make_tracking_instance(40)
-        sys_small = SystemSpec(sys.A, sys.B, 0.3 * sys.C, sys.N)
-        Z = fundamental_matrix(sys_small, grid)
+        sys_small = SystemSpec(sys.A, sys.B, 0.3 * sys.C, sys.N, sys.grid)
+        Z = fundamental_matrix(sys_small)
         kernel = build_kernel(Z, 0)
         R = resolvent(kernel)
         w = grid.weights(0)
@@ -293,8 +327,8 @@ class TestOptimalControl:
 
     def test_zero_input_matrix(self):
         grid, sys, xi, y = make_tracking_instance(50)
-        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N)
-        Z = fundamental_matrix(sys0, grid)
+        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N, sys.grid)
+        Z = fundamental_matrix(sys0)
         p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
         assert np.abs(p.values).max() > 0.0
         u = optimal_control_fredholm(p)
@@ -303,13 +337,13 @@ class TestOptimalControl:
     def test_beats_random_perturbations(self, solved_instance):
         grid, sys, xi, y, Z, _, _, p = solved_instance
         u = optimal_control_fredholm(p)
-        w = simulate(sys, grid, xi, u)
-        j_opt = cost(sys, grid, w, u, y)
+        w = simulate(sys, xi, u)
+        j_opt = cost(sys, w, u, y)
         rng = np.random.default_rng(7)
         for _ in range(100):
             du = 0.2 * rng.standard_normal(u.values.shape)
             up = ControlSignal(0, u.values + du)
-            jp = cost(sys, grid, simulate(sys, grid, xi, up), up, y)
+            jp = cost(sys, simulate(sys, xi, up), up, y)
             assert j_opt <= jp
 
 
@@ -343,7 +377,7 @@ class TestSynthesisKernels:
     def test_horizon_start_degenerates(self):
         # tau = T: the only node is the horizon itself
         grid, sys, _, _ = make_tracking_instance(40)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         kernel = build_kernel(Z, 40)
         R = resolvent(kernel)
         kern = synthesis_kernels(R)
@@ -395,7 +429,7 @@ class TestApplySynthesis:
     def test_closed_loop_consistency(self, solved_with_tail):
         grid, sys, xi, y, _, _, _, kern = solved_with_tail
         u, w = apply_synthesis(kern, xi, y)
-        w_sim = simulate(sys, grid, xi, u)
+        w_sim = simulate(sys, xi, u)
         assert np.abs(w.values - w_sim.values).max() < 2e-4
 
     def test_linearity(self, solved_with_tail):
@@ -427,10 +461,10 @@ class TestDiscreteOptimality:
         grads = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
-            Z = fundamental_matrix(sys, grid)
+            Z = fundamental_matrix(sys)
             p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
             u = optimal_control_fredholm(p)
-            dmap = build_affine_map(sys, grid, xi)
+            dmap = build_affine_map(sys, xi)
             grads.append(np.abs(qp_gradient(dmap, y, u)).max())
         assert grads[0] < 1e-3
         assert grads[0] / grads[1] >= 3.0
@@ -441,7 +475,7 @@ class TestCostateResidual:
         grid, sys, _, _ = make_tracking_instance(40)
         from voltrack import CostateTrajectory, StateTrajectory
 
-        pz = CostateTrajectory(np.zeros((41, 2)), build_kernel(fundamental_matrix(sys, grid)))
+        pz = CostateTrajectory(np.zeros((41, 2)), build_kernel(fundamental_matrix(sys)))
         w = StateTrajectory(0, np.zeros((41, 2)))
         y = ReferenceSignal(np.zeros((41, 1)))
         assert costate_residual(pz, w, y) == 0.0
@@ -450,7 +484,7 @@ class TestCostateResidual:
         errs = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
-            Z = fundamental_matrix(sys, grid)
+            Z = fundamental_matrix(sys)
             kernel = build_kernel(Z, 0)
             forcing = build_forcing(Z, xi, y)
             p = solve_fredholm(kernel, forcing)
@@ -467,8 +501,8 @@ class TestSingularNystromMatrix:
         grid = TimeGrid(1.0, 4)
         ktilde = np.zeros((5, 5, 1, 1))
         ktilde[0, 0] = -8.0
-        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
-        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys, grid))
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys))
         forcing = Forcing(0, np.ones((5, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raised at the pivot, not warned
@@ -482,8 +516,8 @@ class TestSingularNystromMatrix:
         grid = TimeGrid(1.0, 4)
         ktilde = np.zeros((5, 5, 1, 1))
         ktilde[1, 2] = bad
-        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
-        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys, grid))
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys))
         forcing = Forcing(0, np.ones((5, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before LAPACK sees it

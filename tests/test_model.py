@@ -30,7 +30,7 @@ def scalar_system(grid, a=0.0, kernel_value=None):
         N = zero_kernel(grid, 1)
     else:
         N = np.full((grid.steps + 1, 1, 1), kernel_value)
-    return SystemSpec([[a]], [[1.0]], [[1.0]], N)
+    return SystemSpec([[a]], [[1.0]], [[1.0]], N, grid)
 
 
 class TestTimeGrid:
@@ -50,28 +50,36 @@ class TestTimeGrid:
         assert grid.weights(4).tolist() == [0.0]
 
 
+class TestSystemSpec:
+    def test_kernel_on_another_grid_is_refused(self):
+        # N must be sampled on the plant's own grid: 12 nodes for 10 steps
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(ConfigurationError, match="kernel sampled on 12 nodes, grid has 11"):
+            SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(TimeGrid(1.0, 11), 1), grid)
+
+
 class TestFundamentalMatrix:
     def test_starts_at_identity(self):
         grid, sys, _, _ = make_tracking_instance(40)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         np.testing.assert_array_equal(Z.values[0], np.eye(2))
 
     def test_zero_dynamics(self):
         grid = TimeGrid(1.0, 50)
-        Z = fundamental_matrix(scalar_system(grid), grid)
+        Z = fundamental_matrix(scalar_system(grid))
         np.testing.assert_allclose(Z.values[:, 0, 0], 1.0, atol=1e-14)
 
     def test_cosh_oracle(self):
         # N constant = 1 turns Z' = int Z into Z'' = Z, so Z(t) = cosh(t)
         grid = TimeGrid(1.0, 200)
-        Z = fundamental_matrix(scalar_system(grid, kernel_value=1.0), grid)
+        Z = fundamental_matrix(scalar_system(grid, kernel_value=1.0))
         assert abs(Z.values[-1, 0, 0] - COSH1) < 1e-4
         np.testing.assert_allclose(Z.values[:, 0, 0], np.cosh(grid.nodes), atol=1e-4)
 
     def test_memoryless_matches_expm(self):
         grid, sys, _, _ = make_tracking_instance(200)
-        sys0 = SystemSpec(sys.A, sys.B, sys.C, zero_kernel(grid, 2))
-        Z = fundamental_matrix(sys0, grid)
+        sys0 = SystemSpec(sys.A, sys.B, sys.C, zero_kernel(grid, 2), grid)
+        Z = fundamental_matrix(sys0)
         exact = expm(sys.A.T * 1.0)
         assert np.abs(Z.values[-1] - exact).max() < 1e-4
 
@@ -80,26 +88,26 @@ class TestSimulate:
     def test_no_dynamics_constant(self):
         grid = TimeGrid(1.0, 60)
         sys = scalar_system(grid)
-        w = simulate(sys, grid, InitialState(0, [3.5]), ControlSignal.zero(grid, 1))
+        w = simulate(sys, InitialState(0, [3.5]), ControlSignal.zero(grid, 1))
         np.testing.assert_allclose(w.values[:, 0], 3.5, atol=1e-14)
 
     @pytest.mark.parametrize("a", [-0.8, 0.6])
     def test_scalar_exponential(self, a):
         grid = TimeGrid(1.0, 200)
         sys = scalar_system(grid, a=a)
-        w = simulate(sys, grid, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
+        w = simulate(sys, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
         np.testing.assert_allclose(w.values[:, 0], np.exp(a * grid.nodes), atol=5e-6)
 
     def test_cosh_oracle(self):
         grid = TimeGrid(1.0, 200)
         sys = scalar_system(grid, kernel_value=1.0)
-        w = simulate(sys, grid, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
+        w = simulate(sys, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
         assert abs(w.values[-1, 0] - COSH1) < 1e-4
 
     def test_control_window_mismatch(self):
         grid, sys, xi, _ = make_tracking_instance(40)
         with pytest.raises(ConfigurationError):
-            simulate(sys, grid, xi, ControlSignal(3, np.zeros((38, 1))))
+            simulate(sys, xi, ControlSignal(3, np.zeros((38, 1))))
 
     def test_forcing_absorbed_by_control(self):
         # an additive forcing F equals the control column response:
@@ -109,14 +117,14 @@ class TestSimulate:
         rng = np.random.default_rng(3)
         A = 0.5 * rng.normal(size=(2, 2))
         G = 0.6 * rng.normal(size=(2, 2))
-        sys = SystemSpec(A, np.eye(2), [[1.0, 0.0]], exponential_kernel(grid, [(G, 2.0)]))
+        sys = SystemSpec(A, np.eye(2), [[1.0, 0.0]], exponential_kernel(grid, [(G, 2.0)]), grid)
         xi = InitialState(0, [0.4, -1.0])
         F = np.stack([np.sin(3 * grid.nodes), grid.nodes**2], axis=1)
         u = ControlSignal(0, np.stack([np.cos(grid.nodes), 0.1 * grid.nodes], axis=1))
         uf = ControlSignal(0, u.values + F)
-        w_base = simulate(sys, grid, xi, u)
-        w_forced = simulate(sys, grid, xi, uf)
-        Z = fundamental_matrix(sys, grid)
+        w_base = simulate(sys, xi, u)
+        w_forced = simulate(sys, xi, uf)
+        Z = fundamental_matrix(sys)
         extra = voc_solution(Z, InitialState(0, [0.0, 0.0]), ControlSignal(0, F))
         err = np.abs(w_forced.values - w_base.values - extra.values).max()
         assert err < 5e-4
@@ -125,18 +133,18 @@ class TestSimulate:
 def test_singular_step_matrix_raises_before_the_first_step():
     # h = 1/2 and A = 4 I make the implicit step matrix I - h/2 A exactly zero
     grid = TimeGrid(1.0, 2)
-    sys = SystemSpec(4.0 * np.eye(2), [[0.0], [1.0]], [[1.0, 0.0]], zero_kernel(grid, 2))
+    sys = SystemSpec(4.0 * np.eye(2), [[0.0], [1.0]], [[1.0, 0.0]], zero_kernel(grid, 2), grid)
     xi = InitialState(0, [1.0, 0.0])
     with pytest.raises(SingularSystemError, match="implicit step matrix is singular"):
-        simulate(sys, grid, xi, ControlSignal.zero(grid, 1))
+        simulate(sys, xi, ControlSignal.zero(grid, 1))
     with pytest.raises(SingularSystemError, match="implicit step matrix is singular"):
-        fundamental_matrix(sys, grid)
+        fundamental_matrix(sys)
 
 
 class TestVocSolution:
     def test_collapses_to_fundamental_flow(self):
         grid, sys, _, _ = make_tracking_instance(80)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         xi = InitialState(0, [1.0, -2.0])
         w = voc_solution(Z, xi, ControlSignal.zero(grid, 1))
         expect = np.einsum("qba,b->qa", Z.values, xi.head)
@@ -145,7 +153,7 @@ class TestVocSolution:
     def test_pure_integrator(self):
         grid = TimeGrid(1.0, 100)
         sys = scalar_system(grid)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         u = ControlSignal(0, np.ones((101, 1)))
         w = voc_solution(Z, InitialState(0, [0.0]), u)
         np.testing.assert_allclose(w.values[:, 0], grid.nodes, atol=1e-13)
@@ -153,10 +161,10 @@ class TestVocSolution:
     @pytest.mark.parametrize("tau_index", [0, 25])
     def test_cross_validates_simulate(self, tau_index):
         grid, sys, xi, _ = make_tracking_instance(100, tau_index=tau_index)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         t = grid.nodes[tau_index:]
         u = ControlSignal(tau_index, np.sin(5.0 * t)[:, None])
-        ws = simulate(sys, grid, xi, u)
+        ws = simulate(sys, xi, u)
         wv = voc_solution(Z, xi, u)
         assert np.abs(ws.values - wv.values).max() < 2e-4
 
@@ -164,9 +172,9 @@ class TestVocSolution:
         errs = []
         for n in (100, 200):
             grid, sys, xi, _ = make_tracking_instance(n)
-            Z = fundamental_matrix(sys, grid)
+            Z = fundamental_matrix(sys)
             u = ControlSignal(0, np.sin(5.0 * grid.nodes)[:, None])
-            ws = simulate(sys, grid, xi, u)
+            ws = simulate(sys, xi, u)
             wv = voc_solution(Z, xi, u)
             errs.append(np.abs(ws.values - wv.values).max())
         assert errs[0] / errs[1] > 3.5
@@ -175,24 +183,24 @@ class TestVocSolution:
 class TestCost:
     def test_zero_output_and_control(self):
         grid, sys, xi, _ = make_tracking_instance(50)
-        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
+        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N, sys.grid)
         u = ControlSignal.zero(grid, 1)
-        w = simulate(sys0, grid, xi, u)
+        w = simulate(sys0, xi, u)
         y = ReferenceSignal(np.zeros((51, 1)))
-        assert cost(sys0, grid, w, u, y) == 0.0
+        assert cost(sys0, w, u, y) == 0.0
 
     def test_constant_integrand(self):
         grid = TimeGrid(1.0, 64)
         sys = scalar_system(grid)
-        w = simulate(sys, grid, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
+        w = simulate(sys, InitialState(0, [1.0]), ControlSignal.zero(grid, 1))
         y = ReferenceSignal(np.zeros((65, 1)))
-        assert abs(cost(sys, grid, w, ControlSignal.zero(grid, 1), y) - 1.0) < 1e-12
+        assert abs(cost(sys, w, ControlSignal.zero(grid, 1), y) - 1.0) < 1e-12
 
     def test_matches_direct_summation(self):
         grid, sys, xi, y = make_tracking_instance(60)
         rng = np.random.default_rng(11)
         u = ControlSignal(0, rng.normal(size=(61, 1)))
-        w = simulate(sys, grid, xi, u)
+        w = simulate(sys, xi, u)
         # independent node-by-node reference sum
         h = grid.h
         total = 0.0
@@ -200,25 +208,25 @@ class TestCost:
             wgt = h * (0.5 if i in (0, 60) else 1.0)
             res = sys.C @ w.values[i] - y.values[i]
             total += wgt * (float(res @ res) + float(u.values[i] @ u.values[i]))
-        assert abs(cost(sys, grid, w, u, y) - total) < 1e-12
+        assert abs(cost(sys, w, u, y) - total) < 1e-12
 
     def test_nonnegative_and_zero_iff(self):
         grid = TimeGrid(1.0, 30)
         sys = scalar_system(grid)
         y = ReferenceSignal(np.zeros((31, 1)))
         u = ControlSignal.zero(grid, 1)
-        w = simulate(sys, grid, InitialState(0, [0.0]), u)
-        assert cost(sys, grid, w, u, y) == 0.0
+        w = simulate(sys, InitialState(0, [0.0]), u)
+        assert cost(sys, w, u, y) == 0.0
         bump = np.zeros((31, 1))
         bump[15] = 1.0
-        assert cost(sys, grid, w, ControlSignal(0, bump), y) > 0.0
+        assert cost(sys, w, ControlSignal(0, bump), y) > 0.0
 
 
 class TestExtendState:
     def test_identity_at_start(self):
         grid, sys, xi, _ = make_tracking_instance(50, tau_index=10)
         u = ControlSignal.zero(grid, 1, 10)
-        w = simulate(sys, grid, xi, u)
+        w = simulate(sys, xi, u)
         back = extend_state(w, 10)
         np.testing.assert_array_equal(back.head, xi.head)
         np.testing.assert_array_equal(back.tail[:10], xi.tail[:10])
@@ -227,7 +235,7 @@ class TestExtendState:
 
     def test_endpoint(self):
         grid, sys, xi, _ = make_tracking_instance(40)
-        w = simulate(sys, grid, xi, ControlSignal.zero(grid, 1))
+        w = simulate(sys, xi, ControlSignal.zero(grid, 1))
         end = extend_state(w, 40)
         np.testing.assert_array_equal(end.head, w.values[40])
         assert end.tail.shape == (41, 2)
@@ -235,22 +243,22 @@ class TestExtendState:
     def test_head_is_node_value(self):
         grid, sys, xi, _ = make_tracking_instance(40)
         u = ControlSignal(0, np.cos(grid.nodes)[:, None])
-        w = simulate(sys, grid, xi, u)
+        w = simulate(sys, xi, u)
         mid = extend_state(w, 17)
         np.testing.assert_array_equal(mid.head, w.values[17])
 
     def test_out_of_range(self):
         grid, sys, xi, _ = make_tracking_instance(40, tau_index=5)
-        w = simulate(sys, grid, xi, ControlSignal.zero(grid, 1, 5))
+        w = simulate(sys, xi, ControlSignal.zero(grid, 1, 5))
         with pytest.raises(ConfigurationError):
             extend_state(w, 3)
 
     def test_resimulation_reproduces_tail(self):
         grid, sys, xi, _ = make_tracking_instance(80)
         u = ControlSignal(0, np.sin(4.0 * grid.nodes)[:, None])
-        w = simulate(sys, grid, xi, u)
+        w = simulate(sys, xi, u)
         mid = 35
         xi2 = extend_state(w, mid)
         u2 = ControlSignal(mid, u.values[mid:])
-        w2 = simulate(sys, grid, xi2, u2)
+        w2 = simulate(sys, xi2, u2)
         assert np.abs(w2.values - w.values).max() < 1e-12

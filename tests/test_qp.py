@@ -25,12 +25,12 @@ from voltrack import (
 )
 
 
-def reference_affine_map(sys, grid, xi):
+def reference_affine_map(sys, xi):
     """(G, g) with one integrator run per node and channel: the direct build."""
-    k = xi.tau_index
+    k, grid = xi.tau_index, sys.grid
     nk = grid.steps + 1 - k
     m, p = sys.m, sys.p
-    g_traj = simulate(sys, grid, xi, ControlSignal.zero(grid, m, k))
+    g_traj = simulate(sys, xi, ControlSignal.zero(grid, m, k))
     g = (g_traj.values[k:] @ sys.C.T).reshape(-1)
     zero_state = InitialState(k, np.zeros(sys.d))
     G = np.zeros((nk * p, nk * m))
@@ -38,7 +38,7 @@ def reference_affine_map(sys, grid, xi):
     for q in range(nk):
         for a in range(m):
             uvals[q, a] = 1.0
-            col = simulate(sys, grid, zero_state, ControlSignal(k, uvals))
+            col = simulate(sys, zero_state, ControlSignal(k, uvals))
             G[:, q * m + a] = (col.values[k:] @ sys.C.T).reshape(-1)
             uvals[q, a] = 0.0
     return G, g
@@ -55,7 +55,7 @@ def random_plant(d, m, p, n, seed, table=False):
         N = 0.4 * rng.normal(size=(n + 1, d, d))
     else:
         N = exponential_kernel(grid, [(0.6 * rng.normal(size=(d, d)), 1.5)])
-    return grid, SystemSpec(A, B, C, N)
+    return grid, SystemSpec(A, B, C, N, grid)
 
 
 def random_state(d, k, seed, jump):
@@ -91,27 +91,27 @@ SHIFT_CASES = {
 @pytest.fixture(scope="module")
 def qp_setup():
     grid, sys, xi, y = make_tracking_instance(60)
-    dmap = build_affine_map(sys, grid, xi)
+    dmap = build_affine_map(sys, xi)
     return grid, sys, xi, y, dmap
 
 
 class TestBuildAffineMap:
     def test_zero_input_matrix(self):
         grid, sys, xi, _ = make_tracking_instance(30)
-        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N)
-        dmap = build_affine_map(sys0, grid, xi)
+        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N, sys.grid)
+        dmap = build_affine_map(sys0, xi)
         assert np.abs(dmap.G).max() == 0.0
 
     def test_zero_state_offset(self):
         grid, sys, _, _ = make_tracking_instance(30)
-        dmap = build_affine_map(sys, grid, InitialState(0, np.zeros(2)))
+        dmap = build_affine_map(sys, InitialState(0, np.zeros(2)))
         assert np.abs(dmap.g).max() == 0.0
 
     def test_superposition(self, qp_setup):
         grid, sys, xi, _, dmap = qp_setup
         rng = np.random.default_rng(17)
         u = ControlSignal(0, rng.normal(size=(61, 1)))
-        stacked = (simulate(sys, grid, xi, u).values @ sys.C.T).reshape(-1)
+        stacked = (simulate(sys, xi, u).values @ sys.C.T).reshape(-1)
         assert np.abs(dmap.G @ u.values.reshape(-1) + dmap.g - stacked).max() < 1e-12
 
 
@@ -119,8 +119,8 @@ class TestShiftConstruction:
     @pytest.mark.parametrize("case", sorted(SHIFT_CASES))
     def test_matches_one_run_per_column(self, case):
         grid, sys, xi = SHIFT_CASES[case]()
-        dmap = build_affine_map(sys, grid, xi)
-        G, g = reference_affine_map(sys, grid, xi)
+        dmap = build_affine_map(sys, xi)
+        G, g = reference_affine_map(sys, xi)
         assert np.array_equal(dmap.G, G)
         assert np.array_equal(dmap.g, g)
 
@@ -129,20 +129,20 @@ class TestShiftConstruction:
         calls = []
 
         def counting_simulate(*args):
-            calls.append(args[2].tau_index)
+            calls.append(args[1].tau_index)
             return simulate(*args)
 
         monkeypatch.setattr(qp, "simulate", counting_simulate)
         grid, sys = random_plant(3, 2, 2, 30, 11)
-        build_affine_map(sys, grid, random_state(3, k, 12, jump=True))
+        build_affine_map(sys, random_state(3, k, 12, jump=True))
         assert calls == [k] * (2 * sys.m + 1)
 
     def test_single_node_window(self):
         # tau = T: only the head column exists, so one impulse run per channel
         grid, sys = random_plant(3, 2, 2, 30, 13)
         xi = random_state(3, 30, 14, jump=True)
-        dmap = build_affine_map(sys, grid, xi)
-        G, g = reference_affine_map(sys, grid, xi)
+        dmap = build_affine_map(sys, xi)
+        G, g = reference_affine_map(sys, xi)
         assert dmap.G.shape == (2, 2)
         assert np.array_equal(dmap.G, G) and np.array_equal(dmap.g, g)
 
@@ -166,14 +166,14 @@ def test_route_imports_nothing_from_the_other_routes(route):
 class TestSolveQP:
     def test_zero_output_matrix(self):
         grid, sys, xi, y = make_tracking_instance(30)
-        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
-        u = solve_qp(build_affine_map(sys0, grid, xi), y)
+        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N, sys.grid)
+        u = solve_qp(build_affine_map(sys0, xi), y)
         assert np.abs(u.values).max() == 0.0
 
     def test_zero_input_matrix(self):
         grid, sys, xi, y = make_tracking_instance(30)
-        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N)
-        u = solve_qp(build_affine_map(sys0, grid, xi), y)
+        sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N, sys.grid)
+        u = solve_qp(build_affine_map(sys0, xi), y)
         assert np.abs(u.values).max() == 0.0
 
     def test_stationarity_by_finite_differences(self, qp_setup):
@@ -193,8 +193,8 @@ class TestSolveQP:
     def test_matches_model_cost(self, qp_setup):
         grid, sys, xi, y, dmap = qp_setup
         u = solve_qp(dmap, y)
-        w = simulate(sys, grid, xi, u)
-        assert abs(qp_cost(dmap, y, u) - cost(sys, grid, w, u, y)) < 1e-12
+        w = simulate(sys, xi, u)
+        assert abs(qp_cost(dmap, y, u) - cost(sys, w, u, y)) < 1e-12
 
     def test_oracle_optimality(self, qp_setup):
         grid, sys, xi, y, dmap = qp_setup

@@ -45,10 +45,10 @@ from voltrack.riccati import _tail_contractions
 TANH1 = math.tanh(1.0)
 
 
-def reference_sweep(sys, grid, y):
+def reference_sweep(sys, y):
     """(P0, P1, d1, d2, M) from the sweep that builds a whole G2 block for
     the corrector and lets einsum search a contraction order every step."""
-    n, d, h = grid.steps, sys.d, grid.h
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
     cc = sys.C.T @ sys.C
@@ -131,7 +131,7 @@ def reference_sweep(sys, grid, y):
 def solved_feedback():
     """Riccati route on the fixed instance at n = 100."""
     grid, sys, xi, y = make_tracking_instance(100)
-    ric = solve_riccati(sys, grid)
+    ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)
     u, w = closed_loop(trk, xi)
     return grid, sys, xi, y, ric, trk, u, w
@@ -146,7 +146,7 @@ class TestSolveRiccati:
 
     def test_tanh_oracle(self):
         grid, sys = scalar_memoryless(200)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         assert abs(ric.p0[0, 0, 0] - TANH1) < 1e-3
         np.testing.assert_allclose(
             ric.p0[:, 0, 0], np.tanh(1.0 - grid.nodes), atol=1e-4
@@ -157,8 +157,8 @@ class TestSolveRiccati:
     def test_memoryless_matches_classical_riccati(self):
         # with N = 0 the sweep must reproduce the matrix Riccati ODE
         grid, sys, _, _ = make_tracking_instance(200)
-        sys0 = SystemSpec(sys.A, sys.B, sys.C, zero_kernel(grid, 2))
-        ric = solve_riccati(sys0, grid)
+        sys0 = SystemSpec(sys.A, sys.B, sys.C, zero_kernel(grid, 2), grid)
+        ric = solve_riccati(sys0)
         assert np.abs(ric.p1).max() <= 1e-12
         bbt = sys.B @ sys.B.T
         cc = sys.C.T @ sys.C
@@ -194,9 +194,9 @@ class TestSolveRiccati:
 
     def test_blowup_guard(self):
         grid = TimeGrid(1.0, 60)
-        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1))
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
         with pytest.raises(BlowUpError):
-            solve_riccati(sys, grid, blowup_limit=1e-3)
+            solve_riccati(sys, blowup_limit=1e-3)
 
 
     @pytest.mark.parametrize("n", [2, 3, 40])
@@ -204,17 +204,17 @@ class TestSolveRiccati:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sweep_bitwise_equals_reference(self, d, m, n, table):
-        # one G2 column for the corrector and contraction orders planned once
-        # per sweep must not change a bit, signed zeros included.  Only for
+        # one G2 column for the corrector and the contraction orders fixed in
+        # the code must not change a bit, signed zeros included.  Only for
         # d = 1 does greedy's order depend on the operand sizes, and a changed
         # order shows in a few plants only, so d = 1 runs eight of them.
         # Two-step grids of these plants grow large; finite values compare.
         for seed in range(8 if d == 1 else 1):
             grid, sys, y = seeded_plant(d, m, n, 100 * seed + 10 * d + m, table)
-            ric = solve_riccati(sys, grid, blowup_limit=np.inf)
+            ric = solve_riccati(sys, blowup_limit=np.inf)
             trk = solve_tracking(ric, y)
             got = (ric.p0, ric.p1, trk.d1, trk.d2, trk.m)
-            ref = reference_sweep(sys, grid, y)
+            ref = reference_sweep(sys, y)
             for name, a, b in zip(("p0", "p1", "d1", "d2", "m"), got, ref):
                 assert a.tobytes() == b.tobytes(), (name, seed)
 
@@ -235,7 +235,7 @@ class TestSolveRiccati:
         monkeypatch.setattr(einsumfunc, "einsum_path", counting)
         monkeypatch.setattr(np, "einsum_path", counting)
         grid, sys, y = seeded_plant(d, 1, 60, seed=7, table=False)
-        solve_tracking(solve_riccati(sys, grid), y)
+        solve_tracking(solve_riccati(sys), y)
         assert calls == []
 
     def test_first_sweep_of_a_process_reuses_pages(self):
@@ -250,7 +250,7 @@ class TestSolveRiccati:
             "from voltrack import solve_riccati\n"
             "grid, plant, _ = seeded_plant(3, 2, 240, seed=7, table=False)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "solve_riccati(plant, grid, blowup_limit=np.inf)\n"
+            "solve_riccati(plant, blowup_limit=np.inf)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         env = dict(
@@ -291,7 +291,7 @@ class TestSolveTracking:
     def test_uncontrolled_scalar_oracle(self):
         # B = 0, A = 0, C = 1, N = 0: d2 = 0 and d1(tau) = -int_tau^T y
         grid, sys = scalar_memoryless(150, b=0.0)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         y = np.sin(2.0 * np.pi * grid.nodes)[:, None]
         trk = solve_tracking(ric, ReferenceSignal(y))
         assert np.abs(trk.d2).max() == 0.0
@@ -316,7 +316,7 @@ class TestFeedbackControl:
 
     def test_tanh_gain(self):
         grid, sys = scalar_memoryless(200)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         trk = solve_tracking(ric, ReferenceSignal(np.zeros((201, 1))))
         u0 = feedback_control(trk, InitialState(0, [1.0]))
         assert abs(u0[0] + TANH1) < 1e-3
@@ -349,10 +349,10 @@ class TestClosedLoop:
         diffs = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid)
+            ric = solve_riccati(sys)
             trk = solve_tracking(ric, y)
             uR, _ = closed_loop(trk, xi)
-            Z = fundamental_matrix(sys, grid)
+            Z = fundamental_matrix(sys)
             p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
             uF = optimal_control_fredholm(p)
             diffs.append(np.abs(uR.values - uF.values).max())
@@ -367,17 +367,17 @@ class TestClosedLoop:
 
         n, k = 80, 30
         grid, sys, xi, y = make_tracking_instance(n, tau_index=k)
-        Z = fundamental_matrix(sys, grid)
+        Z = fundamental_matrix(sys)
         p = solve_fredholm(build_kernel(Z, k), build_forcing(Z, xi, y))
         uF = optimal_control_fredholm(p)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         trk = solve_tracking(ric, y)
         uR, wR = closed_loop(trk, xi)
-        uO = solve_qp(build_affine_map(sys, grid, xi), y)
+        uO = solve_qp(build_affine_map(sys, xi), y)
         assert rel_l2(grid, k, uF.values, uR.values) < 5e-3
         assert rel_l2(grid, k, uO.values, uR.values) < 2e-2
         W = value_function(trk, xi)
-        J = cost(sys, grid, wR, uR, y)
+        J = cost(sys, wR, uR, y)
         assert abs(W - J) / (1.0 + abs(W)) < 1e-2
 
     def test_restart_reproduces_tail(self, solved_feedback):
@@ -410,7 +410,7 @@ class TestValueFunction:
     def test_matches_closed_loop_cost(self, solved_feedback):
         grid, sys, xi, y, ric, trk, u, w = solved_feedback
         W = value_function(trk, xi)
-        J = cost(sys, grid, w, u, y)
+        J = cost(sys, w, u, y)
         assert abs(W - J) / (1.0 + abs(W)) < 1e-3
 
     def test_bellman_concatenation(self, solved_feedback):
@@ -423,17 +423,14 @@ class TestValueFunction:
         for _ in range(5):
             u_head = u.values[: mid + 1] + 0.5 * rng.standard_normal((mid + 1, 1))
             w_head = simulate(
-                sys,
-                grid,
-                xi,
-                ControlSignal(0, np.vstack([u_head, np.zeros((100 - mid, 1))])),
+                sys, xi, ControlSignal(0, np.vstack([u_head, np.zeros((100 - mid, 1))]))
             )
             u_tail, w_tail = closed_loop(trk, extend_state(w_head, mid))
             spliced_u = ControlSignal(0, np.vstack([u_head[:-1], u_tail.values]))
-            spliced_w = simulate(sys, grid, xi, spliced_u)
-            J = cost(sys, grid, spliced_w, spliced_u, y)
+            spliced_w = simulate(sys, xi, spliced_u)
+            J = cost(sys, spliced_w, spliced_u, y)
             assert J >= W - 1e-6
-        J_opt = cost(sys, grid, w, u, y)
+        J_opt = cost(sys, w, u, y)
         assert abs(J_opt - W) / (1 + abs(W)) < 1e-3
 
 
@@ -450,7 +447,7 @@ class TestDIResidual:
         for _ in range(20):
             du = 0.5 * rng.standard_normal(u.values.shape)
             up = ControlSignal(0, u.values + du)
-            wp = simulate(sys, grid, xi, up)
+            wp = simulate(sys, xi, up)
             rep = di_residual(trk, wp, up)
             assert rep.min_slack >= -1e-8
 
@@ -458,7 +455,7 @@ class TestDIResidual:
         grid, sys, _, _, ric, _, _, _ = solved_feedback
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
         u0 = ControlSignal.zero(grid, 1)
-        w0 = simulate(sys, grid, InitialState(0, np.zeros(2)), u0)
+        w0 = simulate(sys, InitialState(0, np.zeros(2)), u0)
         rep = di_residual(trk0, w0, u0)
         assert np.abs(rep.slack).max() == 0.0
         assert rep.max_pointwise == 0.0
@@ -473,17 +470,16 @@ class TestTailContraction:
         rng = np.random.default_rng(2024)
         grid = TimeGrid(1.0, n)
         N = 0.8 * rng.normal(size=(n + 1, d, d)) * np.exp(-grid.nodes)[:, None, None]
-        sys = SystemSpec(
-            0.6 * rng.normal(size=(d, d)), rng.normal(size=(d, 2)), rng.normal(size=(2, d)), N
-        )
+        A, B, C = 0.6 * rng.normal(size=(d, d)), rng.normal(size=(d, 2)), rng.normal(size=(2, d))
+        sys = SystemSpec(A, B, C, N, grid)
         y = ReferenceSignal(np.stack([np.sin(2.0 * np.pi * grid.nodes), grid.nodes**2], axis=1))
         t = grid.nodes[: k + 1]
         tail = np.stack([np.cos(t), 0.5 - t, t * t], axis=1)
         xi = InitialState(k, tail[-1], tail)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         trk = solve_tracking(ric, y)
         u = ControlSignal(k, 0.3 * rng.normal(size=(n + 1 - k, 2)))
-        w = simulate(sys, grid, xi, u)
+        w = simulate(sys, xi, u)
         rep = di_residual(trk, w, u)
         # slack = running cost + value(node) - value(tau), so the node values are
         # recovered from it up to the common value at tau
@@ -515,9 +511,9 @@ class TestTailContraction:
         grid, sys, xi, y = make_tracking_instance(n, k)
         if k and not jump:
             xi = InitialState(k, xi.tail[-1], xi.tail)
-        ric = solve_riccati(sys, grid)
+        ric = solve_riccati(sys)
         trk = solve_tracking(ric, y)
-        f = _tail_forcing(sys, xi, grid)
+        f = _tail_forcing(sys, xi)
         assert np.array_equal(f, _tail_contractions(ric, k, xi.tail)[0])
         if k == 0:
             assert f.shape == (n + 1, 2) and np.array_equal(f, np.zeros((n + 1, 2)))

@@ -27,7 +27,7 @@ XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
 @pytest.fixture(scope="module")
 def operator_setup():
     grid, sys, _, y = make_tracking_instance(100)
-    ric = solve_riccati(sys, grid)
+    ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)
     return grid, sys, y, ric, trk
 
@@ -69,12 +69,12 @@ class TestOperatorActions:
         for n in (100, 200):
             grid, sys, xi, _ = make_tracking_instance(n)
             u = ControlSignal(0, np.sin(3.0 * grid.nodes)[:, None])
-            w = simulate(sys, grid, xi, u)
+            w = simulate(sys, xi, u)
             j = n // 2
             from voltrack import StateElement
 
             elem = StateElement(j, w.values[j].copy(), w.values[j::-1].copy())
-            act = state_operator(sys, grid, elem)
+            act = state_operator(sys, elem)
             rhs = act.head + sys.B @ u.values[j]
             h = grid.h
             wdot = (w.values[j + 1] - w.values[j - 1]) / (2.0 * h)
@@ -85,14 +85,14 @@ class TestOperatorActions:
         grid, sys, _, _, _ = operator_setup
         elem = make_domain_element(OMEGA_SEED, 1, grid)
         with pytest.raises(ConfigurationError):
-            state_operator(sys, grid, elem)
+            state_operator(sys, elem)
 
 
 class TestRiccatiOperatorResidual:
     def test_zero_output_matrix_exact(self):
         grid, sys, _, _ = make_tracking_instance(60)
-        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N)
-        ric = solve_riccati(sys0, grid)
+        sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N, sys.grid)
+        ric = solve_riccati(sys0)
         om = make_domain_element(OMEGA_SEED, 30, grid)
         xe = make_domain_element(XI_SEED, 30, grid)
         assert riccati_operator_residual(ric, om, xe) == 0.0
@@ -103,7 +103,7 @@ class TestRiccatiOperatorResidual:
         res = {}
         for n in (100, 200):
             grid, sys, _, _ = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid)
+            ric = solve_riccati(sys)
             j = 33 * n // 100
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
@@ -117,7 +117,7 @@ class TestRiccatiOperatorResidual:
         res = {}
         for n in (50, 100):
             grid, sys, _, _ = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid)
+            ric = solve_riccati(sys)
             om = make_domain_element(OMEGA_SEED, n, grid)
             xe = make_domain_element(XI_SEED, n, grid)
             res[n] = riccati_operator_residual(ric, om, xe)
@@ -127,7 +127,7 @@ class TestRiccatiOperatorResidual:
         res = {}
         for n in (40, 80):
             grid, sys, _, _ = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid)
+            ric = solve_riccati(sys)
             j = n // 2
             om = make_domain_element(OMEGA_SEED, j, grid)
             xe = make_domain_element(XI_SEED, j, grid)
@@ -147,7 +147,7 @@ class TestTrackingOperatorResidual:
         res = {}
         for n in (50, 100):
             grid, sys, _, y = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid)
+            ric = solve_riccati(sys)
             trk = solve_tracking(ric, y)
             xe = make_domain_element(XI_SEED, n, grid)
             res[n] = tracking_operator_residual(trk, xe)
@@ -157,7 +157,7 @@ class TestTrackingOperatorResidual:
         res = {}
         for n in (40, 80):
             grid, sys, _, y = make_tracking_instance(n)
-            ric = solve_riccati(sys, grid)
+            ric = solve_riccati(sys)
             trk = solve_tracking(ric, y)
             j = n // 2
             xe = make_domain_element(XI_SEED, j, grid)
