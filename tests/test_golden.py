@@ -9,8 +9,9 @@ order in the Riccati sweeps shows.
 The SHA-256 digest of every output file, of stdout and of stderr, and the
 exit code, are compared with the digests recorded for this numpy and
 BLAS stack in ``golden_digests.json``; on any other stack the test skips
-and names the versions.  No output depends on scipy, which voltrack does
-not import.
+and names the versions.  The ``demos/`` entries under the same key are the
+demo scripts' stdout digests, which ``test_demos.py`` checks and records.
+No output depends on scipy, which voltrack does not import.
 
 All runs share one subprocess, which pins BLAS threads to 1.  Run this
 file as a script to print the digests, or with ``--record`` to store them
@@ -141,7 +142,8 @@ def test_cli_outputs_match_recorded_digests():
     recorded = json.loads(DIGESTS.read_text())
     if got["stack"] not in recorded:
         pytest.skip(f"no digests recorded for {got['stack']}")
-    want = recorded[got["stack"]]
+    # the demos' stdout digests share the stack key; test_demos.py checks them
+    want = {run: v for run, v in recorded[got["stack"]].items() if not run.startswith("demos/")}
     assert sorted(got["runs"]) == sorted(want)
     for run in want:
         assert got["runs"][run] == want[run], run
@@ -152,7 +154,9 @@ if __name__ == "__main__":
     result = {"stack": stack(), "runs": run_all()}
     if sys.argv[1:] == ["--record"]:
         recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-        recorded[result["stack"]] = result["runs"]
+        old = recorded.get(result["stack"], {})
+        demos = {run: v for run, v in old.items() if run.startswith("demos/")}
+        recorded[result["stack"]] = {**demos, **result["runs"]}
         DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     else:
         print(json.dumps(result))
