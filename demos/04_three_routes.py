@@ -17,7 +17,6 @@ from voltrack import (
     SystemSpec,
     TimeGrid,
     build_affine_map,
-    build_forcing,
     build_kernel,
     closed_loop,
     cost,
@@ -43,8 +42,7 @@ def routes(n):
     sys = SystemSpec(A, B, C, exponential_kernel(grid, [(G, 1.0)]), grid)
     y = ReferenceSignal(np.sin(2.0 * np.pi * grid.nodes)[:, None])
     xi = InitialState(0, [1.0, 0.0])
-    Z = fundamental_matrix(sys)
-    p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+    p = solve_fredholm(build_kernel(fundamental_matrix(sys), 0), xi, y)
     uF = optimal_control_fredholm(p)
     ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)

@@ -13,7 +13,6 @@ front end.
 from .errors import BlowUpError, ConfigurationError, SingularSystemError
 from .fredholm import (
     CostateTrajectory,
-    Forcing,
     ResolventKernel,
     SynthesisKernels,
     TrackingKernel,

@@ -345,10 +345,9 @@ def _record(inst: Instance, u: ControlSignal, w: StateTrajectory, **artifacts):
 
 
 def _costate(inst: Instance):
-    """The Nystrom costate; it carries its kernel, the kernel its Z."""
-    Z = fundamental_matrix(inst.sys)
-    kernel = fredholm.build_kernel(Z, inst.state.tau_index)
-    return fredholm.solve_fredholm(kernel, fredholm.build_forcing(Z, inst.state, inst.reference))
+    """The Nystrom costate; it carries its kernel and reference, the kernel its Z."""
+    kernel = fredholm.build_kernel(fundamental_matrix(inst.sys), inst.state.tau_index)
+    return fredholm.solve_fredholm(kernel, inst.state, inst.reference)
 
 
 def _route_fredholm(inst: Instance):

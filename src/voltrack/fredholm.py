@@ -17,8 +17,10 @@ Every stage builds on the one before it, and each artifact carries what
 it was built from: the plant carries the grid its kernel is sampled on,
 Z carries the plant ``fundamental_matrix`` solved it for, the tracking
 kernel carries Z, and the costate, the resolvent and the synthesis maps
-carry the tracking kernel.  So no stage after ``fundamental_matrix``
-takes the plant or the grid again.
+carry the tracking kernel; the costate also carries the reference it was
+solved for.  So no stage after ``fundamental_matrix`` takes the plant or
+the grid again, and no stage after ``build_kernel`` takes Z: the forcing
+is built from the kernel, the state and the reference.
 
 Discrete conventions
 --------------------
@@ -53,7 +55,6 @@ from .model import (
 
 __all__ = [
     "TrackingKernel",
-    "Forcing",
     "CostateTrajectory",
     "ResolventKernel",
     "SynthesisKernels",
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackingKernel:
     """Ktilde samples on the node pairs of [tau, T]^2, built from ``Z``.
 
@@ -92,26 +93,20 @@ class TrackingKernel:
         return TrackingKernel(start_index, self.ktilde[off:, off:], self.Z)
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Fredholm right-hand side Y on nodes tau..T."""
-
-    start_index: int
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostateTrajectory:
     """Costate samples p_i on nodes tau..T; p(T) = 0.
 
-    ``kernel``, the tracking kernel the costate was solved from, holds tau.
+    ``kernel``, the tracking kernel the costate was solved from, holds tau;
+    ``y`` is the reference it was solved for.
     """
 
     values: np.ndarray = field(repr=False)
     kernel: TrackingKernel = field(repr=False)
+    y: ReferenceSignal = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventKernel:
     """Resolvent samples R(t_i, r_j; tau) on [tau, T]^2 node pairs.
 
@@ -153,7 +148,7 @@ def _max_block_norm(values: np.ndarray) -> float:
     return float(np.linalg.norm(blocks, axis=(1, 2), ord=2).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisKernels:
     """Discrete Q/H synthesis maps for a fixed starting node.
 
@@ -204,16 +199,20 @@ def build_kernel(Z: FundamentalMatrix, start_index: int = 0) -> TrackingKernel:
     return TrackingKernel(k, ktilde, Z)
 
 
-def build_forcing(Z: FundamentalMatrix, xi: InitialState, y: ReferenceSignal) -> Forcing:
-    """Forcing Y(t) = int_t^T Z(s-t) C* [C Y0(s) - y(s)] ds.
+def build_forcing(kernel: TrackingKernel, xi: InitialState, y: ReferenceSignal) -> np.ndarray:
+    """Forcing Y(t) = int_t^T Z(s-t) C* [C Y0(s) - y(s)] ds, (n - tau + 1, d).
 
-    Y0 is the free response of Z's plant from the initial state (head
-    propagated by Z* plus the tail-driven convolution term).
+    Z and tau are the kernel's; Y0 is the free response of Z's plant from
+    the initial state (head propagated by Z* plus the tail-driven
+    convolution term).  A state at another node than the kernel's is
+    refused.  O((n - tau) (n d^2 + m d)): Y0 and the sums for Y take
+    O((n - tau)^2 d^2) each, the tail term of Y0 O((n - tau) tau d^2).
     """
-    sys = Z.sys
-    k, n, h = xi.tau_index, sys.grid.steps, sys.grid.h
-    zero_u = ControlSignal.zero(sys.grid, sys.m, k)
-    y0 = voc_solution(Z, xi, zero_u).values[k:]
+    Z, sys, k = kernel.Z, kernel.Z.sys, kernel.start_index
+    if xi.tau_index != k:
+        raise ConfigurationError(f"state node {xi.tau_index} differs from the kernel node {k}")
+    n, h = sys.grid.steps, sys.grid.h
+    y0 = voc_solution(Z, xi, ControlSignal.zero(sys.grid, sys.m, k)).values[k:]
     v = (y0 @ sys.C.T - y.values[k:]) @ sys.C  # C*(C Y0 - y), row-vector form
     nk = n - k + 1
     Zv = Z.values
@@ -221,7 +220,7 @@ def build_forcing(Z: FundamentalMatrix, xi: InitialState, y: ReferenceSignal) ->
     for il in range(nk - 1):
         wts = trapezoid_weights(nk - il, h)
         out[il] = np.einsum("qab,qb,q->a", Zv[: nk - il], v[il:], wts)
-    return Forcing(k, out)
+    return out
 
 
 def _kernel_bbt(kernel: TrackingKernel) -> np.ndarray:
@@ -258,21 +257,20 @@ def _resolvent_values(kb: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _nystrom_solve(kb, w, rhs).reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
 
 
-def solve_fredholm(kernel: TrackingKernel, forcing: Forcing) -> CostateTrajectory:
-    """Nystrom solve of p + int_tau^T Ktilde(t,r) BB* p(r) dr = Y.
+def solve_fredholm(
+    kernel: TrackingKernel, xi: InitialState, y: ReferenceSignal
+) -> CostateTrajectory:
+    """Nystrom solve of p + int_tau^T Ktilde(t,r) BB* p(r) dr = Y, with Y
+    the :func:`build_forcing` of the state ``xi`` and the reference ``y``.
 
     Cost O(n^3 d^3) for the dense LU, after O(n^2 d^3) to form Ktilde BB*.
     A non-finite system or a zero pivot raises :class:`SingularSystemError`.
     """
-    k = kernel.start_index
-    if forcing.start_index != k:
-        raise ConfigurationError("kernel and forcing live on different windows")
-    kb = _kernel_bbt(kernel)
-    sol = _nystrom_solve(kb, kernel.Z.sys.grid.weights(k), forcing.values.reshape(-1))
+    rhs = build_forcing(kernel, xi, y).reshape(-1)
+    sol = _nystrom_solve(_kernel_bbt(kernel), kernel.Z.sys.grid.weights(kernel.start_index), rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("Nystrom solve produced non-finite values")
-    d = kernel.ktilde.shape[2]
-    return CostateTrajectory(sol.reshape(-1, d), kernel)
+    return CostateTrajectory(sol.reshape(-1, kernel.ktilde.shape[2]), kernel, y)
 
 
 def resolvent(kernel: TrackingKernel) -> ResolventKernel:
@@ -339,17 +337,17 @@ def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
     maps are built from the resolvent with the shared trapezoid weights,
     so applying them reproduces the Nystrom solve to round-off.  The start
     node is the resolvent's; Ktilde, Z and the plant are read from the
-    tracking kernel ``R`` was solved from.
+    tracking kernel ``R`` was solved from.  O((n - tau)^3 d^2 p) for the
+    y-maps Q2 and H2, O((n - tau)^2 (tau + 1) d^3) for the others, and
+    O((n - tau) ((n - tau) (d + p) + tau d) d) memory.
     """
-    k, kernel, Z = R.kernel.start_index, R.kernel, R.kernel.Z
+    kernel, Z = R.kernel, R.kernel.Z
+    k, ktilde = kernel.start_index, kernel.ktilde
     sys, grid, Zv = Z.sys, Z.sys.grid, Z.values
     n, d, h = grid.steps, sys.d, grid.h
     nk = n - k + 1
-    Rv = R.values
-    w = grid.weights(k)
     bbt = sys.B @ sys.B.T
-    ktilde = kernel.ktilde
-    rw = Rv * w[None, :, None, None]
+    rw = R.values * grid.weights(k)[None, :, None, None]
 
     # costate maps
     q0 = ktilde[:, 0] - np.einsum("ijab,jbc->iac", rw, ktilde[:, 0], optimize=True)
@@ -386,33 +384,35 @@ def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
 def apply_synthesis(
     kernels: SynthesisKernels, xi: InitialState, y: ReferenceSignal
 ) -> tuple[ControlSignal, StateTrajectory]:
-    """Evaluate the optimal pair (u, w) from the Q/H maps."""
+    """Evaluate the optimal pair (u, w) from the Q/H maps at the state's
+    node, which must be the maps' own.  O((n - tau) ((n - tau) p
+    + (tau + 1) d + m) d): the y-maps take O((n - tau)^2 d p), the tail
+    maps O((n - tau) tau d^2).
+    """
     k, sys = kernels.kernel.start_index, kernels.kernel.Z.sys
     if xi.tau_index != k:
-        raise ConfigurationError("state node differs from the synthesis node")
-    ysub = y.values[k:]
-    bracket = (
-        np.einsum("iab,b->ia", kernels.q0, xi.head)
-        + _history(kernels.q1, xi.tail, sys.grid.h)
-        + np.einsum("ijab,jb->ia", kernels.q2, ysub)
-    )
-    u = -(bracket @ sys.B)
-    wvals = (
-        np.einsum("iab,b->ia", kernels.h0, xi.head)
-        + _history(kernels.h1, xi.tail, sys.grid.h)
-        + np.einsum("ijab,jb->ia", kernels.h2, ysub)
-    )
+        raise ConfigurationError(f"state node {xi.tau_index} differs from the synthesis node {k}")
+
+    def apply(head_map, tail_map, y_map):  # head_map head + int tail_map tail + int y_map y
+        return (
+            np.einsum("iab,b->ia", head_map, xi.head)
+            + _history(tail_map, xi.tail, sys.grid.h)
+            + np.einsum("ijab,jb->ia", y_map, y.values[k:])
+        )
+
+    u = -(apply(kernels.q0, kernels.q1, kernels.q2) @ sys.B)
+    wvals = apply(kernels.h0, kernels.h1, kernels.h2)
     full = _start(xi, k + wvals.shape[0] - 1)
     full[k:] = wvals
     return ControlSignal(k, u), StateTrajectory(k, full)
 
 
-def costate_residual(p: CostateTrajectory, wplus: StateTrajectory, y: ReferenceSignal) -> float:
+def costate_residual(p: CostateTrajectory, wplus: StateTrajectory) -> float:
     """Max-node residual of the costate differential equation of p's plant.
 
-    Checks p' = -A* p - int_t^T N*(s-t) p(s) ds - C*(C w - y) with a
-    second-order finite-difference p'; the residual shrinks at least
-    linearly in h.
+    Checks p' = -A* p - int_t^T N*(s-t) p(s) ds - C*(C w - y), y the
+    reference p was solved for, with a second-order difference p'; the
+    residual shrinks at least linearly in h.  O((n - tau)^2 d^2 + n p d).
     """
     sys = p.kernel.Z.sys
     k, n, h = p.kernel.start_index, sys.grid.steps, sys.grid.h
@@ -420,7 +420,7 @@ def costate_residual(p: CostateTrajectory, wplus: StateTrajectory, y: ReferenceS
     nk = n - k + 1
     dp = _node_derivative(pv, h)
     res = 0.0
-    outer = (wplus.values[k:] @ sys.C.T - y.values[k:]) @ sys.C
+    outer = (wplus.values[k:] @ sys.C.T - p.y.values[k:]) @ sys.C
     for il in range(nk):
         wts = trapezoid_weights(nk - il, h)
         mem = np.einsum("sba,sb,s->a", sys.N[: nk - il], pv[il:], wts)

@@ -92,7 +92,7 @@ class TimeGrid:
         return trapezoid_weights(stop - start + 1, self.h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Plant matrices and the memory kernel sampled on a grid.
 
@@ -114,14 +114,9 @@ class SystemSpec:
     grid: TimeGrid
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        N = np.asarray(self.N, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "N", N)
+        for name in "ABCN":
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        A, B, C, N = self.A, self.B, self.C, self.N
         d = A.shape[0]
         if A.shape != (d, d):
             raise ConfigurationError("A must be square")
@@ -174,7 +169,7 @@ def zero_kernel(grid: TimeGrid, d: int) -> np.ndarray:
     return np.zeros((grid.steps + 1, d, d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialState:
     """State (head, tail) at grid node ``tau_index``.
 
@@ -210,7 +205,7 @@ class InitialState:
         return self.head.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSignal:
     """Reference output samples y_i on every grid node 0..n."""
 
@@ -223,7 +218,7 @@ class ReferenceSignal:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSignal:
     """Control samples u_i on grid nodes start_index..n."""
 
@@ -241,7 +236,7 @@ class ControlSignal:
         return ControlSignal(start_index, np.zeros((grid.steps + 1 - start_index, m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """Node values w_i on 0..n; nodes below start_index hold the tail."""
 
@@ -255,7 +250,7 @@ class StateTrajectory:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalMatrix:
     """Samples Z_i = Z(t_i) of the adjoint-kernel fundamental matrix of the
     plant ``sys`` on its grid."""
@@ -346,7 +341,8 @@ def fundamental_matrix(sys: SystemSpec) -> FundamentalMatrix:
 
     Z is the adjoint-kernel fundamental matrix; the forward flow of the
     plant is its transpose, w(t) = Z*(t) w(0) for the free system.
-    Second-order accurate in h.
+    Second-order accurate in h.  O(n^2 d^3): step i sums i + 1 memory
+    products of d x d matrices.
     """
     n, d, h = sys.grid.steps, sys.d, sys.grid.h
     At = sys.A.T
@@ -370,6 +366,8 @@ def simulate(sys: SystemSpec, xi: InitialState, u: ControlSignal) -> StateTrajec
 
     The returned trajectory is extended to [0, tau) by the tail of the
     initial state; its value at the junction node is the head.
+    O((n - tau) (n d^2 + d^3 + m d)): memory sums O((n - tau)^2 d^2), tail
+    forcing O((n - tau) tau d^2), one d x d solve a step.
     """
     _check_control(sys, xi, u)
     k, n, d, h = xi.tau_index, sys.grid.steps, sys.d, sys.grid.h
@@ -401,6 +399,8 @@ def voc_solution(Z: FundamentalMatrix, xi: InitialState, u: ControlSignal) -> St
 
     w(t) = Z*(t-tau) head + int_tau^t Z*(t-r) [f(r) + B u(r)] dr with f
     the tail forcing; agrees with :func:`simulate` to O(h^2).
+    O((n - tau) (n d^2 + m d)): the convolutions take O((n - tau)^2 d^2)
+    and the tail forcing O((n - tau) tau d^2).
     """
     sys = Z.sys
     _check_control(sys, xi, u)

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteAffineMap:
     """Stacked control-to-output map of the discretized plant.
 
@@ -105,7 +105,8 @@ def _weight_vectors(dmap: DiscreteAffineMap) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qp_cost(dmap: DiscreteAffineMap, y: ReferenceSignal, u: ControlSignal) -> float:
-    """Weighted discrete cost of a stacked control."""
+    """Weighted discrete cost of a stacked control; O((n - tau)^2 p m) for
+    the product with G."""
     wp, wm = _weight_vectors(dmap)
     uv = u.values.reshape(-1)
     r = dmap.G @ uv + dmap.g - y.values[dmap.start_index :].reshape(-1)
@@ -115,7 +116,8 @@ def qp_cost(dmap: DiscreteAffineMap, y: ReferenceSignal, u: ControlSignal) -> fl
 def qp_gradient(
     dmap: DiscreteAffineMap, y: ReferenceSignal, u: ControlSignal
 ) -> np.ndarray:
-    """Analytic gradient of :func:`qp_cost` with respect to the stacked u."""
+    """Analytic gradient of :func:`qp_cost` with respect to the stacked u;
+    O((n - tau)^2 p m) for the products with G and G*."""
     wp, wm = _weight_vectors(dmap)
     uv = u.values.reshape(-1)
     r = dmap.G @ uv + dmap.g - y.values[dmap.start_index :].reshape(-1)
@@ -146,7 +148,8 @@ def solve_qp(dmap: DiscreteAffineMap, y: ReferenceSignal) -> ControlSignal:
 def gradient_check(
     dmap: DiscreteAffineMap, y: ReferenceSignal, u: ControlSignal, eps: float
 ) -> float:
-    """Max gap between central differences of the cost and the gradient."""
+    """Max gap between central differences of the cost and the gradient:
+    two :func:`qp_cost` calls per control entry, O((n - tau)^3 p m^2)."""
     if eps <= 0.0:
         raise ConfigurationError("eps must be positive")
     grad = qp_gradient(dmap, y, u)
@@ -154,14 +157,11 @@ def gradient_check(
     base = u.values.copy()
     for idx in range(base.size):
         q, a = divmod(idx, dmap.m)
+        plus_minus = []
         for sign in (1.0, -1.0):
             base[q, a] += sign * eps
-            val = qp_cost(dmap, y, ControlSignal(dmap.start_index, base))
+            plus_minus.append(qp_cost(dmap, y, ControlSignal(dmap.start_index, base)))
             base[q, a] -= sign * eps
-            if sign > 0:
-                plus = val
-            else:
-                minus = val
-        fd = (plus - minus) / (2.0 * eps)
+        fd = (plus_minus[0] - plus_minus[1]) / (2.0 * eps)
         worst = max(worst, abs(fd - grad[idx]))
     return worst

@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiccatiField:
     """Backward-swept coefficients P0 and P1 of the plant ``sys`` on its grid.
 
@@ -89,7 +89,7 @@ class RiccatiField:
     p1: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackingField:
     """Coefficients d1, d2 and the scalar M driven by the reference ``y``
     through the Riccati field ``ric``.
@@ -105,7 +105,7 @@ class TrackingField:
     m: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DIReport:
     """Dissipation-inequality diagnostics along one trajectory.
 
@@ -261,7 +261,8 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
 def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     """Backward sweep of the reference-driven equations for d1, d2, M
     on the plant ``ric`` was solved for; the field keeps ``ric`` and
-    ``y``."""
+    ``y``.  O(n^2 d^2 + n p d): step j forms d2 rows 0..j from j + 1
+    kernel and P1 blocks; d2 takes O(n^2 d) memory."""
     sys = ric.sys
     n, d, h = sys.grid.steps, sys.d, sys.grid.h
     A, N = sys.A, sys.N
@@ -316,7 +317,7 @@ def _scalar_triple(x, y, z):
 
 def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:
     """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]
-    at the state's node tau."""
+    at the state's node tau; O(tau d^2 + d (d + m))."""
     ric, k = trk.ric, xi.tau_index
     hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.sys.grid.h)[0]
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
@@ -329,7 +330,8 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     running history, with the new node solved implicitly together with
     the state update (one (d+m) x (d+m) solve per step), so restarting
     from any mid-run state reproduces the tail of the pair node for
-    node.
+    node.  O((n - tau) (n d^2 + (d + m)^3)): the memory and feedback
+    sums take O((n - tau)^2 d^2), their tail parts O((n - tau) tau d^2).
     """
     ric = trk.ric
     sys = ric.sys
@@ -339,7 +341,7 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     # tail forcing and tail contribution to the feedback history, per future node
     f, tail_hist = _tail_contractions(ric, k, xi0.tail)
     u = np.zeros((n + 1 - k, mdim))
-    u[0] = -B.T @ (ric.p0[k] @ xi0.head + tail_hist[0] + trk.d1[k])
+    u[0] = feedback_control(trk, xi0)
     step_lhs = np.zeros((d + mdim, d + mdim))
     step_lhs[:d, :d] = np.eye(d) - 0.5 * h * A - 0.25 * h * h * N[0]
     step_lhs[:d, d:] = -0.5 * h * B

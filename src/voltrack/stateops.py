@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateElement:
     """Element (head, tail) of the age-indexed state space at one node.
 
@@ -65,7 +65,7 @@ class StateElement:
     tau_index: int
     head: np.ndarray
     tail: np.ndarray = field(repr=False)
-    seed: Callable | None = field(default=None, repr=False, compare=False)
+    seed: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         head = np.asarray(self.head, dtype=float).reshape(-1)

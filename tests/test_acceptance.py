@@ -16,7 +16,6 @@ from voltrack import (
     ControlSignal,
     InitialState,
     build_affine_map,
-    build_forcing,
     build_kernel,
     closed_loop,
     cost,
@@ -48,8 +47,7 @@ def _solve_all_routes(n):
     t0 = time.perf_counter()
     Z = fundamental_matrix(sys)
     kernel = build_kernel(Z, 0)
-    forcing = build_forcing(Z, xi, y)
-    p = solve_fredholm(kernel, forcing)
+    p = solve_fredholm(kernel, xi, y)
     uF = optimal_control_fredholm(p)
     ric = solve_riccati(sys)
     trk = solve_tracking(ric, y)

@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_tracking_instance
 from voltrack import (
+    ConfigurationError,
     ControlSignal,
     CostateTrajectory,
-    Forcing,
     InitialState,
     ReferenceSignal,
     ResolventKernel,
@@ -86,9 +86,12 @@ def test_no_stage_takes_the_plant_or_the_grid():
     assert {fn for fn in stages + [ControlSignal.zero] if TimeGrid in kinds(fn)} == set(grid_only)
     for fn in grid_only:
         assert not kinds(fn) & carriers, fn.__name__
-    # after fundamental_matrix no stage takes the plant either
+    # after fundamental_matrix no stage takes the plant either, and after
+    # build_kernel no Fredholm stage takes Z: the forcing comes from the kernel
     for fn in [model.voc_solution] + public(fredholm):
         assert not kinds(fn) & {SystemSpec, TimeGrid}, fn.__name__
+    takes_z = {fn for fn in public(fredholm) if model.FundamentalMatrix in kinds(fn)}
+    assert takes_z == {fredholm.build_kernel}
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +100,8 @@ def solved_instance():
     grid, sys, xi, y = make_tracking_instance(100)
     Z = fundamental_matrix(sys)
     kernel = build_kernel(Z, 0)
-    forcing = build_forcing(Z, xi, y)
-    p = solve_fredholm(kernel, forcing)
+    forcing = build_forcing(kernel, xi, y)
+    p = solve_fredholm(kernel, xi, y)
     return grid, sys, xi, y, Z, kernel, forcing, p
 
 
@@ -149,27 +152,35 @@ class TestBuildKernel:
 class TestBuildForcing:
     def test_zero_data_zero_forcing(self):
         grid, sys, _, _ = make_tracking_instance(40)
-        Z = fundamental_matrix(sys)
+        kernel = build_kernel(fundamental_matrix(sys), 0)
         forcing = build_forcing(
-            Z, InitialState(0, [0.0, 0.0]), ReferenceSignal(np.zeros((41, 1)))
+            kernel, InitialState(0, [0.0, 0.0]), ReferenceSignal(np.zeros((41, 1)))
         )
-        assert np.abs(forcing.values).max() == 0.0
+        assert np.abs(forcing).max() == 0.0
 
     def test_vanishes_at_horizon(self, solved_instance):
         _, _, _, _, _, _, forcing, _ = solved_instance
-        assert np.abs(forcing.values[-1]).max() == 0.0
+        assert forcing.shape == (101, 2)
+        assert np.abs(forcing[-1]).max() == 0.0
 
     def test_hand_integrated_constant_case(self):
         # A = 0, N = 0, C = 1, head = 1, y = 0: Y(t) = T - t
         grid = TimeGrid(1.0, 100)
         sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
-        Z = fundamental_matrix(sys)
+        kernel = build_kernel(fundamental_matrix(sys), 0)
         forcing = build_forcing(
-            Z, InitialState(0, [1.0]), ReferenceSignal(np.zeros((101, 1)))
+            kernel, InitialState(0, [1.0]), ReferenceSignal(np.zeros((101, 1)))
         )
-        np.testing.assert_allclose(
-            forcing.values[:, 0], 1.0 - grid.nodes, atol=1e-12
-        )
+        np.testing.assert_allclose(forcing[:, 0], 1.0 - grid.nodes, atol=1e-12)
+
+    def test_refuses_a_state_at_another_node(self, solved_instance):
+        grid, _, _, y, _, kernel, _, _ = solved_instance
+        xi = InitialState(30, [0.9, -0.4], np.zeros((31, 2)))
+        msg = "state node 30 differs from the kernel node 0"
+        with pytest.raises(ConfigurationError, match=msg):
+            build_forcing(kernel, xi, y)
+        with pytest.raises(ConfigurationError, match=msg):
+            solve_fredholm(kernel, xi, y)
 
 
 class TestSolveFredholm:
@@ -178,16 +189,18 @@ class TestSolveFredholm:
         sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N, sys.grid)
         Z = fundamental_matrix(sys0)
         kernel = build_kernel(Z, 0)
-        forcing = build_forcing(Z, xi, y)
-        p = solve_fredholm(kernel, forcing)
-        np.testing.assert_array_equal(p.values, forcing.values)
+        p = solve_fredholm(kernel, xi, y)
+        np.testing.assert_array_equal(p.values, build_forcing(kernel, xi, y))
 
     def test_zero_forcing_zero_costate(self, solved_instance):
-        grid, _, _, _, _, kernel, forcing, _ = solved_instance
+        grid, _, _, _, _, kernel, _, _ = solved_instance
         zero = ReferenceSignal(np.zeros((101, 1)))
-        zf = type(forcing)(0, np.zeros_like(forcing.values))
-        p = solve_fredholm(kernel, zf)
+        p = solve_fredholm(kernel, InitialState(0, [0.0, 0.0]), zero)
         assert np.abs(p.values).max() == 0.0
+
+    def test_costate_carries_its_kernel_and_reference(self, solved_instance):
+        _, _, _, y, _, kernel, _, p = solved_instance
+        assert p.kernel is kernel and p.y is y
 
     def test_plugback_residual(self, solved_instance):
         grid, sys, _, _, _, kernel, forcing, p = solved_instance
@@ -196,7 +209,7 @@ class TestSolveFredholm:
         lhs = p.values + np.einsum(
             "ijab,bc,jc,j->ia", kernel.ktilde, bbt, p.values, w, optimize=True
         )
-        assert np.abs(lhs - forcing.values).max() < 1e-10
+        assert np.abs(lhs - forcing).max() < 1e-10
 
     def test_final_costate_exactly_zero(self, solved_instance):
         *_, p = solved_instance
@@ -321,15 +334,14 @@ class TestMaxNorm:
 class TestOptimalControl:
     def test_zero_costate(self, solved_instance):
         *_, p = solved_instance
-        p0 = type(p)(np.zeros((101, 2)), p.kernel)
+        p0 = type(p)(np.zeros((101, 2)), p.kernel, p.y)
         u = optimal_control_fredholm(p0)
         assert np.abs(u.values).max() == 0.0
 
     def test_zero_input_matrix(self):
         grid, sys, xi, y = make_tracking_instance(50)
         sys0 = SystemSpec(sys.A, np.zeros((2, 1)), sys.C, sys.N, sys.grid)
-        Z = fundamental_matrix(sys0)
-        p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+        p = solve_fredholm(build_kernel(fundamental_matrix(sys0), 0), xi, y)
         assert np.abs(p.values).max() > 0.0
         u = optimal_control_fredholm(p)
         assert np.abs(u.values).max() == 0.0
@@ -361,8 +373,7 @@ class TestSynthesisKernels:
 
     def test_costate_route_agreement_with_tail(self, solved_with_tail):
         grid, sys, xi, y, Z, kernel, R, kern = solved_with_tail
-        forcing = build_forcing(Z, xi, y)
-        p = solve_fredholm(kernel, forcing)
+        p = solve_fredholm(kernel, xi, y)
         u_p = optimal_control_fredholm(p)
         u_qh, _ = apply_synthesis(kern, xi, y)
         scale = np.abs(u_p.values).max()
@@ -450,6 +461,12 @@ class TestApplySynthesis:
         assert np.abs(uc.values - alpha * ua.values - ub.values).max() < 1e-11
         assert np.abs(wc.values - alpha * wa.values - wb.values).max() < 1e-11
 
+    def test_refuses_a_state_at_another_node(self, solved_with_tail):
+        grid, sys, xi, y, _, _, _, kern = solved_with_tail
+        msg = "state node 0 differs from the synthesis node 30"
+        with pytest.raises(ConfigurationError, match=msg):
+            apply_synthesis(kern, InitialState(0, xi.head), y)
+
 
 class TestDiscreteOptimality:
     def test_qp_gradient_scales_second_order(self):
@@ -461,8 +478,7 @@ class TestDiscreteOptimality:
         grads = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
-            Z = fundamental_matrix(sys)
-            p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+            p = solve_fredholm(build_kernel(fundamental_matrix(sys), 0), xi, y)
             u = optimal_control_fredholm(p)
             dmap = build_affine_map(sys, xi)
             grads.append(np.abs(qp_gradient(dmap, y, u)).max())
@@ -475,22 +491,20 @@ class TestCostateResidual:
         grid, sys, _, _ = make_tracking_instance(40)
         from voltrack import CostateTrajectory, StateTrajectory
 
-        pz = CostateTrajectory(np.zeros((41, 2)), build_kernel(fundamental_matrix(sys)))
-        w = StateTrajectory(0, np.zeros((41, 2)))
         y = ReferenceSignal(np.zeros((41, 1)))
-        assert costate_residual(pz, w, y) == 0.0
+        pz = CostateTrajectory(np.zeros((41, 2)), build_kernel(fundamental_matrix(sys)), y)
+        w = StateTrajectory(0, np.zeros((41, 2)))
+        assert costate_residual(pz, w) == 0.0
 
     def test_convergence_under_refinement(self):
         errs = []
         for n in (100, 200):
             grid, sys, xi, y = make_tracking_instance(n)
             Z = fundamental_matrix(sys)
-            kernel = build_kernel(Z, 0)
-            forcing = build_forcing(Z, xi, y)
-            p = solve_fredholm(kernel, forcing)
+            p = solve_fredholm(build_kernel(Z, 0), xi, y)
             u = optimal_control_fredholm(p)
             w = voc_solution(Z, xi, u)
-            errs.append(costate_residual(p, w, y))
+            errs.append(costate_residual(p, w))
         assert errs[0] / errs[1] >= 1.8
 
 
@@ -503,11 +517,11 @@ class TestSingularNystromMatrix:
         ktilde[0, 0] = -8.0
         sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
         kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys))
-        forcing = Forcing(0, np.ones((5, 1)))
+        xi, y = InitialState(0, [1.0]), ReferenceSignal(np.zeros((5, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raised at the pivot, not warned
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
-                solve_fredholm(kernel, forcing)
+                solve_fredholm(kernel, xi, y)
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
                 resolvent(kernel)
 
@@ -518,10 +532,10 @@ class TestSingularNystromMatrix:
         ktilde[1, 2] = bad
         sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
         kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys))
-        forcing = Forcing(0, np.ones((5, 1)))
+        xi, y = InitialState(0, [1.0]), ReferenceSignal(np.zeros((5, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before LAPACK sees it
             with pytest.raises(SingularSystemError, match="non-finite entries"):
-                solve_fredholm(kernel, forcing)
+                solve_fredholm(kernel, xi, y)
             with pytest.raises(SingularSystemError, match="non-finite entries"):
                 resolvent(kernel)

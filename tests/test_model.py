@@ -57,6 +57,15 @@ class TestSystemSpec:
         with pytest.raises(ConfigurationError, match="kernel sampled on 12 nodes, grid has 11"):
             SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(TimeGrid(1.0, 11), 1), grid)
 
+    def test_plants_compare_and_hash_by_identity(self):
+        # array fields have no single truth value, so records holding arrays
+        # are equal only to themselves
+        _, a, _, _ = make_tracking_instance(10)
+        _, b, _, _ = make_tracking_instance(10)
+        assert (a == b) is False
+        assert a == a
+        assert len({a, b}) == 2
+
 
 class TestFundamentalMatrix:
     def test_starts_at_identity(self):

@@ -23,7 +23,6 @@ from voltrack import (
     ReferenceSignal,
     SystemSpec,
     TimeGrid,
-    build_forcing,
     build_kernel,
     closed_loop,
     cost,
@@ -352,8 +351,7 @@ class TestClosedLoop:
             ric = solve_riccati(sys)
             trk = solve_tracking(ric, y)
             uR, _ = closed_loop(trk, xi)
-            Z = fundamental_matrix(sys)
-            p = solve_fredholm(build_kernel(Z, 0), build_forcing(Z, xi, y))
+            p = solve_fredholm(build_kernel(fundamental_matrix(sys), 0), xi, y)
             uF = optimal_control_fredholm(p)
             diffs.append(np.abs(uR.values - uF.values).max())
         assert diffs[0] < 5e-3
@@ -367,8 +365,7 @@ class TestClosedLoop:
 
         n, k = 80, 30
         grid, sys, xi, y = make_tracking_instance(n, tau_index=k)
-        Z = fundamental_matrix(sys)
-        p = solve_fredholm(build_kernel(Z, k), build_forcing(Z, xi, y))
+        p = solve_fredholm(build_kernel(fundamental_matrix(sys), k), xi, y)
         uF = optimal_control_fredholm(p)
         ric = solve_riccati(sys)
         trk = solve_tracking(ric, y)
