@@ -11,7 +11,8 @@ and solved by one dense LU (numpy's LAPACK ``gesv``, O(n^3 d^3)); the
 resolvent kernel R re-expresses the solution as p = Y - R Y and feeds the
 synthesis kernels Q0/Q1/Q2 (costate) and H0/H1/H2 (trajectory).
 ``resolvent_norms`` gives the largest block norm of R on every window
-[t_kk, T] from one Ktilde BB* product.
+[t_kk, T] from the window-0 resolvent alone: each later window is a
+rank-2d Woodbury downdate of the one before, O(n^3 d^3) in all.
 
 Every stage builds on the one before it, and each artifact carries what
 it was built from: the plant carries the grid its kernel is sampled on,
@@ -213,7 +214,7 @@ def build_forcing(kernel: TrackingKernel, xi: InitialState, y: ReferenceSignal) 
         raise ConfigurationError(f"state node {xi.tau_index} differs from the kernel node {k}")
     n, h = sys.grid.steps, sys.grid.h
     y0 = voc_solution(Z, xi, ControlSignal.zero(sys.grid, sys.m, k)).values[k:]
-    v = (y0 @ sys.C.T - y.values[k:]) @ sys.C  # C*(C Y0 - y), row-vector form
+    v = (y0 @ sys.C.T - y.window(n + 1, sys.p, k)) @ sys.C  # C*(C Y0 - y), row-vector form
     nk = n - k + 1
     Zv = Z.values
     out = np.zeros((nk, sys.d))
@@ -250,13 +251,6 @@ def _nystrom_solve(kb: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray
         raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
 
 
-def _resolvent_values(kb: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R blocks (i, j, d, d) of one window; every column block shares one LU."""
-    nk, d = kb.shape[0], kb.shape[2]
-    rhs = kb.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
-    return _nystrom_solve(kb, w, rhs).reshape(nk, d, nk, d).transpose(0, 2, 1, 3)
-
-
 def solve_fredholm(
     kernel: TrackingKernel, xi: InitialState, y: ReferenceSignal
 ) -> CostateTrajectory:
@@ -280,26 +274,49 @@ def resolvent(kernel: TrackingKernel) -> ResolventKernel:
     cost is O(n^3 d^3) in all.  A non-finite system or a zero pivot raises
     :class:`SingularSystemError`.
     """
-    k = kernel.start_index
-    values = _resolvent_values(_kernel_bbt(kernel), kernel.Z.sys.grid.weights(k))
-    return ResolventKernel(values, kernel)
-
-
-def resolvent_norms(kernel: TrackingKernel) -> list[float]:
-    """``max_norm`` of the resolvent on every window [t_kk, T], kk = k..n-1.
-
-    Entry i equals ``resolvent(kernel.restrict(k + i)).max_norm``
-    bit for bit: Ktilde BB* is formed once on the kernel's window and
-    sliced, since restriction is a plain slice.  Each window still takes
-    its own dense solve with n d right-hand sides, O(n^4 d^3) over the
-    sweep, plus O(n^3 d^2) for the Frobenius screens of the block norms.
-    """
-    k, grid = kernel.start_index, kernel.Z.sys.grid
     kb = _kernel_bbt(kernel)
-    return [
-        _max_block_norm(_resolvent_values(kb[i:, i:], grid.weights(k + i)))
-        for i in range(grid.steps - k)
-    ]
+    nk, d = kb.shape[0], kb.shape[2]
+    rhs = kb.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
+    sol = _nystrom_solve(kb, kernel.Z.sys.grid.weights(kernel.start_index), rhs)
+    return ResolventKernel(sol.reshape(nk, d, nk, d).transpose(0, 2, 1, 3), kernel)
+
+
+def resolvent_norms(R: ResolventKernel) -> list[float]:
+    """``max_norm`` of the resolvent on every window [t_kk, T], kk = k..n-1,
+    k the start node of the window-0 resolvent ``R``.
+
+    Entry 0 is ``R.max_norm``.  Each later window comes from the one before
+    by a rank-2d downdate, with no dense solve of its own.  Going from
+    [t_i, T] to [t_{i+1}, T] moves the trapezoid weights of the window's
+    first two nodes J from (h/2, h) to (0, h/2), a change c = -h/2 on J of
+    I + Ktilde BB* W.  By Woodbury, with X the (node d) x (node d) matrix
+    of R,
+
+        X <- X - c X[:, J] (I + c X[J, J])^-1 X[J, :],
+
+    and a zero weight decouples node i, so the rows and columns of the
+    later nodes are the next window's resolvent.  This is the discrete
+    form of the Bellman-Krein identity d/dtau R(t,s;tau) = R(t,tau;tau)
+    R(tau,s;tau).  Each window costs one 2d x 2d solve and one rank-2d
+    product, O(n^3 d^3) over the sweep, plus O(n^3 d^2) for the Frobenius
+    screens of the block norms.  The entries agree with a fresh solve per
+    window to round-off.  By the determinant lemma det(I + c X[J, J]) is
+    det of the next window's Nystrom matrix over this one's, so a zero
+    pivot there raises :class:`SingularSystemError`, as the per-window
+    solve does for the singular window.
+    """
+    nk, d = R.values.shape[0], R.values.shape[2]
+    c = -0.5 * R.kernel.Z.sys.grid.h
+    X = R.values.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
+    norms = [R.max_norm] if nk > 1 else []
+    for size in range(nk - 1, 1, -1):  # node count of the next window
+        try:
+            gain = np.linalg.solve(np.eye(2 * d) + c * X[: 2 * d, : 2 * d], X[: 2 * d, d:])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
+        X = X[d:, d:] - c * (X[d:, : 2 * d] @ gain)
+        norms.append(_max_block_norm(X.reshape(size, d, size, d).transpose(0, 2, 1, 3)))
+    return norms
 
 
 def optimal_control_fredholm(p: CostateTrajectory) -> ControlSignal:
@@ -392,12 +409,13 @@ def apply_synthesis(
     k, sys = kernels.kernel.start_index, kernels.kernel.Z.sys
     if xi.tau_index != k:
         raise ConfigurationError(f"state node {xi.tau_index} differs from the synthesis node {k}")
+    yk = y.window(sys.grid.steps + 1, sys.p, k)
 
     def apply(head_map, tail_map, y_map):  # head_map head + int tail_map tail + int y_map y
         return (
             np.einsum("iab,b->ia", head_map, xi.head)
             + _history(tail_map, xi.tail, sys.grid.h)
-            + np.einsum("ijab,jb->ia", y_map, y.values[k:])
+            + np.einsum("ijab,jb->ia", y_map, yk)
         )
 
     u = -(apply(kernels.q0, kernels.q1, kernels.q2) @ sys.B)

@@ -217,18 +217,30 @@ class ReferenceSignal:
             raise ConfigurationError("reference values must be (nodes, p)")
         object.__setattr__(self, "values", v)
 
+    def window(self, nodes: int, p: int, start: int = 0) -> np.ndarray:
+        """Samples on nodes start..nodes-1 of a grid of ``nodes`` nodes and
+        ``p`` outputs.  Every stage that meets a reference reads it here, so
+        a signal sampled on another grid is refused, not broadcast."""
+        if self.values.shape != (nodes, p):
+            raise ConfigurationError("reference signal not sampled on this grid")
+        return self.values[start:]
+
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """Control samples u_i on grid nodes start_index..n."""
+    """Control samples u_i on grid nodes start_index..n, (nodes, m[, r]).
+
+    An optional trailing axis holds r controls side by side, which
+    :func:`simulate` steps as one batch.
+    """
 
     start_index: int
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ConfigurationError("control values must be (nodes, m)")
+        if v.ndim not in (2, 3):
+            raise ConfigurationError("control values must be (nodes, m[, r])")
         object.__setattr__(self, "values", v)
 
     @staticmethod
@@ -238,15 +250,17 @@ class ControlSignal:
 
 @dataclass(frozen=True, eq=False)
 class StateTrajectory:
-    """Node values w_i on 0..n; nodes below start_index hold the tail."""
+    """Node values w_i on 0..n, (nodes, d[, r]); nodes below start_index
+    hold the tail.  An optional trailing axis holds r trajectories side by
+    side, as :func:`simulate` returns for a batch of r controls."""
 
     start_index: int
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ConfigurationError("trajectory values must be (nodes, d)")
+        if v.ndim not in (2, 3):
+            raise ConfigurationError("trajectory values must be (nodes, d[, r])")
         object.__setattr__(self, "values", v)
 
 
@@ -293,14 +307,31 @@ def _tail_forcing(sys: SystemSpec, xi: InitialState) -> np.ndarray:
     return _history(_lag_gather(sys.N, xi.tau_index), xi.tail, sys.grid.h)
 
 
-def _check_control(sys: SystemSpec, xi: InitialState, u: ControlSignal) -> None:
+def _check_control(
+    sys: SystemSpec, xi: InitialState, u: ControlSignal, batch: bool = False
+) -> None:
+    """Refuse a control off the state's window; a batch axis only if ``batch``."""
     k = xi.tau_index
     if u.start_index != k:
         raise ConfigurationError(
             f"control window starts at node {u.start_index}, state sits at node {k}"
         )
-    if u.values.shape != (sys.grid.steps + 1 - k, sys.m):
+    if u.values.shape[:2] != (sys.grid.steps + 1 - k, sys.m):
         raise ConfigurationError("control values do not cover nodes tau..n")
+    if u.values.ndim > 2 and not batch:
+        raise ConfigurationError("this stage takes one control, not a batch")
+
+
+def _columns(a: np.ndarray, batch: tuple) -> np.ndarray:
+    """``a`` with a unit axis for each ``batch`` axis, so that it broadcasts
+    against arrays that hold one column per batch member."""
+    return a.reshape(a.shape + (1,) * len(batch))
+
+
+def _node_map(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x_i at every node i of ``x`` (nodes, k[, r]), taken as the row
+    products x_i* M*: without a batch axis this is ``x @ M.T``."""
+    return np.swapaxes(np.swapaxes(x, 1, -1) @ M.T, 1, -1)
 
 
 def _step_matrix(A: np.ndarray, N0: np.ndarray, h: float) -> np.ndarray:
@@ -368,19 +399,27 @@ def simulate(sys: SystemSpec, xi: InitialState, u: ControlSignal) -> StateTrajec
     initial state; its value at the junction node is the head.
     O((n - tau) (n d^2 + d^3 + m d)): memory sums O((n - tau)^2 d^2), tail
     forcing O((n - tau) tau d^2), one d x d solve a step.
+
+    A control with a batch axis, (nodes, m, r), gives the r trajectories
+    from the same state as one (nodes, d, r) trajectory, stepped in one
+    loop: each step's solve takes the r right-hand sides together.  Without
+    the axis every bit is that of one run; a batch column agrees with its
+    own run to round-off, since its sums run in another order.
     """
-    _check_control(sys, xi, u)
+    _check_control(sys, xi, u, batch=True)
     k, n, d, h = xi.tau_index, sys.grid.steps, sys.d, sys.grid.h
     if xi.d != d:
         raise ConfigurationError("state dimension does not match the plant")
-    w = _start(xi, n)
-    f = _tail_forcing(sys, xi)
-    Bu = u.values @ sys.B.T
+    batch = u.values.shape[2:]
+    w = np.empty((n + 1, d) + batch)
+    w[...] = _columns(_start(xi, n), batch)
+    f = _columns(_tail_forcing(sys, xi), batch)
+    Bu = _node_map(sys.B, u.values)
     M = _step_matrix(sys.A, sys.N[0], h)
     f_prev = sys.A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
     for i in range(k, n):
         wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
-        mem = np.einsum("jab,jb,j->a", sys.N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
+        mem = np.einsum("jab,jb...,j->a...", sys.N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
         rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])
         w[i + 1] = np.linalg.solve(M, rhs)
         f_prev = (
@@ -421,7 +460,7 @@ def cost(sys: SystemSpec, w: StateTrajectory, u: ControlSignal, y: ReferenceSign
     control window's start."""
     k = u.start_index
     wts = sys.grid.weights(k)
-    res = w.values[k:] @ sys.C.T - y.values[k:]
+    res = w.values[k:] @ sys.C.T - y.window(sys.grid.steps + 1, sys.p, k)
     return float(wts @ ((res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)))
 
 

@@ -104,12 +104,19 @@ def _weight_vectors(dmap: DiscreteAffineMap) -> tuple[np.ndarray, np.ndarray]:
     return wp, wm
 
 
+def _target(dmap: DiscreteAffineMap, y: ReferenceSignal) -> np.ndarray:
+    """The stacked reference on the map's window; one sampled on another
+    grid is refused."""
+    k = dmap.start_index
+    return y.window(k + dmap.weights.size, dmap.p, k).reshape(-1)
+
+
 def qp_cost(dmap: DiscreteAffineMap, y: ReferenceSignal, u: ControlSignal) -> float:
     """Weighted discrete cost of a stacked control; O((n - tau)^2 p m) for
     the product with G."""
     wp, wm = _weight_vectors(dmap)
     uv = u.values.reshape(-1)
-    r = dmap.G @ uv + dmap.g - y.values[dmap.start_index :].reshape(-1)
+    r = dmap.G @ uv + dmap.g - _target(dmap, y)
     return float(wp @ (r * r) + wm @ (uv * uv))
 
 
@@ -120,7 +127,7 @@ def qp_gradient(
     O((n - tau)^2 p m) for the products with G and G*."""
     wp, wm = _weight_vectors(dmap)
     uv = u.values.reshape(-1)
-    r = dmap.G @ uv + dmap.g - y.values[dmap.start_index :].reshape(-1)
+    r = dmap.G @ uv + dmap.g - _target(dmap, y)
     return 2.0 * (dmap.G.T @ (wp * r) + wm * uv)
 
 
@@ -135,7 +142,7 @@ def solve_qp(dmap: DiscreteAffineMap, y: ReferenceSignal) -> ControlSignal:
     with np.errstate(invalid="ignore", over="ignore"):  # the check below reports it
         H = dmap.G.T @ (wp[:, None] * dmap.G)
         H[np.diag_indices_from(H)] += wm
-        rhs = -dmap.G.T @ (wp * (dmap.g - y.values[dmap.start_index :].reshape(-1)))
+        rhs = -dmap.G.T @ (wp * (dmap.g - _target(dmap, y)))
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise SingularSystemError("QP normal equations have non-finite entries")
     try:

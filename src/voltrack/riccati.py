@@ -49,16 +49,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError
 from .model import (
     ControlSignal,
     InitialState,
     ReferenceSignal,
     StateTrajectory,
     SystemSpec,
+    _columns,
     _history,
     _lag_gather,
     _node_derivative,
+    _node_map,
     _start,
     trapezoid_weights,
 )
@@ -267,9 +269,7 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     n, d, h = sys.grid.steps, sys.d, sys.grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
-    yv = y.values
-    if yv.shape != (n + 1, sys.p):
-        raise ConfigurationError("reference signal not sampled on this grid")
+    yv = y.window(n + 1, sys.p)
     cy = yv @ sys.C  # C* y(tau), row form
     d1 = np.zeros((n + 1, d))
     d2 = np.zeros((n + 1, n + 1, d))
@@ -383,20 +383,27 @@ def _value_form(trk: TrackingField, j: int, head, tail, x, z) -> float:
 
     ``x``, ``z`` are the tail's contractions (:func:`_tail_contractions`);
     the P2 double integral is exactly the trapezoid sum over q in [j, n]
-    of 2 x_q.z_q - |B* z_q|^2.  O((n-j) d^2 + j d).
+    of 2 x_q.z_q - |B* z_q|^2.  O((n-j) d^2 + j d).  A trailing batch
+    axis on the state and its contractions gives one value per column.
     """
     ric = trk.ric
-    bz = z @ ric.sys.B
+    bz = _node_map(ric.sys.B.T, z)
     quad2 = ric.sys.grid.weights(j) @ (2.0 * (x * z).sum(axis=1) - (bz * bz).sum(axis=1))
-    d2_tail = np.einsum("i,ia,ia->", ric.sys.grid.weights(0, j), tail, trk.d2[: j + 1, j])
+    d2_tail = np.einsum("i,ia...,ia->...", ric.sys.grid.weights(0, j), tail, trk.d2[: j + 1, j])
     return (
-        head @ (ric.p0[j] @ head)
-        + 2.0 * head @ z[0]
+        _dot(head, ric.p0[j] @ head)
+        + _dot(2.0 * head, z[0])
         + quad2
-        + 2.0 * head @ trk.d1[j]
+        + _dot(2.0 * head, trk.d1[j])
         + 2.0 * d2_tail
         + trk.m[j]
     )
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over axis 0, one per batch column: each is the dot ``a @ b``
+    of two vectors takes, bit for bit."""
+    return (a.T[..., None, :] @ b.T[..., :, None])[..., 0, 0]
 
 
 def value_function(trk: TrackingField, omega: InitialState) -> float:
@@ -416,19 +423,23 @@ def di_residual(trk: TrackingField, w: StateTrajectory, u: ControlSignal) -> DIR
     residual; see :class:`DIReport`.  The tail contractions are carried
     forward from node to node as prefix sums, one term per node, so the
     whole call is O(n^2 d^2).
+
+    A batch of r pairs, as :func:`~voltrack.model.simulate` gives for a
+    (nodes, m, r) control, runs in the same loop and gives ``slack`` and
+    ``pointwise`` of shape (nodes, r); ``min_slack`` is then the least over
+    every pair.  Without the batch axis every bit is that of one pair.
     """
     ric = trk.ric
     sys = ric.sys
     k, n, h = u.start_index, sys.grid.steps, sys.grid.h
-    nk = n - k + 1
-    res = w.values[k:] @ sys.C.T - trk.y.values[k:]
+    res = _node_map(sys.C, w.values[k:]) - _columns(trk.y.values[k:], u.values.shape[2:])
     g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
-    run = np.zeros(nk)
-    run[1:] = np.cumsum(0.5 * h * (g[:-1] + g[1:]))
+    run = np.zeros_like(g)
+    run[1:] = np.cumsum(0.5 * h * (g[:-1] + g[1:]), axis=0)
     wv = w.values
     # prefix sums over nodes i < j of the trapezoid terms of x_q and z_q, row q
     xs, zs = np.zeros_like(wv), np.zeros_like(wv)
-    vals = np.zeros(nk)
+    vals = np.zeros_like(g)
     for j in range(n + 1):
         tx = sys.N[: n - j + 1] @ wv[j]  # N(tau_q - s_j) w_j, q = j..n
         tz = ric.p1[j, j:] @ wv[j]  # P1(s_j, tau_q) w_j

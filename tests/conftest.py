@@ -56,6 +56,24 @@ def seeded_plant(d, m, n, seed, table):
     return grid, SystemSpec(A, B, C, N, grid), y
 
 
+BATCH_CASES = ["tau0", "tau13", "d3m2", "table"]
+
+
+def batch_case(name: str, n: int = 40):
+    """(sys, xi, y) for the plants the batch-axis tests run on: the fixed
+    instance from node 0 and from node 13, a seeded d = 3, m = 2 plant from
+    node 7 with a random history, and a node-table kernel at d = 3, m = 2."""
+    if name.startswith("tau"):
+        _, sys, xi, y = make_tracking_instance(n, int(name[3:]))
+        return sys, xi, y
+    _, sys, y = seeded_plant(3, 2, n, 5, name == "table")
+    rng = np.random.default_rng(9)
+    if name == "table":
+        return sys, InitialState(0, rng.normal(size=3)), y
+    tail = rng.normal(size=(8, 3))
+    return sys, InitialState(7, tail[-1], tail), y
+
+
 def scalar_memoryless(n: int, a: float = 0.0, b: float = 1.0, c: float = 1.0):
     """d = m = p = 1 plant without memory (classical tracking limit)."""
     grid = TimeGrid(1.0, n)

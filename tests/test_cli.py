@@ -830,3 +830,33 @@ class TestVerify:
         assert "FAIL" not in out
         assert "final_conditions_zero" in out
         assert (tmp_path / "verify.txt").exists()
+
+    def test_one_resolvent_and_one_perturbed_batch(self, tmp_path, monkeypatch):
+        # the Nystrom matrix is factored twice, for the costate and for the
+        # window-0 resolvent; every later window is a downdate of the latter.
+        # The ten perturbed controls take one simulate and one di_residual call.
+        calls = []
+
+        def counting(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for mod, name in [
+            (fredholm, "resolvent"),
+            (fredholm, "_nystrom_solve"),
+            (cli, "simulate"),
+            (riccati, "di_residual"),
+        ]:
+            counting(mod, name)
+        cfg = tmp_path / "c.json"
+        tracking_config(cfg, steps=40)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls.count("resolvent") == 1
+        assert calls.count("_nystrom_solve") == 2
+        assert calls.count("di_residual") == 2  # the optimal pair and the batch
+        assert calls.count("simulate") == 3  # the Fredholm and oracle routes, the batch

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_tracking_instance
+from conftest import make_tracking_instance, seeded_plant
 from voltrack import (
     ConfigurationError,
     ControlSignal,
@@ -114,6 +114,23 @@ def solved_with_tail():
     R = resolvent(kernel)
     kern = synthesis_kernels(R)
     return grid, sys, xi, y, Z, kernel, R, kern
+
+
+@pytest.fixture(scope="module")
+def unstable_drift():
+    """A plant whose drift A has eigenvalues with real part above 2."""
+    grid, sys, xi, y = make_tracking_instance(60, tau_index=5)
+    sys = SystemSpec(sys.A + 2.0 * np.eye(2), sys.B, sys.C, sys.N, sys.grid)
+    Z = fundamental_matrix(sys)
+    return grid, sys, xi, y, Z, build_kernel(Z, 5)
+
+
+@pytest.fixture(scope="module")
+def rank_deficient_bbt():
+    """d = 3 with m = 2 inputs, so BB* is singular."""
+    grid, sys, y = seeded_plant(3, 2, 60, 4, False)
+    Z = fundamental_matrix(sys)
+    return grid, sys, None, y, Z, build_kernel(Z, 12)
 
 
 class TestBuildKernel:
@@ -320,15 +337,45 @@ class TestMaxNorm:
         R = ResolventKernel(values, None)
         assert outcome(lambda: R.max_norm) == outcome(lambda: unscreened_max_norm(values))
 
-    @pytest.mark.parametrize("instance", ["solved_instance", "solved_with_tail"])
+    @pytest.mark.parametrize(
+        "instance", ["solved_instance", "solved_with_tail", "unstable_drift", "rank_deficient_bbt"]
+    )
     def test_sweep_equals_per_window_resolvents(self, instance, request):
-        grid, _, xi, _, _, kernel, *_ = request.getfixturevalue(instance)
-        k = xi.tau_index
-        norms = resolvent_norms(kernel)
+        # the downdates round otherwise than a fresh solve per window; the
+        # largest relative gap on these four plants is 2.1e-15
+        grid, _, _, _, _, kernel, *_ = request.getfixturevalue(instance)
+        k = kernel.start_index
+        R0 = resolvent(kernel)
+        norms = resolvent_norms(R0)
         assert len(norms) == grid.steps - k
+        assert norms[0].hex() == R0.max_norm.hex()
         for i, val in enumerate(norms):
             R = resolvent(kernel.restrict(k + i))
-            assert val.hex() == R.max_norm.hex() == unscreened_max_norm(R.values).hex()
+            assert R.max_norm.hex() == unscreened_max_norm(R.values).hex()
+            assert abs(val - R.max_norm) <= 1e-12 * R.max_norm
+
+    def test_sweep_solves_nothing_larger_than_2d(self, solved_with_tail, monkeypatch):
+        # after the window-0 resolvent it is given, each window is one 2d x 2d
+        # solve; a fresh solve per window would be (nodes d) x (nodes d)
+        R = solved_with_tail[6]
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        resolvent_norms(R)
+        nk = R.values.shape[0]
+        assert shapes == [(4, 4)] * (nk - 2)
+
+    def test_sweep_on_the_last_windows(self):
+        # two nodes: one entry and no downdate; one node: no window at all
+        _, sys, _, _ = make_tracking_instance(10)
+        kernel = build_kernel(fundamental_matrix(sys), 9)
+        assert resolvent_norms(resolvent(kernel)) == [resolvent(kernel).max_norm]
+        assert resolvent_norms(resolvent(kernel.restrict(10))) == []
 
 
 class TestOptimalControl:
@@ -524,6 +571,23 @@ class TestSingularNystromMatrix:
                 solve_fredholm(kernel, xi, y)
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
                 resolvent(kernel)
+
+    def test_singular_later_window_raises_in_the_sweep(self):
+        # d = 1, B = 1, h = 1/2: Ktilde(t_1, t_1) = -4 gives node 1 the row
+        # 1 - 4 w_1, which is -1 on [t_0, T] (w_1 = h) and 0 on [t_1, T]
+        # (w_1 = h/2): window 0 is regular, window 1 singular
+        grid = TimeGrid(1.0, 2)
+        ktilde = np.zeros((3, 3, 1, 1))
+        ktilde[1, 1] = -4.0
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        kernel = TrackingKernel(0, ktilde, fundamental_matrix(sys))
+        R = resolvent(kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
+                resolvent(kernel.restrict(1))
+            with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
+                resolvent_norms(R)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_system_raises_in_solve_and_resolvent(self, bad):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import make_tracking_instance
+from conftest import BATCH_CASES, batch_case, make_tracking_instance
 from voltrack import (
     ConfigurationError,
     ControlSignal,
     InitialState,
     ReferenceSignal,
     SingularSystemError,
+    StateTrajectory,
     SystemSpec,
     TimeGrid,
     cost,
@@ -18,9 +19,11 @@ from voltrack import (
     extend_state,
     fundamental_matrix,
     simulate,
+    trapezoid_weights,
     voc_solution,
     zero_kernel,
 )
+from voltrack.model import _start, _step_matrix, _tail_forcing
 
 COSH1 = math.cosh(1.0)
 
@@ -271,3 +274,134 @@ class TestExtendState:
         u2 = ControlSignal(mid, u.values[mid:])
         w2 = simulate(sys, xi2, u2)
         assert np.abs(w2.values - w.values).max() < 1e-12
+
+
+def reference_simulate(sys, xi, u):
+    """Node values of one run by the single-trajectory loop that the batched
+    ``simulate`` generalizes."""
+    k, n, h = xi.tau_index, sys.grid.steps, sys.grid.h
+    w = _start(xi, n)
+    f = _tail_forcing(sys, xi)
+    Bu = u.values @ sys.B.T
+    M = _step_matrix(sys.A, sys.N[0], h)
+    f_prev = sys.A @ w[k] + f[0] + Bu[0]
+    for i in range(k, n):
+        wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
+        mem = np.einsum("jab,jb,j->a", sys.N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
+        rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])
+        w[i + 1] = np.linalg.solve(M, rhs)
+        f_prev = (
+            sys.A @ w[i + 1]
+            + mem
+            + 0.5 * h * (sys.N[0] @ w[i + 1])
+            + f[i + 1 - k]
+            + Bu[i + 1 - k]
+        )
+    return w
+
+
+def random_controls(sys, xi, r, seed=0):
+    """(nodes, m, r) controls on the state's window."""
+    shape = (sys.grid.steps + 1 - xi.tau_index, sys.m, r)
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+class TestBatchedSimulate:
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_one_control_keeps_its_bits(self, case):
+        sys, xi, _ = batch_case(case)
+        u = ControlSignal(xi.tau_index, random_controls(sys, xi, 1)[..., 0])
+        w = simulate(sys, xi, u)
+        assert w.values.shape == (sys.grid.steps + 1, sys.d)
+        assert w.values.tobytes() == reference_simulate(sys, xi, u).tobytes()
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_batch_columns_match_single_runs(self, case):
+        sys, xi, _ = batch_case(case)
+        k, controls = xi.tau_index, random_controls(sys, xi, 5)
+        w = simulate(sys, xi, ControlSignal(k, controls))
+        assert w.values.shape == (sys.grid.steps + 1, sys.d, 5)
+        for c in range(5):
+            single = simulate(sys, xi, ControlSignal(k, controls[..., c])).values
+            assert np.abs(w.values[..., c] - single).max() <= 1e-13
+            assert w.values[: k + 1, :, c].tobytes() == single[: k + 1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(29, 1, 3), (27, 1, 3), (28, 2, 3), (28, 3)])
+    def test_control_off_the_plant_is_refused(self, shape):
+        # the window has 28 nodes and m = 1; the batch axis is the third
+        _, sys, xi, _ = make_tracking_instance(40, 13)
+        with pytest.raises(ConfigurationError, match="control values do not cover"):
+            simulate(sys, xi, ControlSignal(13, np.zeros(shape)))
+
+    def test_only_one_batch_axis_and_only_simulate_takes_it(self):
+        _, sys, xi, _ = make_tracking_instance(40)
+        with pytest.raises(ConfigurationError, match=r"\(nodes, m\[, r\]\)"):
+            ControlSignal(0, np.zeros((41, 1, 2, 2)))
+        with pytest.raises(ConfigurationError, match=r"\(nodes, d\[, r\]\)"):
+            StateTrajectory(0, np.zeros((41, 2, 2, 2)))
+        with pytest.raises(ConfigurationError, match="not a batch"):
+            voc_solution(fundamental_matrix(sys), xi, ControlSignal(0, np.zeros((41, 1, 2))))
+
+
+@pytest.fixture(scope="module")
+def stages_at_n20():
+    """Each stage that takes a reference, with its other inputs built on the
+    fixed instance at n = 20."""
+    from voltrack import (
+        apply_synthesis,
+        build_affine_map,
+        build_forcing,
+        build_kernel,
+        qp_cost,
+        resolvent,
+        solve_fredholm,
+        solve_qp,
+        solve_riccati,
+        solve_tracking,
+        synthesis_kernels,
+    )
+
+    _, sys, xi, y = make_tracking_instance(20)
+    kernel = build_kernel(fundamental_matrix(sys), 0)
+    maps = synthesis_kernels(resolvent(kernel))
+    dmap = build_affine_map(sys, xi)
+    ric = solve_riccati(sys)
+    u = ControlSignal.zero(sys.grid, 1)
+    w = simulate(sys, xi, u)
+    stages = {
+        "build_forcing": lambda r: build_forcing(kernel, xi, r),
+        "solve_fredholm": lambda r: solve_fredholm(kernel, xi, r),
+        "apply_synthesis": lambda r: apply_synthesis(maps, xi, r),
+        "solve_qp": lambda r: solve_qp(dmap, r),
+        "qp_cost": lambda r: qp_cost(dmap, r, u),
+        "cost": lambda r: cost(sys, w, u, r),
+        "solve_tracking": lambda r: solve_tracking(ric, r),
+    }
+    return stages, y
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        "build_forcing",
+        "solve_fredholm",
+        "apply_synthesis",
+        "solve_qp",
+        "qp_cost",
+        "cost",
+        "solve_tracking",
+    ],
+)
+@pytest.mark.parametrize("cut", ["one_node", "one_node_short", "extra_output"])
+def test_reference_off_the_grid_is_refused(stages_at_n20, stage, cut):
+    # a one-node signal would broadcast as a constant through the einsums and
+    # the stacked residuals; every stage refuses it with one message
+    stages, y = stages_at_n20
+    bad = {
+        "one_node": y.values[:1],
+        "one_node_short": y.values[:-1],
+        "extra_output": np.hstack([y.values, y.values]),
+    }[cut]
+    stages[stage](y)  # the reference on the grid runs
+    with pytest.raises(ConfigurationError, match="reference signal not sampled on this grid"):
+        stages[stage](ReferenceSignal(bad))

@@ -10,6 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
 from conftest import (
+    BATCH_CASES,
+    batch_case,
     make_tracking_instance,
     p2_reference_value,
     p2_slice,
@@ -31,14 +33,16 @@ from voltrack import (
     feedback_control,
     fundamental_matrix,
     optimal_control_fredholm,
+    resolvent,
     simulate,
     solve_fredholm,
     solve_riccati,
     solve_tracking,
+    synthesis_kernels,
     value_function,
     zero_kernel,
 )
-from voltrack.model import _tail_forcing
+from voltrack.model import _node_derivative, _tail_forcing
 from voltrack.riccati import _tail_contractions
 
 TANH1 = math.tanh(1.0)
@@ -124,6 +128,46 @@ def reference_sweep(sys, y):
         d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (t2c + t2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
     return p0, p1, d1, d2, m
+
+
+def reference_di_residual(trk, w, u):
+    """(slack, pointwise) of one pair by the single-pair loop and value form
+    that the batched ``di_residual`` generalizes."""
+    ric = trk.ric
+    sys = ric.sys
+    k, n, h = u.start_index, sys.grid.steps, sys.grid.h
+    nk = n - k + 1
+
+    def value_form(j, head, tail, x, z):
+        bz = z @ sys.B
+        quad2 = sys.grid.weights(j) @ (2.0 * (x * z).sum(axis=1) - (bz * bz).sum(axis=1))
+        d2_tail = np.einsum("i,ia,ia->", sys.grid.weights(0, j), tail, trk.d2[: j + 1, j])
+        return (
+            head @ (ric.p0[j] @ head)
+            + 2.0 * head @ z[0]
+            + quad2
+            + 2.0 * head @ trk.d1[j]
+            + 2.0 * d2_tail
+            + trk.m[j]
+        )
+
+    res = w.values[k:] @ sys.C.T - trk.y.values[k:]
+    g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
+    run = np.zeros(nk)
+    run[1:] = np.cumsum(0.5 * h * (g[:-1] + g[1:]))
+    wv = w.values
+    xs, zs = np.zeros_like(wv), np.zeros_like(wv)
+    vals = np.zeros(nk)
+    for j in range(n + 1):
+        tx = sys.N[: n - j + 1] @ wv[j]
+        tz = ric.p1[j, j:] @ wv[j]
+        if j >= k:
+            end = 0.5 * h if j else 0.0
+            vals[j - k] = value_form(j, wv[j], wv[: j + 1], xs[j:] + end * tx, zs[j:] + end * tz)
+        inner = h if j else 0.5 * h
+        xs[j:] += inner * tx
+        zs[j:] += inner * tz
+    return run + vals - vals[0], g + _node_derivative(vals, h)
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +492,37 @@ class TestDIResidual:
             rep = di_residual(trk, wp, up)
             assert rep.min_slack >= -1e-8
 
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_one_pair_keeps_its_bits(self, case):
+        sys, xi, y = batch_case(case)
+        trk = solve_tracking(solve_riccati(sys), y)
+        u, w = closed_loop(trk, xi)
+        up = ControlSignal(u.start_index, u.values + 0.5)
+        for pair in ((u, w), (up, simulate(sys, xi, up))):
+            rep = di_residual(trk, pair[1], pair[0])
+            slack, pointwise = reference_di_residual(trk, pair[1], pair[0])
+            assert rep.slack.tobytes() == slack.tobytes()
+            assert rep.pointwise.tobytes() == pointwise.tobytes()
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_batch_columns_match_single_pairs(self, case):
+        sys, xi, y = batch_case(case)
+        trk = solve_tracking(solve_riccati(sys), y)
+        u, _ = closed_loop(trk, xi)
+        k = u.start_index
+        du = 0.5 * np.random.default_rng(4).standard_normal(u.values.shape + (4,))
+        up = ControlSignal(k, u.values[..., None] + du)
+        rep = di_residual(trk, simulate(sys, xi, up), up)
+        assert rep.slack.shape == rep.pointwise.shape == (sys.grid.steps + 1 - k, 4)
+        singles = []
+        for c in range(4):
+            uc = ControlSignal(k, up.values[..., c])
+            single = di_residual(trk, simulate(sys, xi, uc), uc)
+            assert np.abs(rep.slack[:, c] - single.slack).max() <= 1e-13
+            assert np.abs(rep.pointwise[:, c] - single.pointwise).max() <= 1e-13
+            singles.append(single.min_slack)
+        assert rep.min_slack == pytest.approx(min(singles), abs=1e-13)
+
     def test_zero_problem_zero_slack(self, solved_feedback):
         grid, sys, _, _, ric, _, _, _ = solved_feedback
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
@@ -516,3 +591,80 @@ class TestTailContraction:
             assert f.shape == (n + 1, 2) and np.array_equal(f, np.zeros((n + 1, 2)))
         u, _ = closed_loop(trk, xi)
         assert np.array_equal(u.values[0], feedback_control(trk, xi))
+
+
+def smooth_table_plant(n):
+    """d = 3, m = 2, p = 2 with the kernel given as a node table of the
+    smooth, non-exponential N(t) = G1 cos 3t + G2 t^2, started at t = 1/4."""
+    rng = np.random.default_rng(31)
+    A, B, C = 0.6 * rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
+    G1, G2 = 0.8 * rng.normal(size=(3, 3)), 0.5 * rng.normal(size=(3, 3))
+    grid = TimeGrid(1.0, n)
+    t = grid.nodes
+    N = np.cos(3.0 * t)[:, None, None] * G1 + (t * t)[:, None, None] * G2
+    y = ReferenceSignal(np.stack([np.sin(2.0 * t), 0.5 - t * t], axis=1))
+    return SystemSpec(A, B, C, N, grid), y, n // 4
+
+
+def tracking_plant(n):
+    """The fixed d = 2, m = 1 instance with its exponential kernel, from t = 1/5."""
+    _, sys, _, y = make_tracking_instance(n)
+    return sys, y, n // 5
+
+
+# max-entry errors at n = 60 / 120 / 240 of Q0(tau,tau) - P0(tau),
+# Q1(tau,.) - P1(.,tau) and int Q2(tau,r) y(r) dr - d1(tau)
+FIELD_IDENTITY_ERRORS = {
+    "tracking": [
+        (4.09e-4, 1.50e-4, 1.64e-4),
+        (9.95e-5, 3.71e-5, 4.09e-5),
+        (2.45e-5, 9.22e-6, 1.02e-5),
+    ],
+    "smooth_table": [
+        (3.89e-4, 1.34e-4, 1.19e-4),
+        (9.78e-5, 3.35e-5, 2.94e-5),
+        (2.45e-5, 8.38e-6, 7.32e-6),
+    ],
+}
+
+
+@pytest.fixture(scope="module", params=["tracking", "smooth_table"])
+def field_identity_errors(request):
+    """(identity errors, transposed-P1 error) per grid for one plant."""
+    plant = {"tracking": tracking_plant, "smooth_table": smooth_table_plant}[request.param]
+    errors, transposed = [], []
+    for n in (60, 120, 240):
+        sys, y, k = plant(n)
+        maps = synthesis_kernels(resolvent(build_kernel(fundamental_matrix(sys), k)))
+        ric = solve_riccati(sys)
+        trk = solve_tracking(ric, y)
+        p1 = ric.p1[: k + 1, k]
+        errors.append(
+            (
+                np.abs(maps.q0[0] - ric.p0[k]).max(),
+                np.abs(maps.q1[0] - p1).max(),
+                np.abs(np.einsum("jab,jb->a", maps.q2[0], y.values[k:]) - trk.d1[k]).max(),
+            )
+        )
+        transposed.append(np.abs(maps.q1[0] - p1.transpose(0, 2, 1)).max())
+    return request.param, np.array(errors), transposed
+
+
+class TestFieldIdentities:
+    """The Fredholm costate p = Q0 head + int Q1 tail + int Q2 y and the
+    Riccati feedback p = P0 head + int P1 tail + d1 are one map of the state,
+    so at the start node tau their fields agree to O(h^2)."""
+
+    def test_errors_are_pinned(self, field_identity_errors):
+        name, errors, _ = field_identity_errors
+        np.testing.assert_allclose(errors, FIELD_IDENTITY_ERRORS[name], rtol=0.02)
+
+    def test_second_order(self, field_identity_errors):
+        _, errors, _ = field_identity_errors
+        assert (np.log2(errors[:-1] / errors[1:]) >= 1.8).all()
+
+    def test_transposed_p1_does_not_match(self, field_identity_errors):
+        # a transpose bug in either route would not pass as round-off
+        _, errors, transposed = field_identity_errors
+        assert min(transposed) >= 1e-2
+        assert min(transposed) >= 1000.0 * errors[-1, 1]
