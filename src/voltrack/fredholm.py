@@ -46,6 +46,7 @@ from .model import (
     InitialState,
     ReferenceSignal,
     StateTrajectory,
+    _check_state,
     _history,
     _lag_gather,
     _node_derivative,
@@ -235,10 +236,10 @@ def _nystrom_solve(kb: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray
     """Solve (I + Ktilde BB* W) x = rhs by one dense LU, O(n^3 d^3).
 
     ``kb`` holds the Ktilde BB* blocks of one window and ``w`` its
-    trapezoid weights.  A NaN or inf in the system and an exactly zero
-    pivot both raise :class:`SingularSystemError`; unchecked, LAPACK would
-    return NaNs for the first and numpy raises ``LinAlgError`` on the
-    second.
+    trapezoid weights.  A NaN or inf in the system or in the solution and
+    an exactly zero pivot raise :class:`SingularSystemError`; unchecked,
+    LAPACK would return NaNs for the first and numpy raises ``LinAlgError``
+    on the last.
     """
     nk, d = kb.shape[0], kb.shape[2]
     big = (kb * w[None, :, None, None]).transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
@@ -246,9 +247,12 @@ def _nystrom_solve(kb: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray
     if not (np.isfinite(big).all() and np.isfinite(rhs).all()):
         raise SingularSystemError("Nystrom system has non-finite entries")
     try:
-        return np.linalg.solve(big, rhs)
+        sol = np.linalg.solve(big, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
+    if not np.isfinite(sol).all():
+        raise SingularSystemError("Nystrom solve produced non-finite values")
+    return sol
 
 
 def solve_fredholm(
@@ -258,12 +262,11 @@ def solve_fredholm(
     the :func:`build_forcing` of the state ``xi`` and the reference ``y``.
 
     Cost O(n^3 d^3) for the dense LU, after O(n^2 d^3) to form Ktilde BB*.
-    A non-finite system or a zero pivot raises :class:`SingularSystemError`.
+    A non-finite system or solution or a zero pivot raises
+    :class:`SingularSystemError`.
     """
     rhs = build_forcing(kernel, xi, y).reshape(-1)
     sol = _nystrom_solve(_kernel_bbt(kernel), kernel.Z.sys.grid.weights(kernel.start_index), rhs)
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystemError("Nystrom solve produced non-finite values")
     return CostateTrajectory(sol.reshape(-1, kernel.ktilde.shape[2]), kernel, y)
 
 
@@ -271,8 +274,8 @@ def resolvent(kernel: TrackingKernel) -> ResolventKernel:
     """Resolvent R solving R(t,r) + int Ktilde(t,v) BB* R(v,r) dv = Ktilde(t,r) BB*.
 
     One dense factorization serves all n d column right-hand sides, so the
-    cost is O(n^3 d^3) in all.  A non-finite system or a zero pivot raises
-    :class:`SingularSystemError`.
+    cost is O(n^3 d^3) in all.  A non-finite system or solution or a zero
+    pivot raises :class:`SingularSystemError`.
     """
     kb = _kernel_bbt(kernel)
     nk, d = kb.shape[0], kb.shape[2]
@@ -303,20 +306,34 @@ def resolvent_norms(R: ResolventKernel) -> list[float]:
     window to round-off.  By the determinant lemma det(I + c X[J, J]) is
     det of the next window's Nystrom matrix over this one's, so a zero
     pivot there raises :class:`SingularSystemError`, as the per-window
-    solve does for the singular window.
+    solve does for the singular window.  So does a window that holds a NaN
+    or an inf, naming the window's start node, before its norm is taken.
     """
-    nk, d = R.values.shape[0], R.values.shape[2]
+    nk, d, k = R.values.shape[0], R.values.shape[2], R.kernel.start_index
     c = -0.5 * R.kernel.Z.sys.grid.h
     X = R.values.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
-    norms = [R.max_norm] if nk > 1 else []
-    for size in range(nk - 1, 1, -1):  # node count of the next window
-        try:
-            gain = np.linalg.solve(np.eye(2 * d) + c * X[: 2 * d, : 2 * d], X[: 2 * d, d:])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
-        X = X[d:, d:] - c * (X[d:, : 2 * d] @ gain)
-        norms.append(_max_block_norm(X.reshape(size, d, size, d).transpose(0, 2, 1, 3)))
+    norms = [_window_norm(R.values, k)] if nk > 1 else []
+    with np.errstate(all="ignore"):  # an overflowing downdate is refused as non-finite
+        for size in range(nk - 1, 1, -1):  # node count of the next window
+            try:
+                gain = np.linalg.solve(np.eye(2 * d) + c * X[: 2 * d, : 2 * d], X[: 2 * d, d:])
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
+            X = X[d:, d:] - c * (X[d:, : 2 * d] @ gain)
+            blocks = X.reshape(size, d, size, d).transpose(0, 2, 1, 3)
+            norms.append(_window_norm(blocks, k + nk - size))
     return norms
+
+
+def _window_norm(values: np.ndarray, node: int) -> float:
+    """``_max_block_norm`` of the resolvent on the window from ``node``; a NaN
+    or inf there raises :class:`SingularSystemError` (the SVD would not
+    converge)."""
+    if not np.isfinite(values).all():
+        raise SingularSystemError(
+            f"resolvent on the window from node {node} has non-finite entries"
+        )
+    return _max_block_norm(values)
 
 
 def optimal_control_fredholm(p: CostateTrajectory) -> ControlSignal:
@@ -407,6 +424,7 @@ def apply_synthesis(
     maps O((n - tau) tau d^2).
     """
     k, sys = kernels.kernel.start_index, kernels.kernel.Z.sys
+    _check_state(sys, xi)
     if xi.tau_index != k:
         raise ConfigurationError(f"state node {xi.tau_index} differs from the synthesis node {k}")
     yk = y.window(sys.grid.steps + 1, sys.p, k)

@@ -7,10 +7,12 @@ The plant is a controlled linear Volterra integrodifferential equation
 
 driven from an initial node ``tau`` with a finite history (the *tail*)
 on [0, tau].  Everything lives on a uniform grid; all integrals are
-composite trapezoid sums on that grid, and time stepping is an
-implicit-trapezoid update that keeps the new node inside the memory sum
-with weight h/2 (a small d x d ``numpy.linalg.solve`` per step, second
-order in h).  Every integral of a kernel against a history, int_0^tau
+composite trapezoid sums on that grid, and time stepping is one
+implicit-trapezoid march, :func:`_march`, that keeps the new node inside
+the memory sum with weight h/2 (a small d x d ``numpy.linalg.solve`` per
+step, second order in h): :func:`simulate` runs it on the plant and
+:func:`fundamental_matrix` on the adjoint plant, with Z(0) = I as a batch
+of d columns.  Every integral of a kernel against a history, int_0^tau
 F(., s) tail(s) ds with F the plant's N, the feedback's P1 or a synthesis
 map, is the one quadrature :func:`_history`, and every trajectory starts
 from :func:`_start`: the tail below tau, the head at tau.  The plant
@@ -307,10 +309,20 @@ def _tail_forcing(sys: SystemSpec, xi: InitialState) -> np.ndarray:
     return _history(_lag_gather(sys.N, xi.tau_index), xi.tail, sys.grid.h)
 
 
+def _check_state(sys: SystemSpec, xi: InitialState) -> None:
+    """Refuse a state of another dimension than the plant's, or past its last node."""
+    if xi.d != sys.d or xi.tau_index > sys.grid.steps:
+        raise ConfigurationError(
+            f"state with d={xi.d} at node {xi.tau_index} is off the plant "
+            f"(d={sys.d}, nodes 0..{sys.grid.steps})"
+        )
+
+
 def _check_control(
     sys: SystemSpec, xi: InitialState, u: ControlSignal, batch: bool = False
 ) -> None:
-    """Refuse a control off the state's window; a batch axis only if ``batch``."""
+    """Refuse a state off the plant, a control off its window, and a batch unless ``batch``."""
+    _check_state(sys, xi)
     k = xi.tau_index
     if u.start_index != k:
         raise ConfigurationError(
@@ -334,20 +346,6 @@ def _node_map(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.swapaxes(x, 1, -1) @ M.T, 1, -1)
 
 
-def _step_matrix(A: np.ndarray, N0: np.ndarray, h: float) -> np.ndarray:
-    """I - h/2 A - h^2/4 N0, the implicit step matrix every step solves with.
-
-    ``np.linalg.solve`` fails only at an exactly zero pivot; one solve here
-    raises that as :class:`SingularSystemError` before the first step.
-    """
-    M = np.eye(A.shape[0]) - 0.5 * h * A - 0.25 * h * h * N0
-    try:
-        np.linalg.solve(M, M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
-    return M
-
-
 def _node_derivative(v: np.ndarray, h: float) -> np.ndarray:
     """Second-order d/dt of node samples along axis 0.
 
@@ -367,28 +365,40 @@ def _node_derivative(v: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _march(
+    A: np.ndarray, N: np.ndarray, h: float, w: np.ndarray, k: int, f: np.ndarray, Bu: np.ndarray
+) -> None:
+    """Step ``w`` (nodes, d, ...) in place from node k by the implicit
+    trapezoid rule for w' = A w + int_tau^t N(t-s) w(s) ds + f + Bu, the
+    forcings f and Bu sampled on nodes k..n and added in that order.
+    Trailing axes of ``w`` are a batch, stepped together."""
+    M = np.eye(A.shape[0]) - 0.5 * h * A - 0.25 * h * h * N[0]
+    try:  # numpy's solve fails only at an exactly zero pivot: refuse it before step one
+        np.linalg.solve(M, M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
+    f_prev = A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
+    for i in range(k, w.shape[0] - 1):
+        wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
+        mem = np.einsum("jab,jb...,j->a...", N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
+        rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])
+        w[i + 1] = np.linalg.solve(M, rhs)
+        f_prev = A @ w[i + 1] + mem + 0.5 * h * (N[0] @ w[i + 1]) + f[i + 1 - k] + Bu[i + 1 - k]
+
+
 def fundamental_matrix(sys: SystemSpec) -> FundamentalMatrix:
     """Solve Z'(t) = A* Z(t) + int_0^t N*(t-s) Z(s) ds, Z(0) = I.
 
     Z is the adjoint-kernel fundamental matrix; the forward flow of the
-    plant is its transpose, w(t) = Z*(t) w(0) for the free system.
-    Second-order accurate in h.  O(n^2 d^3): step i sums i + 1 memory
-    products of d x d matrices.
+    plant is its transpose, w(t) = Z*(t) w(0) for the free system.  It is
+    :func:`simulate`'s march on the adjoint plant (A*, N*), unforced, with
+    the d columns of Z(0) = I as a batch.  Second-order accurate in h.
+    O(n^2 d^3): step i sums i + 1 memory products of d x d matrices.
     """
-    n, d, h = sys.grid.steps, sys.d, sys.grid.h
-    At = sys.A.T
-    Nt = np.transpose(sys.N, (0, 2, 1))
-    Z = np.zeros((n + 1, d, d))
-    Z[0] = np.eye(d)
-    M = _step_matrix(At, Nt[0], h)
-    f_prev = At.copy()  # A* Z_0 + empty memory sum
-    for i in range(n):
-        # memory sum at t_{i+1}, known part (nodes 0..i of the trapezoid)
-        w = trapezoid_weights(i + 2, h)[: i + 1]
-        mem = np.einsum("jab,jbc,j->ac", Nt[i + 1 : 0 : -1], Z[: i + 1], w)
-        rhs = Z[i] + 0.5 * h * (f_prev + mem)
-        Z[i + 1] = np.linalg.solve(M, rhs)
-        f_prev = At @ Z[i + 1] + mem + 0.5 * h * (Nt[0] @ Z[i + 1])
+    Z = np.zeros((sys.grid.steps + 1, sys.d, sys.d))
+    Z[0] = np.eye(sys.d)
+    zero = np.zeros_like(Z)
+    _march(sys.A.T, np.transpose(sys.N, (0, 2, 1)), sys.grid.h, Z, 0, zero, zero)
     return FundamentalMatrix(sys, Z)
 
 
@@ -407,28 +417,11 @@ def simulate(sys: SystemSpec, xi: InitialState, u: ControlSignal) -> StateTrajec
     own run to round-off, since its sums run in another order.
     """
     _check_control(sys, xi, u, batch=True)
-    k, n, d, h = xi.tau_index, sys.grid.steps, sys.d, sys.grid.h
-    if xi.d != d:
-        raise ConfigurationError("state dimension does not match the plant")
-    batch = u.values.shape[2:]
-    w = np.empty((n + 1, d) + batch)
+    k, n, batch = xi.tau_index, sys.grid.steps, u.values.shape[2:]
+    w = np.empty((n + 1, sys.d) + batch)
     w[...] = _columns(_start(xi, n), batch)
     f = _columns(_tail_forcing(sys, xi), batch)
-    Bu = _node_map(sys.B, u.values)
-    M = _step_matrix(sys.A, sys.N[0], h)
-    f_prev = sys.A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
-    for i in range(k, n):
-        wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
-        mem = np.einsum("jab,jb...,j->a...", sys.N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
-        rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])
-        w[i + 1] = np.linalg.solve(M, rhs)
-        f_prev = (
-            sys.A @ w[i + 1]
-            + mem
-            + 0.5 * h * (sys.N[0] @ w[i + 1])
-            + f[i + 1 - k]
-            + Bu[i + 1 - k]
-        )
+    _march(sys.A, sys.N, sys.grid.h, w, k, f, _node_map(sys.B, u.values))
     return StateTrajectory(k, w)
 
 
@@ -457,15 +450,18 @@ def voc_solution(Z: FundamentalMatrix, xi: InitialState, u: ControlSignal) -> St
 
 def cost(sys: SystemSpec, w: StateTrajectory, u: ControlSignal, y: ReferenceSignal) -> float:
     """Trapezoid value of int_tau^T ||C w - y||^2 + ||u||^2 dt, tau the
-    control window's start."""
+    control window's start.  One pair only: a batch axis is refused."""
     k = u.start_index
+    _check_control(sys, extend_state(w, k), u)  # w's state at tau, and u on its window
     wts = sys.grid.weights(k)
     res = w.values[k:] @ sys.C.T - y.window(sys.grid.steps + 1, sys.p, k)
     return float(wts @ ((res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)))
 
 
 def extend_state(w: StateTrajectory, r: int) -> InitialState:
-    """Finite-memory state (w_r, w restricted to 0..r) at node r."""
+    """Finite-memory state (w_r, w restricted to 0..r) at node r of one trajectory."""
+    if w.values.ndim > 2:
+        raise ConfigurationError("this stage takes one trajectory, not a batch")
     n = w.values.shape[0] - 1
     if not w.start_index <= r <= n:
         raise ConfigurationError(f"node {r} outside the trajectory window")

@@ -56,6 +56,7 @@ from .model import (
     ReferenceSignal,
     StateTrajectory,
     SystemSpec,
+    _check_state,
     _columns,
     _history,
     _lag_gather,
@@ -319,6 +320,7 @@ def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:
     """Feedback value u(tau) = -B*[P0 head + int P1(s,tau) tail(s) ds + d1]
     at the state's node tau; O(tau d^2 + d (d + m))."""
     ric, k = trk.ric, xi.tau_index
+    _check_state(ric.sys, xi)
     hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.sys.grid.h)[0]
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
 
@@ -335,6 +337,7 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     """
     ric = trk.ric
     sys = ric.sys
+    _check_state(sys, xi0)
     k, n, d, mdim, h = xi0.tau_index, sys.grid.steps, sys.d, sys.m, sys.grid.h
     A, B, N = sys.A, sys.B, sys.N
     w = _start(xi0, n)
@@ -410,6 +413,7 @@ def value_function(trk: TrackingField, omega: InitialState) -> float:
     """Evaluate the quadratic value form at the state ``omega``, at its node k;
     O(n (n-k) d^2)."""
     k = omega.tau_index
+    _check_state(trk.ric.sys, omega)
     x, z = _tail_contractions(trk.ric, k, omega.tail)
     return float(_value_form(trk, k, omega.head, omega.tail, x, z))
 

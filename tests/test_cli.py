@@ -375,6 +375,22 @@ class TestSimulate:
         assert main(["synthesize", "--route", "oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "QP normal equations have non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # refused, not warned
+    def test_non_finite_resolvent_window_exits_3(self, tmp_path, capsys, monkeypatch):
+        resolvent = fredholm.resolvent
+
+        def nan_resolvent(kernel):
+            R = resolvent(kernel)
+            R.values[3, 2, 1, 0] = np.nan
+            return R
+
+        monkeypatch.setattr(fredholm, "resolvent", nan_resolvent)
+        cfg = tmp_path / "c.json"
+        tracking_config(cfg, steps=10)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "resolvent on the window from node 0 has non-finite entries" in err
+
     def test_singular_nystrom_matrix_exits_3(self, tmp_path, capsys, monkeypatch):
         # Ktilde(t_0, t_0) BB* w_0 = -8 * 1 * 1/8 = -1 exactly, so the Nystrom
         # matrix has an all-zero first column

@@ -603,3 +603,45 @@ class TestSingularNystromMatrix:
                 solve_fredholm(kernel, xi, y)
             with pytest.raises(SingularSystemError, match="non-finite entries"):
                 resolvent(kernel)
+
+    def test_overflowing_solution_raises_in_resolvent(self):
+        # d = 1, B = 1, h = 1/4, window [t_2, T]: node 2's row of the Nystrom
+        # matrix is (0, 2^-902, 0) and node 3's (2^-903, 1, 0), so the matrix
+        # is regular and finite but its inverse overflows
+        grid = TimeGrid(1.0, 4)
+        ktilde = np.zeros((3, 3, 1, 1))
+        ktilde[0, 0] = -8.0
+        ktilde[0, 1] = ktilde[1, 0] = 2.0**-900
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        kernel = TrackingKernel(2, ktilde, fundamental_matrix(sys))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="produced non-finite values"):
+                resolvent(kernel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_raises_in_the_sweep(self, solved_with_tail, bad):
+        # the SVD of a block norm does not converge on it; the sweep names
+        # the window instead, here window 0 from the kernel's node 30
+        R = solved_with_tail[6]
+        values = R.values.copy()
+        values[2, 1, 0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="window from node 30 has non-finite"):
+                resolvent_norms(ResolventKernel(values, R.kernel))
+
+    def test_overflowing_downdate_names_its_window(self):
+        # d = 1, h = 1/4, c = -1/8: X[J, J] = 8 (1 - 2^-52) I leaves the pivot
+        # I + c X[J, J] = 2^-52 I, so window 0 is finite and the downdate to
+        # window 1 multiplies 1e150 entries by a 2^52 1e150 gain
+        grid = TimeGrid(1.0, 4)
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        kernel = TrackingKernel(0, np.zeros((5, 5, 1, 1)), fundamental_matrix(sys))
+        X = np.zeros((5, 5))
+        X[:2, 2:] = X[2:, :2] = 1e150
+        X[0, 0] = X[1, 1] = 8.0 * (1.0 - 2.0**-52)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="window from node 1 has non-finite"):
+                resolvent_norms(ResolventKernel(X[:, :, None, None], kernel))

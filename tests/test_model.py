@@ -1,10 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import BATCH_CASES, batch_case, make_tracking_instance
+from conftest import BATCH_CASES, batch_case, make_tracking_instance, seeded_plant
 from voltrack import (
     ConfigurationError,
     ControlSignal,
@@ -23,7 +25,7 @@ from voltrack import (
     voc_solution,
     zero_kernel,
 )
-from voltrack.model import _start, _step_matrix, _tail_forcing
+from voltrack.model import _start, _tail_forcing
 
 COSH1 = math.cosh(1.0)
 
@@ -283,7 +285,7 @@ def reference_simulate(sys, xi, u):
     w = _start(xi, n)
     f = _tail_forcing(sys, xi)
     Bu = u.values @ sys.B.T
-    M = _step_matrix(sys.A, sys.N[0], h)
+    M = np.eye(sys.d) - 0.5 * h * sys.A - 0.25 * h * h * sys.N[0]
     f_prev = sys.A @ w[k] + f[0] + Bu[0]
     for i in range(k, n):
         wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
@@ -298,6 +300,87 @@ def reference_simulate(sys, xi, u):
             + Bu[i + 1 - k]
         )
     return w
+
+
+def reference_fundamental_matrix(sys):
+    """Z by the adjoint loop that ``fundamental_matrix`` ran before it went
+    onto ``simulate``'s march."""
+    n, d, h = sys.grid.steps, sys.d, sys.grid.h
+    At = sys.A.T
+    Nt = np.transpose(sys.N, (0, 2, 1))
+    Z = np.zeros((n + 1, d, d))
+    Z[0] = np.eye(d)
+    M = np.eye(d) - 0.5 * h * At - 0.25 * h * h * Nt[0]
+    f_prev = At.copy()  # A* Z_0 + empty memory sum
+    for i in range(n):
+        w = trapezoid_weights(i + 2, h)[: i + 1]
+        mem = np.einsum("jab,jbc,j->ac", Nt[i + 1 : 0 : -1], Z[: i + 1], w)
+        rhs = Z[i] + 0.5 * h * (f_prev + mem)
+        Z[i + 1] = np.linalg.solve(M, rhs)
+        f_prev = At @ Z[i + 1] + mem + 0.5 * h * (Nt[0] @ Z[i + 1])
+    return Z
+
+
+def _signed_zero_plant(name, n=30):
+    """Plants whose products and sums meet exact and negative zeros."""
+    grid = TimeGrid(1.0, n)
+    A = {
+        "diag_memoryless": np.diag([-0.7, 0.4]),
+        "zero": np.zeros((2, 2)),
+        "diag": np.diag([-0.5, 0.3]),
+        "nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]),
+        "negative_zeros": np.array([[-0.0, 0.5], [-0.3, -0.0]]),
+    }[name]
+    N = zero_kernel(grid, 2)
+    if name == "diag":
+        N = exponential_kernel(grid, [(np.diag([0.8, -1.2]), 1.0)])
+    if name == "negative_zeros":
+        N = np.random.default_rng(4).normal(size=(n + 1, 2, 2))
+        N[:, 0, 1] = N[::2, 1, 0] = -0.0
+    return SystemSpec(A, [[1.0], [0.0]], [[1.0, 0.0]], N, grid)
+
+
+def _workload_plant(name):
+    """The demo config's plant, or seed-7 instance 0 of a benchmark workload."""
+    import importlib.util
+    import json
+    import sys as python_sys
+
+    from voltrack.cli import Instance
+
+    root = Path(__file__).resolve().parents[1]
+    if name == "demo":
+        return Instance(json.loads((root / "demos/configs/tracking.json").read_text()), None).sys
+    workloads = python_sys.modules.get("workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("workloads", root / "perfbench/workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        python_sys.modules["workloads"] = workloads  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    cfg = workloads.WORKLOADS[name].config(workloads.instance_rng(7, name, 0), False)
+    return Instance(cfg, None).sys
+
+
+FUNDAMENTAL_PLANTS = (
+    ["demo", "verify_history", "refine_ladder", "synth_fields"]
+    + [f"seeded_d{d}_m{m}_{kind}" for d in (1, 2, 3) for m in (1, 2) for kind in ("exp", "table")]
+    + ["diag_memoryless", "zero", "diag", "nilpotent", "negative_zeros"]
+)
+
+
+@pytest.mark.parametrize("name", FUNDAMENTAL_PLANTS)
+def test_fundamental_matrix_keeps_the_bits_of_its_own_loop(name):
+    # Z is simulate's march on the adjoint plant with Z(0) = I as a batch of
+    # d columns; the batched memory sum is the same contraction as Z's own
+    if name.startswith("seeded"):
+        _, d, m, kind = name.split("_")
+        _, sys, _ = seeded_plant(int(d[1:]), int(m[1:]), 40, 11, kind == "table")
+    elif name in ("demo", "verify_history", "refine_ladder", "synth_fields"):
+        sys = _workload_plant(name)
+    else:
+        sys = _signed_zero_plant(name)
+    Z = fundamental_matrix(sys)
+    assert Z.values.tobytes() == reference_fundamental_matrix(sys).tobytes()
 
 
 def random_controls(sys, xi, r, seed=0):
@@ -341,12 +424,22 @@ class TestBatchedSimulate:
             StateTrajectory(0, np.zeros((41, 2, 2, 2)))
         with pytest.raises(ConfigurationError, match="not a batch"):
             voc_solution(fundamental_matrix(sys), xi, ControlSignal(0, np.zeros((41, 1, 2))))
+        one_u = ControlSignal.zero(sys.grid, 1)
+        batch_u = ControlSignal(0, np.zeros((41, 1, 3)))
+        batch_w = simulate(sys, xi, batch_u)
+        with pytest.raises(ConfigurationError, match="one trajectory, not a batch"):
+            extend_state(batch_w, 5)
+        with pytest.raises(ConfigurationError, match="one trajectory, not a batch"):
+            cost(sys, batch_w, one_u, make_tracking_instance(40)[3])
+        with pytest.raises(ConfigurationError, match="one control, not a batch"):
+            cost(sys, simulate(sys, xi, one_u), batch_u, make_tracking_instance(40)[3])
 
 
 @pytest.fixture(scope="module")
 def stages_at_n20():
     """Each stage that takes a reference, with its other inputs built on the
-    fixed instance at n = 20."""
+    fixed instance at n = 20, the reference, and the instance's tracking
+    field."""
     from voltrack import (
         apply_synthesis,
         build_affine_map,
@@ -377,7 +470,7 @@ def stages_at_n20():
         "cost": lambda r: cost(sys, w, u, r),
         "solve_tracking": lambda r: solve_tracking(ric, r),
     }
-    return stages, y
+    return stages, y, solve_tracking(ric, y)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +489,7 @@ def stages_at_n20():
 def test_reference_off_the_grid_is_refused(stages_at_n20, stage, cut):
     # a one-node signal would broadcast as a constant through the einsums and
     # the stacked residuals; every stage refuses it with one message
-    stages, y = stages_at_n20
+    stages, y, _ = stages_at_n20
     bad = {
         "one_node": y.values[:1],
         "one_node_short": y.values[:-1],
@@ -405,3 +498,62 @@ def test_reference_off_the_grid_is_refused(stages_at_n20, stage, cut):
     stages[stage](y)  # the reference on the grid runs
     with pytest.raises(ConfigurationError, match="reference signal not sampled on this grid"):
         stages[stage](ReferenceSignal(bad))
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        "simulate",
+        "voc_solution",
+        "build_affine_map",
+        "feedback_control",
+        "closed_loop",
+        "value_function",
+        "apply_synthesis",
+    ],
+)
+@pytest.mark.parametrize(
+    "state",
+    [
+        InitialState(0, [1.0, 2.0, 3.0]),
+        InitialState(3, [1.0], np.ones((4, 1))),
+        InitialState(21, [1.0, 2.0], np.ones((22, 2))),
+    ],
+    ids=["d3", "d1_with_tail", "past_node_n"],
+)
+def test_state_off_the_plant_is_refused(stages_at_n20, stage, state):
+    # unchecked, each stage fails inside numpy instead: a broadcast error, an
+    # index error or negative dimensions, depending on the stage and the state
+    from voltrack import (
+        apply_synthesis,
+        build_affine_map,
+        build_kernel,
+        closed_loop,
+        feedback_control,
+        resolvent,
+        synthesis_kernels,
+        value_function,
+    )
+
+    _, sys, xi, y = make_tracking_instance(20)
+    trk = stages_at_n20[2]
+    maps = synthesis_kernels(resolvent(build_kernel(fundamental_matrix(sys), 0)))
+
+    def on_window(x):  # a zero control on the state's window, empty past node n
+        return ControlSignal(x.tau_index, np.zeros((max(21 - x.tau_index, 0), 1)))
+
+    stages = {
+        "simulate": lambda x: simulate(sys, x, on_window(x)),
+        "voc_solution": lambda x: voc_solution(fundamental_matrix(sys), x, on_window(x)),
+        "build_affine_map": lambda x: build_affine_map(sys, x),
+        "feedback_control": lambda x: feedback_control(trk, x),
+        "closed_loop": lambda x: closed_loop(trk, x),
+        "value_function": lambda x: value_function(trk, x),
+        "apply_synthesis": lambda x: apply_synthesis(maps, x, y),
+    }
+    stages[stage](xi)  # the fixed instance's own state runs
+    message = (
+        f"state with d={state.d} at node {state.tau_index} is off the plant (d=2, nodes 0..20)"
+    )
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        stages[stage](state)
