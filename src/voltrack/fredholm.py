@@ -26,7 +26,8 @@ is built from the kernel, the state and the reference.
 Discrete conventions
 --------------------
 All quadratures share the grid's trapezoid weights, so the Q/H route
-reproduces the Nystrom costate to round-off.  The y-kernels Q2 and H2 are
+reproduces the Nystrom costate to round-off; every sum over a window that
+slides with its node is ``model._window_sums``.  The y-kernels Q2 and H2 are
 stored in quadrature-absorbed form (node weights folded in): the jump of
 1(s-t) Z(s-t) at s = t is handled by splitting the trapezoid at the node,
 where the left limit is zero, so the sample at the jump node carries
@@ -46,11 +47,13 @@ from .model import (
     InitialState,
     ReferenceSignal,
     StateTrajectory,
+    _check_pair,
     _check_state,
     _history,
     _lag_gather,
     _node_derivative,
     _start,
+    _window_sums,
     trapezoid_weights,
     voc_solution,
 )
@@ -213,16 +216,9 @@ def build_forcing(kernel: TrackingKernel, xi: InitialState, y: ReferenceSignal) 
     Z, sys, k = kernel.Z, kernel.Z.sys, kernel.start_index
     if xi.tau_index != k:
         raise ConfigurationError(f"state node {xi.tau_index} differs from the kernel node {k}")
-    n, h = sys.grid.steps, sys.grid.h
     y0 = voc_solution(Z, xi, ControlSignal.zero(sys.grid, sys.m, k)).values[k:]
-    v = (y0 @ sys.C.T - y.window(n + 1, sys.p, k)) @ sys.C  # C*(C Y0 - y), row-vector form
-    nk = n - k + 1
-    Zv = Z.values
-    out = np.zeros((nk, sys.d))
-    for il in range(nk - 1):
-        wts = trapezoid_weights(nk - il, h)
-        out[il] = np.einsum("qab,qb,q->a", Zv[: nk - il], v[il:], wts)
-    return out
+    v = (y0 @ sys.C.T - y.window(sys.grid.steps + 1, sys.p, k)) @ sys.C  # C*(C Y0 - y)
+    return _window_sums("qab,qb,q->a", Z.values, v, sys.grid.h, ahead=True)
 
 
 def _kernel_bbt(kernel: TrackingKernel) -> np.ndarray:
@@ -349,20 +345,6 @@ def _row_weight_matrix(nk: int, h: float) -> np.ndarray:
     return W
 
 
-def _tail_convolution(Z: FundamentalMatrix, k: int) -> np.ndarray:
-    """E[s, v] = int_tau^{t_s} Z*(t_s - r) N(r - t_v) dr for v = 0..k, s = k..n."""
-    sys, Zv = Z.sys, Z.values
-    n, d, h = sys.grid.steps, sys.d, sys.grid.h
-    nk = n - k + 1
-    NT = _lag_gather(sys.N, k)
-    E = np.zeros((nk, k + 1, d, d))
-    for il in range(1, nk):
-        wts = trapezoid_weights(il + 1, h)
-        Zrev = np.transpose(Zv[il::-1], (0, 2, 1))  # Z*(t_s - r), r = tau..t_s
-        E[il] = np.einsum("rab,rvbc,r->vac", Zrev, NT[: il + 1], wts, optimize=True)
-    return E
-
-
 def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
     """Assemble the Q and H kernels of the closed-form optimal pair.
 
@@ -385,14 +367,11 @@ def synthesis_kernels(R: ResolventKernel) -> SynthesisKernels:
 
     # costate maps
     q0 = ktilde[:, 0] - np.einsum("ijab,jbc->iac", rw, ktilde[:, 0], optimize=True)
-    e_tail = _tail_convolution(Z, k)
-    q1a = np.zeros((nk, k + 1, d, d))
+    # E(t_s, t_v) = int_tau^{t_s} Z*(t_s - r) N(r - t_v) dr, v = 0..tau
+    Zt, NT = np.transpose(Zv, (0, 2, 1)), _lag_gather(sys.N, k)
+    e_tail = _window_sums("rab,rvbc,r->vac", Zt, NT, h, ahead=False, optimize=True)
     ZCC = Zv @ (sys.C.T @ sys.C)
-    for il in range(nk - 1):
-        wts = trapezoid_weights(nk - il, h)
-        q1a[il] = np.einsum(
-            "sab,svbc,s->vac", ZCC[: nk - il], e_tail[il:], wts, optimize=True
-        )
+    q1a = _window_sums("sab,svbc,s->vac", ZCC, e_tail, h, ahead=True, optimize=True)
     q1 = q1a - np.einsum("ijab,jvbc->ivac", rw, q1a, optimize=True)
     rowW = _row_weight_matrix(nk, h)
     zc = Zv[:nk] @ sys.C.T  # Z(s-t) C*, by lag
@@ -452,14 +431,13 @@ def costate_residual(p: CostateTrajectory, wplus: StateTrajectory) -> float:
     """
     sys = p.kernel.Z.sys
     k, n, h = p.kernel.start_index, sys.grid.steps, sys.grid.h
+    _check_pair(sys, wplus, k)
     pv = p.values
-    nk = n - k + 1
     dp = _node_derivative(pv, h)
+    mem = _window_sums("sba,sb,s->a", sys.N, pv, h, ahead=True)
     res = 0.0
     outer = (wplus.values[k:] @ sys.C.T - p.y.values[k:]) @ sys.C
-    for il in range(nk):
-        wts = trapezoid_weights(nk - il, h)
-        mem = np.einsum("sba,sb,s->a", sys.N[: nk - il], pv[il:], wts)
-        rhs = -sys.A.T @ pv[il] - mem - outer[il]
+    for il in range(n - k + 1):
+        rhs = -sys.A.T @ pv[il] - mem[il] - outer[il]
         res = max(res, float(np.abs(dp[il] - rhs).max()))
     return res

@@ -14,10 +14,11 @@ step, second order in h): :func:`simulate` runs it on the plant and
 :func:`fundamental_matrix` on the adjoint plant, with Z(0) = I as a batch
 of d columns.  Every integral of a kernel against a history, int_0^tau
 F(., s) tail(s) ds with F the plant's N, the feedback's P1 or a synthesis
-map, is the one quadrature :func:`_history`, and every trajectory starts
-from :func:`_start`: the tail below tau, the head at tau.  The plant
-carries the grid its kernel is sampled on, so no stage takes a grid
-beside a plant; the fundamental matrix Z carries the plant
+map, is the one quadrature :func:`_history`; every sum over a window that
+slides with its node, [t_i, T] or [tau, t_i], is :func:`_window_sums`; and
+every trajectory starts from :func:`_start`: the tail below tau, the head
+at tau.  The plant carries the grid its kernel is sampled on, so no stage
+takes a grid beside a plant; the fundamental matrix Z carries the plant
 :func:`fundamental_matrix` solved it for, so :func:`voc_solution` and
 every Fredholm stage built on Z read it from Z.  The package needs numpy
 only: every dense solve, here and in the Nystrom and QP routes, is
@@ -291,6 +292,23 @@ def _history(F: np.ndarray, tail: np.ndarray, h: float) -> np.ndarray:
     return np.einsum("qiab,ib,i->qa", F, tail, trapezoid_weights(tail.shape[0], h))
 
 
+def _window_sums(
+    spec: str, F: np.ndarray, v: np.ndarray, h: float, ahead: bool, optimize: bool = False
+) -> np.ndarray:
+    """Row i: the trapezoid sum of ``np.einsum(spec, F[lag], v[q], weights)``
+    over the nodes q of the window of node i of ``v``, [t_i, T] with lag
+    q - i if ``ahead``, else [t_0, t_i] with lag i - q.  The one-node
+    window's row stays the +0.0 it is allocated as (an einsum over its zero
+    weight could give -0.0)."""
+    n = v.shape[0]
+    size = dict(zip(spec.replace(",", "")[: F.ndim + v.ndim], F.shape + v.shape))
+    out = np.zeros((n,) + tuple(size[c] for c in spec.split("->")[1]))
+    for i in range(n - 1) if ahead else range(1, n):
+        lags, nodes = (F[: n - i], v[i:]) if ahead else (F[i::-1], v[: i + 1])
+        out[i] = np.einsum(spec, lags, nodes, trapezoid_weights(len(nodes), h), optimize=optimize)
+    return out
+
+
 def _start(xi: InitialState, n: int) -> np.ndarray:
     """Nodes 0..n of a trajectory from ``xi``: tail below tau, head at tau."""
     k = xi.tau_index
@@ -323,7 +341,35 @@ def _check_control(
 ) -> None:
     """Refuse a state off the plant, a control off its window, and a batch unless ``batch``."""
     _check_state(sys, xi)
-    k = xi.tau_index
+    _check_window(sys, xi.tau_index, u, batch)
+
+
+def _check_pair(
+    sys: SystemSpec,
+    w: StateTrajectory,
+    k: int,
+    u: ControlSignal | None = None,
+    batch: bool = False,
+) -> None:
+    """Refuse a trajectory not sampled on the plant's nodes 0..n with its d,
+    or whose window does not hold node k; with a control ``u``, refuse one
+    off its window from k.  A batch is refused unless ``batch``, and then
+    ``w`` must carry the batch axis of ``u``."""
+    if u is not None:
+        _check_window(sys, k, u, batch)
+    if w.values.ndim > 2 and not batch:
+        raise ConfigurationError("this stage takes one trajectory, not a batch")
+    n = sys.grid.steps
+    shape = (n + 1, sys.d) + (() if u is None else u.values.shape[2:])
+    if w.values.shape != shape or not 0 <= w.start_index <= k <= n:
+        raise ConfigurationError(
+            f"trajectory {w.values.shape} from node {w.start_index} does not fit the plant "
+            f"(d={sys.d}, nodes 0..{n}) on the window from node {k}"
+        )
+
+
+def _check_window(sys: SystemSpec, k: int, u: ControlSignal, batch: bool) -> None:
+    """Refuse a control that does not cover nodes k..n from node k, and a batch unless ``batch``."""
     if u.start_index != k:
         raise ConfigurationError(
             f"control window starts at node {u.start_index}, state sits at node {k}"
@@ -436,15 +482,12 @@ def voc_solution(Z: FundamentalMatrix, xi: InitialState, u: ControlSignal) -> St
     """
     sys = Z.sys
     _check_control(sys, xi, u)
-    k, n, h = xi.tau_index, sys.grid.steps, sys.grid.h
-    Zv = Z.values
+    k, n, Zv = xi.tau_index, sys.grid.steps, Z.values
     w = _start(xi, n)
     g = _tail_forcing(sys, xi) + u.values @ sys.B.T
+    conv = _window_sums("qba,qb,q->a", Zv, g, sys.grid.h, ahead=False)
     for i in range(k + 1, n + 1):
-        wts = trapezoid_weights(i - k + 1, h)
-        w[i] = Zv[i - k].T @ xi.head + np.einsum(
-            "qba,qb,q->a", Zv[i - k :: -1][: i - k + 1], g[: i - k + 1], wts
-        )
+        w[i] = Zv[i - k].T @ xi.head + conv[i - k]
     return StateTrajectory(k, w)
 
 
@@ -452,7 +495,7 @@ def cost(sys: SystemSpec, w: StateTrajectory, u: ControlSignal, y: ReferenceSign
     """Trapezoid value of int_tau^T ||C w - y||^2 + ||u||^2 dt, tau the
     control window's start.  One pair only: a batch axis is refused."""
     k = u.start_index
-    _check_control(sys, extend_state(w, k), u)  # w's state at tau, and u on its window
+    _check_pair(sys, w, k, u)
     wts = sys.grid.weights(k)
     res = w.values[k:] @ sys.C.T - y.window(sys.grid.steps + 1, sys.p, k)
     return float(wts @ ((res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)))

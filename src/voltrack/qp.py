@@ -111,11 +111,22 @@ def _target(dmap: DiscreteAffineMap, y: ReferenceSignal) -> np.ndarray:
     return y.window(k + dmap.weights.size, dmap.p, k).reshape(-1)
 
 
+def _stacked(dmap: DiscreteAffineMap, u: ControlSignal) -> np.ndarray:
+    """The stacked control; one off the map's window or inputs is refused."""
+    k, nk = dmap.start_index, dmap.weights.size
+    if u.start_index != k or u.values.shape != (nk, dmap.m):
+        raise ConfigurationError(
+            f"control {u.values.shape} from node {u.start_index} is off the map's window "
+            f"({nk} nodes from node {k}, m={dmap.m})"
+        )
+    return u.values.reshape(-1)
+
+
 def qp_cost(dmap: DiscreteAffineMap, y: ReferenceSignal, u: ControlSignal) -> float:
     """Weighted discrete cost of a stacked control; O((n - tau)^2 p m) for
     the product with G."""
     wp, wm = _weight_vectors(dmap)
-    uv = u.values.reshape(-1)
+    uv = _stacked(dmap, u)
     r = dmap.G @ uv + dmap.g - _target(dmap, y)
     return float(wp @ (r * r) + wm @ (uv * uv))
 
@@ -126,7 +137,7 @@ def qp_gradient(
     """Analytic gradient of :func:`qp_cost` with respect to the stacked u;
     O((n - tau)^2 p m) for the products with G and G*."""
     wp, wm = _weight_vectors(dmap)
-    uv = u.values.reshape(-1)
+    uv = _stacked(dmap, u)
     r = dmap.G @ uv + dmap.g - _target(dmap, y)
     return 2.0 * (dmap.G.T @ (wp * r) + wm * uv)
 
@@ -157,8 +168,8 @@ def gradient_check(
 ) -> float:
     """Max gap between central differences of the cost and the gradient:
     two :func:`qp_cost` calls per control entry, O((n - tau)^3 p m^2)."""
-    if eps <= 0.0:
-        raise ConfigurationError("eps must be positive")
+    if not 0.0 < eps < np.inf:  # a NaN eps fails this test too
+        raise ConfigurationError(f"eps must be a finite number > 0, got {eps!r}")
     grad = qp_gradient(dmap, y, u)
     worst = 0.0
     base = u.values.copy()

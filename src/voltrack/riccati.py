@@ -49,13 +49,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BlowUpError
+from .errors import BlowUpError, ConfigurationError
 from .model import (
     ControlSignal,
     InitialState,
     ReferenceSignal,
     StateTrajectory,
     SystemSpec,
+    _check_pair,
     _check_state,
     _columns,
     _history,
@@ -155,6 +156,8 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     an allocator prime before the loop keeps the G2 blocks on reused heap
     pages; see the module notes.
     """
+    if not blowup_limit > 0.0:  # so a NaN bound, which no norm exceeds, is refused too
+        raise ConfigurationError(f"blowup_limit must be > 0, got {blowup_limit!r}")
     n, d, h = sys.grid.steps, sys.d, sys.grid.h
     A, N = sys.A, sys.N
     bbt = sys.B @ sys.B.T
@@ -436,6 +439,7 @@ def di_residual(trk: TrackingField, w: StateTrajectory, u: ControlSignal) -> DIR
     ric = trk.ric
     sys = ric.sys
     k, n, h = u.start_index, sys.grid.steps, sys.grid.h
+    _check_pair(sys, w, k, u, batch=True)
     res = _node_map(sys.C, w.values[k:]) - _columns(trk.y.values[k:], u.values.shape[2:])
     g = (res * res).sum(axis=1) + (u.values * u.values).sum(axis=1)
     run = np.zeros_like(g)

@@ -34,6 +34,7 @@ from .errors import ConfigurationError
 from .model import (
     SystemSpec,
     TimeGrid,
+    _check_state,
     _history,
     _lag_gather,
     _node_derivative,
@@ -75,6 +76,10 @@ class StateElement:
         if tail.shape != (self.tau_index + 1, head.size):
             raise ConfigurationError("tail must cover ages 0..tau with d channels")
 
+    @property
+    def d(self) -> int:
+        return self.head.size
+
 
 def make_domain_element(
     seed: Callable, tau_index: int, grid: TimeGrid
@@ -90,6 +95,7 @@ def make_domain_element(
 
 def state_operator(sys: SystemSpec, elem: StateElement) -> StateElement:
     """Action of the transport generator: memory-coupled head, -D_s tail."""
+    _check_state(sys, elem)
     k, h = elem.tau_index, sys.grid.h
     head = sys.A @ elem.head + _history(sys.N[None, : k + 1], elem.tail, h)[0]
     return StateElement(k, head, -_node_derivative(elem.tail, h))
@@ -105,6 +111,7 @@ def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:
     N*(tau_q - s) z_q + P1*(s, tau_q)(x_q - BB* z_q), with x_q, z_q the
     tail contractions of :mod:`voltrack.riccati`; O((n-j) j d^2).
     """
+    _check_state(ric.sys, elem)
     j = elem.tau_index
     x, z = _tail_contractions(ric, j, elem.tail[::-1])
     wq = ric.sys.grid.weights(j)[:, None]
@@ -118,7 +125,9 @@ def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:
 
 def tracking_element(trk: TrackingField, tau_index: int) -> StateElement:
     """The pair (d1(tau), d2(tau - ., tau)) as an age-indexed element."""
-    j = tau_index
+    j, n = tau_index, trk.ric.sys.grid.steps
+    if not 0 <= j <= n:
+        raise ConfigurationError(f"node {j} is off the plant (nodes 0..{n})")
     return StateElement(j, trk.d1[j].copy(), trk.d2[j::-1, j].copy())
 
 
@@ -126,6 +135,8 @@ def state_inner(grid: TimeGrid, a: StateElement, b: StateElement) -> float:
     """Inner product: head dot head plus the trapezoid tail pairing."""
     if a.tau_index != b.tau_index:
         raise ConfigurationError("elements live at different nodes")
+    if a.d != b.d:
+        raise ConfigurationError(f"elements have different d ({a.d} and {b.d})")
     wt = trapezoid_weights(a.tau_index + 1, grid.h)
     return float(a.head @ b.head + np.einsum("i,ia,ia->", wt, a.tail, b.tail))
 
@@ -158,6 +169,8 @@ def riccati_operator_residual(ric: RiccatiField, omega: StateElement, xi: StateE
     its neighbors.
     """
     sys, grid, j = ric.sys, ric.sys.grid, xi.tau_index
+    _check_state(sys, omega)
+    _check_state(sys, xi)
 
     def quad(c: int) -> float:
         om = _resample(omega, c, grid)
@@ -191,6 +204,7 @@ def tracking_operator_residual(trk: TrackingField, xi: StateElement) -> float:
     """
     ric, j = trk.ric, xi.tau_index
     sys, grid = ric.sys, ric.sys.grid
+    _check_state(sys, xi)
 
     def pair(c: int) -> float:
         return state_inner(grid, tracking_element(trk, c), _resample(xi, c, grid))

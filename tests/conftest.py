@@ -56,6 +56,25 @@ def seeded_plant(d, m, n, seed, table):
     return grid, SystemSpec(A, B, C, N, grid), y
 
 
+def signed_zero_plant(name, n=30):
+    """Plants whose products and sums meet exact and negative zeros."""
+    grid = TimeGrid(1.0, n)
+    A = {
+        "diag_memoryless": np.diag([-0.7, 0.4]),
+        "zero": np.zeros((2, 2)),
+        "diag": np.diag([-0.5, 0.3]),
+        "nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]),
+        "negative_zeros": np.array([[-0.0, 0.5], [-0.3, -0.0]]),
+    }[name]
+    N = zero_kernel(grid, 2)
+    if name == "diag":
+        N = exponential_kernel(grid, [(np.diag([0.8, -1.2]), 1.0)])
+    if name == "negative_zeros":
+        N = np.random.default_rng(4).normal(size=(n + 1, 2, 2))
+        N[:, 0, 1] = N[::2, 1, 0] = -0.0
+    return SystemSpec(A, [[1.0], [0.0]], [[1.0, 0.0]], N, grid)
+
+
 BATCH_CASES = ["tau0", "tau13", "d3m2", "table"]
 
 

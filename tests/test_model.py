@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import BATCH_CASES, batch_case, make_tracking_instance, seeded_plant
+from conftest import (
+    BATCH_CASES,
+    batch_case,
+    make_tracking_instance,
+    seeded_plant,
+    signed_zero_plant,
+)
 from voltrack import (
     ConfigurationError,
     ControlSignal,
@@ -321,25 +327,6 @@ def reference_fundamental_matrix(sys):
     return Z
 
 
-def _signed_zero_plant(name, n=30):
-    """Plants whose products and sums meet exact and negative zeros."""
-    grid = TimeGrid(1.0, n)
-    A = {
-        "diag_memoryless": np.diag([-0.7, 0.4]),
-        "zero": np.zeros((2, 2)),
-        "diag": np.diag([-0.5, 0.3]),
-        "nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]),
-        "negative_zeros": np.array([[-0.0, 0.5], [-0.3, -0.0]]),
-    }[name]
-    N = zero_kernel(grid, 2)
-    if name == "diag":
-        N = exponential_kernel(grid, [(np.diag([0.8, -1.2]), 1.0)])
-    if name == "negative_zeros":
-        N = np.random.default_rng(4).normal(size=(n + 1, 2, 2))
-        N[:, 0, 1] = N[::2, 1, 0] = -0.0
-    return SystemSpec(A, [[1.0], [0.0]], [[1.0, 0.0]], N, grid)
-
-
 def _workload_plant(name):
     """The demo config's plant, or seed-7 instance 0 of a benchmark workload."""
     import importlib.util
@@ -378,7 +365,7 @@ def test_fundamental_matrix_keeps_the_bits_of_its_own_loop(name):
     elif name in ("demo", "verify_history", "refine_ladder", "synth_fields"):
         sys = _workload_plant(name)
     else:
-        sys = _signed_zero_plant(name)
+        sys = signed_zero_plant(name)
     Z = fundamental_matrix(sys)
     assert Z.values.tobytes() == reference_fundamental_matrix(sys).tobytes()
 
@@ -557,3 +544,38 @@ def test_state_off_the_plant_is_refused(stages_at_n20, stage, state):
     )
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         stages[stage](state)
+
+
+@pytest.mark.parametrize(
+    "stage, cut",
+    [
+        (stage, cut)
+        for stage in ("cost", "di_residual", "costate_residual")
+        for cut in ("d3", "nodes15", "control_nodes10")
+        if (stage, cut) != ("costate_residual", "control_nodes10")  # it takes no control
+    ],
+)
+def test_pair_off_the_plant_is_refused(stages_at_n20, stage, cut):
+    # unchecked, a trajectory of another d fails in a matmul, and a cut
+    # trajectory or control in a broadcast, inside numpy
+    from voltrack import build_kernel, costate_residual, di_residual, solve_fredholm
+
+    _, sys, xi, y = make_tracking_instance(20)
+    trk = stages_at_n20[2]
+    p = solve_fredholm(build_kernel(fundamental_matrix(sys), 0), xi, y)
+    u = ControlSignal.zero(sys.grid, 1)
+    w = simulate(sys, xi, u)
+    stages = {
+        "cost": lambda w, u: cost(sys, w, u, y),
+        "di_residual": lambda w, u: di_residual(trk, w, u),
+        "costate_residual": lambda w, u: costate_residual(p, w),
+    }
+    stages[stage](w, u)  # the plant's own pair runs
+    off_plant = "does not fit the plant (d=2, nodes 0..20)"
+    bad_w, bad_u, message = {
+        "d3": (StateTrajectory(0, np.ones((21, 3))), u, off_plant),
+        "nodes15": (StateTrajectory(0, w.values[:15]), u, off_plant),
+        "control_nodes10": (w, ControlSignal(0, u.values[:10]), "control values do not cover"),
+    }[cut]
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        stages[stage](bad_w, bad_u)

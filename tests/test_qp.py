@@ -7,20 +7,25 @@ import pytest
 
 from conftest import make_tracking_instance
 from voltrack import (
+    ConfigurationError,
     ControlSignal,
     InitialState,
     SystemSpec,
     TimeGrid,
     build_affine_map,
+    build_kernel,
     cost,
     exponential_kernel,
     fredholm,
+    fundamental_matrix,
     gradient_check,
+    optimal_control_fredholm,
     qp,
     qp_cost,
     qp_gradient,
     riccati,
     simulate,
+    solve_fredholm,
     solve_qp,
 )
 
@@ -228,3 +233,70 @@ class TestGradientCheck:
         e1 = gradient_check(dmap, y, u, 1e-3)
         e2 = gradient_check(dmap, y, u, 5e-4)
         assert max(e1, e2) < 1e-7
+
+
+@pytest.mark.parametrize("stage", ["qp_cost", "qp_gradient", "gradient_check"])
+@pytest.mark.parametrize(
+    "bad",
+    [ControlSignal(0, np.zeros((17, 1))), ControlSignal(4, np.zeros((10, 1)))],
+    ids=["from_node_0", "ten_nodes"],
+)
+def test_control_off_the_map_is_refused(stage, bad):
+    # the map is built at node 4 of a 20-step grid: unchecked, a control from
+    # node 0 with the window's 17 nodes gets a cost, and a cut one fails in a
+    # matmul inside numpy
+    _, sys, xi, y = make_tracking_instance(20, 4)
+    dmap = build_affine_map(sys, xi)
+    call = {
+        "qp_cost": lambda u: qp_cost(dmap, y, u),
+        "qp_gradient": lambda u: qp_gradient(dmap, y, u),
+        "gradient_check": lambda u: gradient_check(dmap, y, u, 1e-5),
+    }[stage]
+    call(ControlSignal(4, np.zeros((17, 1))))  # a control on the map's window runs
+    with pytest.raises(ConfigurationError, match="is off the map's window"):
+        call(bad)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_gradient_check_step_must_be_finite_and_positive(qp_setup, eps):
+    # a NaN step fails both "<= 0" and "> 0", so a guard written as the one
+    # would let it through
+    _, _, _, y, dmap = qp_setup
+    with pytest.raises(ConfigurationError, match="eps must be a finite number > 0"):
+        gradient_check(dmap, y, ControlSignal(0, np.zeros((61, 1))), eps)
+
+
+# |u_O - u_F| at the end nodes of the fixed instance, n = 50 / 100 / 200 / 400:
+# columns node 0 against u_F,0 and against (u_F,0 + u_F,1)/2, then node n
+# against u_F,n and against (u_F,n-1 + u_F,n)/2
+END_CONTROL_GAPS = [
+    (1.990e-2, 3.549e-4, 8.362e-3, 6.709e-4),
+    (1.019e-2, 8.776e-5, 4.106e-3, 1.681e-4),
+    (5.155e-3, 2.180e-5, 2.034e-3, 4.204e-5),
+    (2.592e-3, 5.431e-6, 1.012e-3, 1.051e-5),
+]
+
+
+def test_oracle_end_controls_sit_half_a_step_inside():
+    # each end control enters one implicit step only, so the oracle's u_0 and
+    # u_n approximate the continuous control half a step inside the window:
+    # to O(h) at the end node, to O(h^2) at the midpoint of the end step
+    gaps = []
+    for n in (50, 100, 200, 400):
+        _, sys, xi, y = make_tracking_instance(n)
+        uO = solve_qp(build_affine_map(sys, xi), y).values[:, 0]
+        p = solve_fredholm(build_kernel(fundamental_matrix(sys), 0), xi, y)
+        uF = optimal_control_fredholm(p).values[:, 0]
+        gaps.append(
+            (
+                abs(uO[0] - uF[0]),
+                abs(uO[0] - 0.5 * (uF[0] + uF[1])),
+                abs(uO[-1] - uF[-1]),
+                abs(uO[-1] - 0.5 * (uF[-2] + uF[-1])),
+            )
+        )
+    gaps = np.array(gaps)
+    np.testing.assert_allclose(gaps, END_CONTROL_GAPS, rtol=0.02)
+    orders = np.log2(gaps[:-1] / gaps[1:])
+    assert ((orders[:, [0, 2]] > 0.9) & (orders[:, [0, 2]] < 1.1)).all()
+    assert (orders[:, [1, 3]] >= 1.9).all()

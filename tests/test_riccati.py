@@ -20,6 +20,7 @@ from conftest import (
 )
 from voltrack import (
     BlowUpError,
+    ConfigurationError,
     ControlSignal,
     InitialState,
     ReferenceSignal,
@@ -42,6 +43,7 @@ from voltrack import (
     value_function,
     zero_kernel,
 )
+from voltrack.fredholm import _kernel_bbt, _nystrom_solve
 from voltrack.model import _node_derivative, _tail_forcing
 from voltrack.riccati import _tail_contractions
 
@@ -240,6 +242,14 @@ class TestSolveRiccati:
         sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
         with pytest.raises(BlowUpError):
             solve_riccati(sys, blowup_limit=1e-3)
+
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0])
+    def test_blowup_limit_must_be_positive(self, limit):
+        # no norm exceeds a NaN bound, so unchecked it would switch the guard off
+        grid = TimeGrid(1.0, 10)
+        sys = SystemSpec([[0.0]], [[1.0]], [[1.0]], zero_kernel(grid, 1), grid)
+        with pytest.raises(ConfigurationError, match="blowup_limit must be > 0"):
+            solve_riccati(sys, blowup_limit=limit)
 
 
     @pytest.mark.parametrize("n", [2, 3, 40])
@@ -668,3 +678,37 @@ class TestFieldIdentities:
         _, errors, transposed = field_identity_errors
         assert min(transposed) >= 1e-2
         assert min(transposed) >= 1000.0 * errors[-1, 1]
+
+
+def every_node_p0_error(sys):
+    """Largest |S(tau_j, tau_j; tau_j) - P0(tau_j)| over every node j, with
+    S = (I + Ktilde BB* W_j)^-1 Ktilde solved afresh on the window from node
+    j.  The resolvent is R = S BB*; S is compared because BB* is singular
+    when m < d."""
+    kernel = build_kernel(fundamental_matrix(sys), 0)
+    kb, d, p0 = _kernel_bbt(kernel), sys.d, solve_riccati(sys).p0
+    worst = 0.0
+    for j in range(sys.grid.steps + 1):
+        first_column = kernel.ktilde[j:, j].reshape(-1, d)  # Ktilde(., tau_j) on the window
+        S = _nystrom_solve(kb[j:, j:], sys.grid.weights(j), first_column)[:d]
+        worst = max(worst, np.abs(S - p0[j]).max())
+    return worst
+
+
+# max-entry errors at n = 30 / 60 / 120; both kernels are smooth (a random
+# node table converges at order ~1.2 only)
+EVERY_NODE_P0_ERRORS = {
+    "tracking": (2.496e-3, 6.032e-4, 1.482e-4),
+    "seeded_d3_m2": (8.544e-3, 2.144e-3, 5.361e-4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_NODE_P0_ERRORS))
+def test_p0_is_the_fredholm_operator_at_every_node(name):
+    plant = {
+        "tracking": lambda n: make_tracking_instance(n)[1],
+        "seeded_d3_m2": lambda n: seeded_plant(3, 2, n, 4, False)[1],
+    }[name]
+    errors = np.array([every_node_p0_error(plant(n)) for n in (30, 60, 120)])
+    np.testing.assert_allclose(errors, EVERY_NODE_P0_ERRORS[name], rtol=0.02)
+    assert (np.log2(errors[:-1] / errors[1:]) >= 1.8).all()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from voltrack import (
     ConfigurationError,
     ControlSignal,
     ReferenceSignal,
+    StateElement,
     SystemSpec,
+    TimeGrid,
     make_domain_element,
     riccati_operator,
     riccati_operator_residual,
@@ -17,6 +20,7 @@ from voltrack import (
     solve_tracking,
     state_inner,
     state_operator,
+    tracking_element,
     tracking_operator_residual,
 )
 
@@ -163,3 +167,58 @@ class TestTrackingOperatorResidual:
             xe = make_domain_element(XI_SEED, j, grid)
             res[n] = tracking_operator_residual(trk, xe)
         assert res[40] / res[80] >= 1.8
+
+
+@pytest.fixture(scope="module")
+def fields_at_n20():
+    _, sys, _, y = make_tracking_instance(20)
+    ric = solve_riccati(sys)
+    return sys, ric, solve_tracking(ric, y)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        "state_operator",
+        "riccati_operator",
+        "riccati_operator_residual",
+        "tracking_operator_residual",
+    ],
+)
+@pytest.mark.parametrize("element", ["d3", "node25"])
+def test_element_off_the_plant_is_refused(fields_at_n20, stage, element):
+    # unchecked, each stage fails inside numpy on either element
+    sys, ric, trk = fields_at_n20
+    grid = sys.grid
+    call = {
+        "state_operator": lambda e: state_operator(sys, e),
+        "riccati_operator": lambda e: riccati_operator(ric, e),
+        "riccati_operator_residual": lambda e: riccati_operator_residual(
+            ric, make_domain_element(OMEGA_SEED, 5, grid), e
+        ),
+        "tracking_operator_residual": lambda e: tracking_operator_residual(trk, e),
+    }[stage]
+    call(make_domain_element(XI_SEED, 5, grid))  # an element on the plant runs
+    bad = {
+        "d3": make_domain_element(lambda t: np.array([1.0, t, t * t]), 5, grid),
+        "node25": make_domain_element(XI_SEED, 25, TimeGrid(1.0, 40)),
+    }[element]
+    message = f"state with d={bad.d} at node {bad.tau_index} is off the plant (d=2, nodes 0..20)"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call(bad)
+
+
+def test_tracking_element_off_the_plant_is_refused(fields_at_n20):
+    _, _, trk = fields_at_n20
+    assert tracking_element(trk, 20).tau_index == 20
+    for node in (21, 25, -1):
+        with pytest.raises(ConfigurationError, match=rf"node {node} is off the plant"):
+            tracking_element(trk, node)
+
+
+def test_state_inner_refuses_elements_of_different_d():
+    grid = TimeGrid(1.0, 20)
+    a = StateElement(3, np.ones(2), np.ones((4, 2)))
+    b = StateElement(3, np.ones(3), np.ones((4, 3)))
+    with pytest.raises(ConfigurationError, match=r"elements have different d \(2 and 3\)"):
+        state_inner(grid, a, b)
