@@ -21,10 +21,10 @@ sweep reads only the two P2 rows its P1 update needs: step j builds one
 G2 row block, s = tau_j over the P1 columns q = j+1..n, and one G2
 column, q = j, for the corrector.  The value form contracts P2 against
 a tail through x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s,
-tau_q) tail(s) ds.  Costs in the node count n: ``solve_riccati``
-O(n^3 d^3) time (the blocks, about n^3 d^3 / 6 multiply-adds per G2
-term over the sweep; the columns add O(n^2 d^3)) and O(n^2 d^2)
-memory, ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
+tau_q) tail(s) ds.  P1 is stored once, entry-major, and the field's
+``p1`` is a view of it.  Costs in n: ``solve_riccati`` O(n^3 d^3) time
+(see its notes) and O(n^2 d^2) memory, ``di_residual`` O(n^2 d^2),
+``value_function`` O(n (n-k) d^2).
 The plant carries the grid its kernel is sampled on, and everything
 after the sweeps reads the plant from the solved :class:`RiccatiField`,
 the field and reference from the :class:`TrackingField`, and the node
@@ -85,7 +85,9 @@ class RiccatiField:
     """Backward-swept coefficients P0 and P1 of the plant ``sys`` on its grid.
 
     ``p0[j]`` is P0(tau_j); ``p1[i, j]`` is P1(s_i, tau_j) for i <= j
-    (zero above the diagonal).  P2 is never stored.
+    (zero above the diagonal).  P2 is never stored.  ``p1`` is a view of
+    one entry-major array, so a reader whose einsum or matmul bits depend
+    on operand strides copies its slice with ``np.ascontiguousarray``.
     """
 
     sys: SystemSpec = field(repr=False)
@@ -149,7 +151,7 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     columns q = j+1..n.  So each step builds one G2 row block, over
     q = j+1..n and nu_l <= tau_j, plus the one column q = j the corrector
     adds to carry the row to tau_j.  O(n^3 d^3) time, about n^3 d^3 / 6
-    multiply-adds per G2 term, and O(n^2 d^2) memory (P1 only).
+    multiply-adds per G2 term; O(n^2 d^2) memory, one entry-major P1.
 
     The P0 BB* P1 and P1* BB* P1 products run in fixed orders, (P0 BB*)
     P1 and (P1* BB*) P1, or (P1* P1) BB* for d = 1, as matmul pairs, and
@@ -163,11 +165,12 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     bbt = sys.B @ sys.B.T
     cc = sys.C.T @ sys.C
     p0 = np.zeros((n + 1, d, d))
-    p1 = np.zeros((n + 1, n + 1, d, d))
-    # entry-major copies, so the G2 row products run over long (q, l)
-    # planes: nt[a, b, k] = N(t_k)[a, b], pt[a, b, q, l] = P1(s_l, tau_q)[a, b]
-    nt = np.ascontiguousarray(N.transpose(1, 2, 0))
+    # P1 entry-major, so the G2 row products run over long (q, l) planes:
+    # pt[a, b, q, l] = P1(s_l, tau_q)[a, b], p1 its (s, tau, a, b) view;
+    # likewise nt[a, b, k] = N(t_k)[a, b]
     pt = np.zeros((d, d, n + 1, n + 1))
+    p1 = pt.transpose(3, 2, 0, 1)
+    nt = np.ascontiguousarray(N.transpose(1, 2, 0))
     row_c = np.zeros((d, d, n))  # P2(tau_{j+1}, s_l, tau_{j+1}), l = 0..j
     # The three-factor products run numpy's greedy einsum order pair by pair,
     # through the matmul calls, reshapes and transposes einsum makes for it,
@@ -252,7 +255,6 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
         new_p0 = p0c + 0.5 * h * (g0c + g0p)
         p0[j] = 0.5 * (new_p0 + new_p0.T)
         p1[: j + 1, j] = p1c + 0.5 * h * (g1c + g1p)
-        pt[:, :, j, : j + 1] = p1[: j + 1, j].transpose(1, 2, 0)
         row_c[:, :, : j + 1] = row + 0.5 * h * (g2c[:, :, 0] + g2_rows(j, j, j)[:, :, 0])
 
         nrm = max(np.abs(p0[j]).max(), np.abs(p1[: j + 1, j]).max())
@@ -290,7 +292,7 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
                 return _scalar_triple(p1q[:, 0], bbt, vec)
             return _scalar_triple(bbt, vec, p1q[:, 0])
         bv = vec.reshape(1, d) @ bbt.T
-        return (bv @ p1q.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
+        return (bv @ np.ascontiguousarray(p1q.transpose(1, 0, 2)).reshape(d, -1)).reshape(-1, d)
 
     def g2(q, vec, size):  # d2 source at tau_q, rows s_0..s_{size-1}
         return np.einsum("iba,b->ia", N[q::-1][:size], vec) - p1_bbt_vec(ric.p1[:size, q], vec)
@@ -324,7 +326,7 @@ def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:
     at the state's node tau; O(tau d^2 + d (d + m))."""
     ric, k = trk.ric, xi.tau_index
     _check_state(ric.sys, xi)
-    hist = _history(ric.p1[None, : k + 1, k], xi.tail, ric.sys.grid.h)[0]
+    hist = _history(np.ascontiguousarray(ric.p1[None, : k + 1, k]), xi.tail, ric.sys.grid.h)[0]
     return -ric.sys.B.T @ (ric.p0[k] @ xi.head + hist + trk.d1[k])
 
 
@@ -357,9 +359,8 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     for i in range(k, n):
         wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
         mem = np.einsum("jab,jb,j->a", N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
-        hist = tail_hist[i + 1 - k] + np.einsum(
-            "jab,jb,j->a", ric.p1[k : i + 1, i + 1], w[k : i + 1], wts
-        )
+        p1col = np.ascontiguousarray(ric.p1[k : i + 1, i + 1])
+        hist = tail_hist[i + 1 - k] + np.einsum("jab,jb,j->a", p1col, w[k : i + 1], wts)
         step_lhs[d:, :d] = B.T @ (ric.p0[i + 1] + 0.5 * h * ric.p1[i + 1, i + 1])
         rhs[:d] = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k])
         rhs[d:] = -B.T @ (hist + trk.d1[i + 1])
@@ -379,9 +380,9 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
 def _tail_contractions(ric: RiccatiField, j: int, tail: np.ndarray) -> tuple:
     """x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s, tau_q) tail(s) ds,
     q = j..n, for the history ``tail[i]`` at s_i, i = 0..j; O((n-j) j d^2)."""
-    x = _history(_lag_gather(ric.sys.N, j), tail, ric.sys.grid.h)
-    z = _history(ric.p1[: j + 1, j:].transpose(1, 0, 2, 3), tail, ric.sys.grid.h)
-    return x, z
+    h = ric.sys.grid.h
+    p1 = np.ascontiguousarray(ric.p1[: j + 1, j:]).transpose(1, 0, 2, 3)
+    return _history(_lag_gather(ric.sys.N, j), tail, h), _history(p1, tail, h)
 
 
 def _value_form(trk: TrackingField, j: int, head, tail, x, z) -> float:
@@ -450,7 +451,7 @@ def di_residual(trk: TrackingField, w: StateTrajectory, u: ControlSignal) -> DIR
     vals = np.zeros_like(g)
     for j in range(n + 1):
         tx = sys.N[: n - j + 1] @ wv[j]  # N(tau_q - s_j) w_j, q = j..n
-        tz = ric.p1[j, j:] @ wv[j]  # P1(s_j, tau_q) w_j
+        tz = np.ascontiguousarray(ric.p1[j, j:]) @ wv[j]  # P1(s_j, tau_q) w_j
         if j >= k:
             end = 0.5 * h if j else 0.0  # trapezoid weight of the node-j end point
             x, z = xs[j:] + end * tx, zs[j:] + end * tz

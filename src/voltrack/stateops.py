@@ -73,6 +73,8 @@ class StateElement:
         tail = np.asarray(self.tail, dtype=float)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
+        if self.tau_index < 0:
+            raise ConfigurationError("tau_index must be >= 0")
         if tail.shape != (self.tau_index + 1, head.size):
             raise ConfigurationError("tail must cover ages 0..tau with d channels")
 
@@ -81,15 +83,12 @@ class StateElement:
         return self.head.size
 
 
-def make_domain_element(
-    seed: Callable, tau_index: int, grid: TimeGrid
-) -> StateElement:
+def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> StateElement:
     """Sample a smooth generator on ages 0..tau; tail(0) = head holds
-    by construction."""
-    ages = grid.nodes[: tau_index + 1]
-    tail = np.atleast_2d(np.asarray([seed(s) for s in ages], dtype=float))
-    if tail.ndim != 2 or tail.shape[0] != tau_index + 1:
-        raise ConfigurationError("generator must return one d-vector per age")
+    by construction.  A scalar generator gives a d = 1 element."""
+    if not 0 <= tau_index <= grid.steps:
+        raise ConfigurationError(f"node {tau_index} is off the grid (nodes 0..{grid.steps})")
+    tail = np.asarray([np.atleast_1d(seed(s)) for s in grid.nodes[: tau_index + 1]], dtype=float)
     return StateElement(tau_index, tail[0].copy(), tail, seed=seed)
 
 
@@ -115,11 +114,11 @@ def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:
     j = elem.tau_index
     x, z = _tail_contractions(ric, j, elem.tail[::-1])
     wq = ric.sys.grid.weights(j)[:, None]
-    p2_tail = np.einsum("qiba,qb->ia", _lag_gather(ric.sys.N, j), wq * z) + np.einsum(
-        "iqba,qb->ia", ric.p1[: j + 1, j:], wq * (x - z @ ric.sys.B @ ric.sys.B.T)
-    )
+    p1 = np.ascontiguousarray(ric.p1[: j + 1, j:])
+    p2_tail = np.einsum("qiba,qb->ia", _lag_gather(ric.sys.N, j), wq * z)
+    p2_tail += np.einsum("iqba,qb->ia", p1, wq * (x - z @ ric.sys.B @ ric.sys.B.T))
     head = ric.p0[j] @ elem.head + z[0]
-    tail = np.einsum("iba,b->ia", ric.p1[j::-1, j], elem.head) + p2_tail[::-1]
+    tail = np.einsum("iba,b->ia", p1[::-1, 0], elem.head) + p2_tail[::-1]
     return StateElement(j, head, tail)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
     p2_slice,
     scalar_memoryless,
     seeded_plant,
+    signed_zero_plant,
 )
 from voltrack import (
     BlowUpError,
@@ -24,17 +26,21 @@ from voltrack import (
     ControlSignal,
     InitialState,
     ReferenceSignal,
+    RiccatiField,
     SystemSpec,
     TimeGrid,
     build_kernel,
     closed_loop,
     cost,
     di_residual,
+    exponential_kernel,
     extend_state,
     feedback_control,
     fundamental_matrix,
+    make_domain_element,
     optimal_control_fredholm,
     resolvent,
+    riccati_operator,
     simulate,
     solve_fredholm,
     solve_riccati,
@@ -162,7 +168,7 @@ def reference_di_residual(trk, w, u):
     vals = np.zeros(nk)
     for j in range(n + 1):
         tx = sys.N[: n - j + 1] @ wv[j]
-        tz = ric.p1[j, j:] @ wv[j]
+        tz = np.ascontiguousarray(ric.p1[j, j:]) @ wv[j]  # the layout of a contiguous P1
         if j >= k:
             end = 0.5 * h if j else 0.0
             vals[j - k] = value_form(j, wv[j], wv[: j + 1], xs[j:] + end * tx, zs[j:] + end * tz)
@@ -318,6 +324,22 @@ class TestSolveRiccati:
         )
         assert run.returncode == 0, run.stderr
         assert int(run.stdout) < 35_000
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_p1_is_stored_once(self, d):
+        # P1 takes (n+1)^2 d^2 doubles; with the allocator prime and the G2
+        # blocks the sweep's traced peak is 2.3-2.7 of them at n = 120, and a
+        # second copy of P1 in another layout takes it to 3.3-3.7
+        n = 120
+        _, plant, _ = seeded_plant(d, 2, n, seed=7, table=False)
+        solve_riccati(plant)  # one-time allocations stay out of the measured call
+        tracemalloc.start()
+        try:
+            solve_riccati(plant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (n + 1) ** 2 * d * d * 8
 
 
 class TestSolveTracking:
@@ -712,3 +734,161 @@ def test_p0_is_the_fredholm_operator_at_every_node(name):
     errors = np.array([every_node_p0_error(plant(n)) for n in (30, 60, 120)])
     np.testing.assert_allclose(errors, EVERY_NODE_P0_ERRORS[name], rtol=0.02)
     assert (np.log2(errors[:-1] / errors[1:]) >= 1.8).all()
+
+
+def chain_fields(sys, terms):
+    """P0 and P1 on the plant's nodes from the exact reference for an
+    exponential kernel N(t) = sum_r G_r exp(-lambda_r t): the linear chain
+    trick.  With z_r(t) = int_0^t exp(-lambda_r (t - s)) w(s) ds, the state
+    x = (w, z_1..z_R) obeys an ordinary LQ problem; its Riccati solution Pi,
+    integrated by DOP853 from Pi(T) = 0, gives P0 = Pi_00 and
+    P1(s, tau) = sum_r Pi_0r(tau) exp(-lambda_r (tau - s))."""
+    d, nodes = sys.d, sys.grid.nodes
+    D = d * (1 + len(terms))
+    A = np.zeros((D, D))
+    A[:d, :d] = sys.A
+    for r, (G, lam) in enumerate(terms, start=1):
+        A[:d, r * d : (r + 1) * d] = G
+        A[r * d : (r + 1) * d, :d] = np.eye(d)
+        A[r * d : (r + 1) * d, r * d : (r + 1) * d] = -lam * np.eye(d)
+    B = np.zeros((D, sys.m))
+    B[:d] = sys.B
+    Q = np.zeros((D, D))
+    Q[:d, :d] = sys.C.T @ sys.C
+    bbt = B @ B.T
+
+    def rhs(_sigma, flat):  # d Pi / d sigma, sigma = T - tau
+        P = flat.reshape(D, D)
+        return (A.T @ P + P @ A - P @ bbt @ P + Q).reshape(-1)
+
+    T = nodes[-1]
+    sol = solve_ivp(
+        rhs, (0.0, T), np.zeros(D * D), method="DOP853", rtol=1e-12, atol=1e-14,
+        t_eval=T - nodes[::-1],
+    )
+    assert sol.success, sol.message
+    Pi = sol.y.T.reshape(-1, D, D)[::-1]  # Pi(tau_j)
+    lag = nodes[None, :] - nodes[:, None]  # [i, j] = tau_j - s_i
+    p1 = np.zeros((nodes.size, nodes.size, d, d))
+    for r, (_, lam) in enumerate(terms, start=1):
+        decay = np.where(lag >= 0.0, np.exp(-lam * np.maximum(lag, 0.0)), 0.0)
+        p1 += decay[:, :, None, None] * Pi[None, :, :d, r * d : (r + 1) * d]
+    return Pi[:, :d, :d], p1
+
+
+def chain_plant(n, rate_zero):
+    """The fixed instance's plant, kernel G exp(-t), and its kernel terms;
+    ``rate_zero`` adds a second term of rate 0."""
+    grid, sys, _, _ = make_tracking_instance(n)
+    terms = [(sys.N[0], 1.0)]  # N(0) = G
+    if not rate_zero:
+        return sys, terms
+    terms.append((np.array([[0.3, -0.2], [0.1, 0.4]]), 0.0))
+    return SystemSpec(sys.A, sys.B, sys.C, exponential_kernel(grid, terms), grid), terms
+
+
+# max-entry errors of P0 and P1 against the chain reference at n = 60 / 120 / 240
+CHAIN_ERRORS = {
+    "one_term": [(6.179e-4, 1.365e-4), (1.521e-4, 3.363e-5), (3.774e-5, 8.344e-6)],
+    "rate_zero": [(5.762e-4, 1.041e-4), (1.419e-4, 2.582e-5), (3.519e-5, 6.443e-6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ERRORS))
+def test_p0_and_p1_converge_to_the_chain_reference(name):
+    errors = []
+    for n in (60, 120, 240):
+        sys, terms = chain_plant(n, name == "rate_zero")
+        ric = solve_riccati(sys)
+        p0, p1 = chain_fields(sys, terms)
+        errors.append((np.abs(ric.p0 - p0).max(), np.abs(ric.p1 - p1).max()))
+    errors = np.array(errors)
+    np.testing.assert_allclose(errors, CHAIN_ERRORS[name], rtol=0.02)
+    assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
+
+
+P1_READER_CASES = (
+    [f"fixed-tau{k}" for k in (0, 5, 18)]
+    + [
+        f"seeded-d{d}m{m}-{kind}-tau{k}"
+        for d in (1, 2, 3)
+        for m in (1, 2)
+        for kind in ("exponential", "table")
+        for k in (0, 7)
+    ]
+    + [
+        f"{name}-tau{k}"
+        for name in ("diag_memoryless", "zero", "diag", "nilpotent", "negative_zeros")
+        for k in (0, 7)
+    ]
+)
+
+
+def p1_reader_case(case):
+    """(sys, xi, y): the fixed instance at n = 20, a seeded plant at n = 20
+    with a random history, or a signed-zero plant at n = 30 with a sine
+    reference."""
+    name, k = case.rsplit("-tau", 1)
+    k = int(k)
+    if name == "fixed":
+        _, sys, xi, y = make_tracking_instance(20, k)
+        return sys, xi, y
+    rng = np.random.default_rng(k + 1)
+    if name.startswith("seeded"):
+        d, m = int(name[8]), int(name[10])
+        _, sys, y = seeded_plant(d, m, 20, 10 * d + m, name.endswith("table"))
+    else:
+        sys = signed_zero_plant(name)
+        y = ReferenceSignal(np.sin(np.arange(sys.grid.steps + 1.0))[:, None])
+    tail = rng.normal(size=(k + 1, sys.d))
+    return sys, InitialState(k, tail[-1] + 0.1, tail), y
+
+
+def p1_reader_outputs(ric, xi, y):
+    """Every output that reads P1 after the sweep: the tracking fields, the
+    feedback value and the closed loop from ``xi`` and restarted mid-run,
+    the value function at two nodes, di_residual of one pair and of a
+    3-column batch, and riccati_operator at two nodes."""
+    sys = ric.sys
+    n, k, d = sys.grid.steps, xi.tau_index, sys.d
+    trk = solve_tracking(ric, y)
+    u, w = closed_loop(trk, xi)
+    mid = extend_state(w, (k + n) // 2)
+    u_mid, w_mid = closed_loop(trk, mid)
+    one = di_residual(trk, w, u)
+    du = 0.01 * np.random.default_rng(2).normal(size=u.values.shape + (3,))
+    ub = ControlSignal(k, u.values[..., None] + du)
+    batch = di_residual(trk, simulate(sys, xi, ub), ub)
+    seed = lambda t: np.cos((1.0 + np.arange(d)) * t)
+    ops = [riccati_operator(ric, make_domain_element(seed, j, sys.grid)) for j in (k, n // 2)]
+    return {
+        "d1": trk.d1,
+        "d2": trk.d2,
+        "m": trk.m,
+        "feedback": feedback_control(trk, xi),
+        "closed_loop_u": u.values,
+        "closed_loop_w": w.values,
+        "restart_feedback": feedback_control(trk, mid),
+        "restart_u": u_mid.values,
+        "restart_w": w_mid.values,
+        "value": np.array([value_function(trk, xi), value_function(trk, mid)]),
+        "di_slack": one.slack,
+        "di_pointwise": one.pointwise,
+        "batch_di_slack": batch.slack,
+        "batch_di_pointwise": batch.pointwise,
+        **{f"op{i}_{part}": getattr(op, part) for i, op in enumerate(ops) for part in ("head", "tail")},
+    }
+
+
+@pytest.mark.parametrize("case", P1_READER_CASES)
+def test_p1_readers_keep_their_bits_on_a_contiguous_p1(case):
+    # the field's p1 is a strided view of the sweep's entry-major array; each
+    # reader copies the slice it contracts, so every output is the one a
+    # contiguous P1 gives, signed zeros included
+    sys, xi, y = p1_reader_case(case)
+    ric = solve_riccati(sys, blowup_limit=np.inf)
+    assert not ric.p1.flags.c_contiguous
+    flat = RiccatiField(ric.sys, ric.p0, np.ascontiguousarray(ric.p1))
+    got, ref = p1_reader_outputs(ric, xi, y), p1_reader_outputs(flat, xi, y)
+    for name in ref:
+        assert got[name].tobytes() == ref[name].tobytes(), name

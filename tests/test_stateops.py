@@ -222,3 +222,28 @@ def test_state_inner_refuses_elements_of_different_d():
     b = StateElement(3, np.ones(3), np.ones((4, 3)))
     with pytest.raises(ConfigurationError, match=r"elements have different d \(2 and 3\)"):
         state_inner(grid, a, b)
+
+
+def test_negative_node_element_is_refused():
+    # unchecked, an empty tail fits node -1 and the operators fail later on
+    # their trapezoid weights
+    with pytest.raises(ConfigurationError, match="tau_index must be >= 0"):
+        StateElement(-1, [1.0, 2.0], np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("node", [21, 25, -1])
+def test_domain_element_off_the_grid_is_refused(node):
+    grid = TimeGrid(1.0, 20)
+    assert make_domain_element(XI_SEED, 20, grid).tau_index == 20
+    with pytest.raises(ConfigurationError, match=rf"node {node} is off the grid \(nodes 0\.\.20\)"):
+        make_domain_element(XI_SEED, node, grid)
+
+
+@pytest.mark.parametrize("node", [0, 3, 20])
+def test_scalar_generator_gives_a_one_channel_element(node):
+    grid = TimeGrid(1.0, 20)
+    elem = make_domain_element(math.cos, node, grid)
+    assert elem.d == 1
+    assert elem.tail.shape == (node + 1, 1)
+    np.testing.assert_array_equal(elem.tail[:, 0], np.cos(grid.nodes[: node + 1]))
+    np.testing.assert_array_equal(elem.head, [1.0])
