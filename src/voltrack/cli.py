@@ -495,21 +495,23 @@ def run_compare(inst: Instance, outdir: Path) -> int:
     W, gap = _value_gap(inst, ricc)
     report = riccati.di_residual(ricc.trk, ricc.w, ricc.u)
     res = fredholm.resolvent(fred.p.kernel)
-    lines = ["tracking synthesis comparison report", ""]
-    lines += [f"cost_{name}\t" + _FMT % rec.J for name, rec in recs.items()]
-    lines.append("value_function\t" + _FMT % W)
-    lines.append("value_vs_cost_rel\t" + _FMT % gap)
     controls = {name: rec.u for name, rec in recs.items()}
-    lines += [
-        f"discrepancy_{pair}\t" + _FMT % val for pair, val in _discrepancies(inst, controls)
-    ]
-    lines.append("di_slack_min\t" + _FMT % report.min_slack)
-    lines.append("di_slack_max\t" + _FMT % report.max_slack)
+    values = [(f"cost_{name}", rec.J) for name, rec in recs.items()]
+    values += [("value_function", W), ("value_vs_cost_rel", gap)]
+    values += [(f"discrepancy_{pair}", val) for pair, val in _discrepancies(inst, controls)]
+    values += [("di_slack_min", report.min_slack), ("di_slack_max", report.max_slack)]
+    checks = _final_conditions(fred, ricc, res)
+    lines = ["tracking synthesis comparison report", ""]
+    lines += [f"{name}\t" + _FMT % val for name, val in values]
     lines.append("")
-    for name, val in _final_conditions(fred, ricc, res):
+    for name, val in checks:
         status = "pass" if val == 0.0 else "FAIL"
         lines.append(f"check\t{name}\t{status}\t" + _FMT % val)
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
+    bad = [name for name, val in values + checks if not math.isfinite(val)]
+    if bad:
+        print(f"numerical failure: not finite in the report: {', '.join(bad)}", file=_sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

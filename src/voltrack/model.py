@@ -424,12 +424,16 @@ def _march(
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
     f_prev = A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
-    for i in range(k, w.shape[0] - 1):
-        wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
-        mem = np.einsum("jab,jb...,j->a...", N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
+    last = w.shape[0] - 1
+    # step i weighs nodes k..i by the first i + 1 - k of [h/2, h, ..., h]
+    wts = np.full(last + 1 - k, h)
+    wts[0] = 0.5 * h
+    for i in range(k, last):
+        mem = np.einsum("jab,jb...,j->a...", N[i + 1 - k : 0 : -1], w[k : i + 1], wts[: i + 1 - k])
         rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])
         w[i + 1] = np.linalg.solve(M, rhs)
-        f_prev = A @ w[i + 1] + mem + 0.5 * h * (N[0] @ w[i + 1]) + f[i + 1 - k] + Bu[i + 1 - k]
+        if i + 1 < last:  # no step reads the slope at the last node
+            f_prev = A @ w[i + 1] + mem + 0.5 * h * (N[0] @ w[i + 1]) + f[i + 1 - k] + Bu[i + 1 - k]
 
 
 def fundamental_matrix(sys: SystemSpec) -> FundamentalMatrix:

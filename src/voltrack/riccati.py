@@ -17,29 +17,29 @@ The backward sweep is an explicit one-step scheme with a Heun
 (predictor-corrector) pass, second order in h.  P2 is never stored:
 P2(T) = 0 and its tau-derivative G2 depends on N and P1 alone, so a
 slice is the trapezoid sum over tau_q >= tau of G2(., ., tau_q).  The
-sweep reads only the two P2 rows its P1 update needs: step j builds one
-G2 row block, s = tau_j over the P1 columns q = j+1..n, and one G2
-column, q = j, for the corrector.  The value form contracts P2 against
-a tail through x_q = int N(tau_q - s) tail(s) ds and z_q = int P1(s,
-tau_q) tail(s) ds.  P1 is stored once, entry-major, and the field's
-``p1`` is a view of it.  Costs in n: ``solve_riccati`` O(n^3 d^3) time
-(see its notes) and O(n^2 d^2) memory, ``di_residual`` O(n^2 d^2),
-``value_function`` O(n (n-k) d^2).
+sweep reads only the two P2 rows its P1 update needs.  Step j sums the
+row s = tau_j over q = j+1..n as two GEMMs, one per right factor,
+P1(nu_l, tau_q) or N(tau_q - nu_l), so no G2 block is formed; the
+predictor and corrector add the columns q = j+1 and q = j.  The value
+form contracts P2 against a tail through x_q = int N(tau_q - s) tail(s)
+ds and z_q = int P1(s, tau_q) tail(s) ds.  P1 is stored once,
+tau-major, and the field's ``p1`` is a view of it.  Costs in n:
+``solve_riccati`` O(n^3 d^3) time (see its notes) and O(n^2 d^2)
+memory, ``di_residual`` O(n^2 d^2), ``value_function`` O(n (n-k) d^2).
 The plant carries the grid its kernel is sampled on, and everything
 after the sweeps reads the plant from the solved :class:`RiccatiField`,
 the field and reference from the :class:`TrackingField`, and the node
 tau from the state it is given.
 
-Two costs outside the arithmetic are kept out of the sweeps, with every
-bit unchanged.  The three-factor contractions run in numpy's greedy
+Two costs outside the arithmetic are kept out of the sweeps.  The
+three-factor contractions besides the P2 rows run in numpy's greedy
 einsum order, written out as the matmul calls einsum itself would make,
-so no step runs einsum's parser or planner: (P0 BB*) P1, (P1* BB*) P1
-or for d = 1 (P1* P1) BB*, and P1* (BB* d1) or for a one-row product at
-d = 1 (P1* BB*) d1.  And ``solve_riccati`` first allocates and frees one
-block twice the size of its largest G2 block: glibc then serves the
-growing blocks from its heap instead of mapping fresh pages for each,
-which in a new process (every CLI run) cost ~100k page faults at
-n = 240, d = 3.
+so no step runs einsum's parser or planner: (P0 BB*) P1, and P1* (BB*
+d1) or for a one-row product at d = 1 (P1* BB*) d1.  And the kernel
+block each P2 row's second GEMM reads is copied into one workspace:
+a block that grows every step would be mmap'd afresh each time, which
+in a new process (every CLI run) cost ~12k page faults at n = 240,
+d = 3.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class RiccatiField:
 
     ``p0[j]`` is P0(tau_j); ``p1[i, j]`` is P1(s_i, tau_j) for i <= j
     (zero above the diagonal).  P2 is never stored.  ``p1`` is a view of
-    one entry-major array, so a reader whose einsum or matmul bits depend
+    one tau-major array, so a reader whose einsum or matmul bits depend
     on operand strides copies its slice with ``np.ascontiguousarray``.
     """
 
@@ -147,16 +147,17 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     ``blowup_limit`` aborts with :class:`BlowUpError`.
 
     Step j reads two P2 rows only: s = tau_{j+1}, carried from step j+1,
-    and s = tau_j at tau_{j+1}, a trapezoid sum of G2 rows over the P1
-    columns q = j+1..n.  So each step builds one G2 row block, over
-    q = j+1..n and nu_l <= tau_j, plus the one column q = j the corrector
-    adds to carry the row to tau_j.  O(n^3 d^3) time, about n^3 d^3 / 6
-    multiply-adds per G2 term; O(n^2 d^2) memory, one entry-major P1.
+    and s = tau_j at tau_{j+1}, the trapezoid sum of G2(s_j, nu_l, tau_q)
+    over q = j+1..n.  That sum is two GEMMs grouped by right factor,
+    [w_q (N*(tau_q - s_j) - P1*(s_j, tau_q) BB*)] P1(nu_l, tau_q) and
+    [w_q P1*(s_j, tau_q)] N(tau_q - nu_l), each a d x (n-j)d by
+    (n-j)d x (j+1)d product; no G2 block is formed.  The predictor and
+    corrector add the columns q = j+1 and q = j the same way.  O(n^3 d^3)
+    time, about n^3 d^3 / 3 multiply-adds in BLAS-3; O(n^2 d^2) memory,
+    one tau-major P1.
 
-    The P0 BB* P1 and P1* BB* P1 products run in fixed orders, (P0 BB*)
-    P1 and (P1* BB*) P1, or (P1* P1) BB* for d = 1, as matmul pairs, and
-    an allocator prime before the loop keeps the G2 blocks on reused heap
-    pages; see the module notes.
+    The P0 BB* P1 product runs in a fixed order, (P0 BB*) P1, as a matmul
+    pair; see the module notes.
     """
     if not blowup_limit > 0.0:  # so a NaN bound, which no norm exceeds, is refused too
         raise ConfigurationError(f"blowup_limit must be > 0, got {blowup_limit!r}")
@@ -165,26 +166,10 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     bbt = sys.B @ sys.B.T
     cc = sys.C.T @ sys.C
     p0 = np.zeros((n + 1, d, d))
-    # P1 entry-major, so the G2 row products run over long (q, l) planes:
-    # pt[a, b, q, l] = P1(s_l, tau_q)[a, b], p1 its (s, tau, a, b) view;
-    # likewise nt[a, b, k] = N(t_k)[a, b]
-    pt = np.zeros((d, d, n + 1, n + 1))
-    p1 = pt.transpose(3, 2, 0, 1)
-    nt = np.ascontiguousarray(N.transpose(1, 2, 0))
-    row_c = np.zeros((d, d, n))  # P2(tau_{j+1}, s_l, tau_{j+1}), l = 0..j
-    # The three-factor products run numpy's greedy einsum order pair by pair,
-    # through the matmul calls, reshapes and transposes einsum makes for it,
-    # so they match einsum bit for bit without its parsing or planning.  For
-    # d = 1 greedy pairs by operand size, alike at every n; G2 keeps a wide
-    # block's pair on a one-column block (q0 = q1), where einsum would not.
-    # A freed block that glibc had mmap'd raises its mmap threshold to that
-    # block's size (up to 32 MiB) and its trim threshold to twice that.  The
-    # G2 blocks grow over the first half of the sweep, so each would
-    # otherwise be mmap'd afresh and fault in new pages.  One block of twice
-    # the largest, d^2 (n/2 + 1)^2 doubles, allocated and dropped here puts
-    # them and the contractions' temporaries on the heap, whose pages are
-    # reused; np.empty touches no page, so the resident size does not rise.
-    np.empty(2 * d * d * (n // 2 + 1) ** 2)
+    g2_sum = _G2Sums(N, bbt)
+    p1 = g2_sum.pq.transpose(2, 0, 1, 3)  # the (s, tau, a, b) view of the one P1
+    row_c = np.zeros((n, d, d))  # P2(tau_{j+1}, s_l, tau_{j+1}) as [l, a, c], l = 0..j
+    one = np.ones(1)
 
     def p0_bbt_p1(P0c, p1col):
         # P0 BB* P1 as [i, a, d]: bc,ab->ac, then ac,icd->iad
@@ -194,16 +179,6 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
         size = p1col.shape[0]
         rows = pb @ p1col.transpose(1, 0, 2).reshape(d, size * d)
         return rows.reshape(d, size, d).transpose(1, 0, 2)
-
-    def p1_bbt_p1(p1i, p1l):
-        # P1*(s_i, tau_q) BB* P1(nu_l, tau_q) as [a, d, q, l]: bc,baq->acq as
-        # a [c, a, q] product, then acq,cdql->adql as (q, a, c) by (q, c, d l)
-        if d == 1:
-            return _scalar_triple(p1i[:, :, :, None], p1l, bbt)
-        nq, nl = p1l.shape[2:]
-        caq = (bbt.T @ p1i.reshape(d, d * nq)).reshape(d, d, nq)
-        qcd = p1l.transpose(2, 0, 1, 3).reshape(nq, d, d * nl)
-        return (caq.transpose(2, 1, 0) @ qcd).reshape(nq, d, d, nl).transpose(1, 2, 0, 3)
 
     def g0(P0c, trace):
         return A.T @ P0c + P0c @ A + trace + trace.T - P0c @ bbt @ P0c + cc
@@ -217,31 +192,16 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
             - p0_bbt_p1(P0c, p1col)
         )
 
-    def g2_rows(i, q0, q1=n):
-        # G2(s_i, nu_l, tau_q) as [a, c, q, l], q = q0..q1, l = 0..i
-        p1i, p1l = pt[:, :, q0 : q1 + 1, i], pt[:, :, q0 : q1 + 1, : i + 1]
-        # N(tau_q - nu_l) = N(t_{q-l}), a sliding window over the reversed kernel
-        nl = sliding_window_view(nt[:, :, ::-1], i + 1, axis=2)[:, :, n - q0 :: -1]
-        return (
-            np.einsum("baq,bcql->acql", nt[:, :, q0 - i : q1 + 1 - i], p1l)
-            + np.einsum("baq,bcql->acql", p1i, nl[:, :, : q1 + 1 - q0])
-            - p1_bbt_p1(p1i, p1l)
-        )
-
     for j in range(n - 1, -1, -1):
         p0c = p0[j + 1]
         p1c = p1[: j + 1, j + 1]  # rows s_0..s_j at tau_{j+1}
         nrev_c = N[j + 1 : 0 : -1][: j + 1]  # N(tau_{j+1} - s_i), i = 0..j
         trace_c = p1[j + 1, j + 1]
         g0c = g0(p0c, trace_c)
-        g1c = g1(p0c, p1c, nrev_c, row_c[:, :, : j + 1].transpose(2, 0, 1))
-        g2c = g2_rows(j, j + 1)  # q = j+1..n
-        # P2(s_j, ., tau_{j+1}): the Heun steps of the P2 equation, added one
-        # by one from T down (a numpy reduction may sum pairwise instead)
-        steps = 0.5 * h * (g2c[:, :, 1:] + g2c[:, :, :-1])
-        row = np.zeros((d, d, j + 1))
-        for q in range(n - j - 2, -1, -1):
-            row += steps[:, :, q]
+        g1c = g1(p0c, p1c, nrev_c, row_c[: j + 1])
+        # P2(s_j, ., tau_{j+1}), and the G2 column at tau_{j+1} for the predictor
+        row = g2_sum(j, j + 1, n, trapezoid_weights(n - j, h))
+        g2c = g2_sum(j, j + 1, j + 1, one)
 
         # Euler predictor at tau_j
         p0p = p0c + h * g0c
@@ -249,13 +209,13 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
         trace_p = p1p[j]
         nrev_n = N[j::-1][: j + 1]
         g0p = g0(p0p, trace_p)
-        g1p = g1(p0p, p1p, nrev_n, (row + h * g2c[:, :, 0]).transpose(2, 0, 1))
+        g1p = g1(p0p, p1p, nrev_n, row + h * g2c)
 
         # corrector
         new_p0 = p0c + 0.5 * h * (g0c + g0p)
         p0[j] = 0.5 * (new_p0 + new_p0.T)
         p1[: j + 1, j] = p1c + 0.5 * h * (g1c + g1p)
-        row_c[:, :, : j + 1] = row + 0.5 * h * (g2c[:, :, 0] + g2_rows(j, j, j)[:, :, 0])
+        row_c[: j + 1] = row + 0.5 * h * (g2c + g2_sum(j, j, j, one))
 
         nrm = max(np.abs(p0[j]).max(), np.abs(p1[: j + 1, j]).max())
         if not np.isfinite(nrm) or nrm > blowup_limit:
@@ -264,6 +224,54 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
                 node_index=j,
             )
     return RiccatiField(sys, p0, p1)
+
+
+class _G2Sums:
+    """Weighted sums over tau_q of G2(s_j, nu_l, tau_q), l = 0..j, where
+
+        G2 = N*(tau_q - s) P1(nu, tau_q) + P1*(s, tau_q) N(tau_q - nu)
+             - P1*(s, tau_q) BB* P1(nu, tau_q)
+
+    drives P2 backward from P2(T) = 0; it is read from the P1 columns in
+    ``pq``.
+
+    ``pq[q, a, l, b]`` is P1(s_l, tau_q)[a, b], tau-major, so the P1(nu_l,
+    tau_q) factor of a sum, rows (q, a) by columns (l, b), is a 2-D view
+    that BLAS reads in place.  ``ntz[q, b, l d + c]`` is N(tau_q - nu_l)[b,
+    c], zero for l > q: the block-Toeplitz kernel as windows over one
+    reversed, zero-padded row of N blocks.
+    """
+
+    def __init__(self, N: np.ndarray, bbt: np.ndarray):
+        n, d = N.shape[0] - 1, N.shape[1]
+        self.N, self.bbt = N, bbt
+        self.pq = np.zeros((n + 1, d, n + 1, d))
+        npad = np.zeros((d, 2 * n + 1, d))
+        npad[:, : n + 1] = N[::-1].transpose(1, 0, 2)
+        windows = sliding_window_view(npad.reshape(d, -1), (n + 1) * d, axis=1)
+        self.ntz = windows[:, n * d :: -d].transpose(1, 0, 2)
+        # the kernel block the second GEMM reads, d^2 (n-j)(j+1) doubles, is
+        # copied into one workspace the size of the largest, so that no step
+        # maps and faults in fresh pages for it
+        self.work = np.empty(d * d * ((n + 1) ** 2 // 4))
+
+    def __call__(self, j: int, q0: int, q1: int, wq: np.ndarray) -> np.ndarray:
+        """The sum over q = q0..q1 of wq[q - q0] G2(s_j, nu_l, tau_q) as
+        [l, a, c], grouped by right factor into two GEMMs over (q, b):
+        [w_q (N*(tau_q - s_j) - P1*(s_j, tau_q) BB*)] P1(nu_l, tau_q) and
+        [w_q P1*(s_j, tau_q)] N(tau_q - nu_l)."""
+        d = self.N.shape[1]
+        nq, cols = q1 + 1 - q0, (j + 1) * d
+        x = self.pq[q0 : q1 + 1, :, j]  # [q, b, a] = P1(s_j, tau_q)[b, a]
+        bx = (self.bbt.T @ x.transpose(1, 0, 2).reshape(d, nq * d)).reshape(d, nq, d)
+        wq = wq[:, None, None]
+        left_p1 = (wq * (self.N[q0 - j : q1 + 1 - j] - bx.transpose(1, 0, 2))).reshape(nq * d, d)
+        left_n = (wq * x).reshape(nq * d, d)
+        out = left_p1.T @ self.pq[q0 : q1 + 1, :, : j + 1].reshape(nq * d, cols)
+        right_n = self.work[: nq * cols * d].reshape(nq, d, cols)
+        right_n[...] = self.ntz[q0 : q1 + 1, :, :cols]
+        out += left_n.T @ right_n.reshape(nq * d, cols)
+        return out.reshape(d, j + 1, d).transpose(1, 0, 2)
 
 
 def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
@@ -356,8 +364,11 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     step_lhs[d:, d:] = np.eye(mdim)
     rhs = np.zeros(d + mdim)
     f_prev = A @ w[k] + f[0] + B @ u[0]
+    # step i weighs nodes k..i by the first i + 1 - k of [h/2, h, ..., h]
+    wts_all = np.full(n + 1 - k, h)
+    wts_all[0] = 0.5 * h
     for i in range(k, n):
-        wts = trapezoid_weights(i + 2 - k, h)[: i + 1 - k]
+        wts = wts_all[: i + 1 - k]
         mem = np.einsum("jab,jb,j->a", N[i + 1 - k : 0 : -1], w[k : i + 1], wts)
         p1col = np.ascontiguousarray(ric.p1[k : i + 1, i + 1])
         hist = tail_hist[i + 1 - k] + np.einsum("jab,jb,j->a", p1col, w[k : i + 1], wts)
@@ -367,13 +378,14 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
         sol = np.linalg.solve(step_lhs, rhs)
         w[i + 1] = sol[:d]
         u[i + 1 - k] = sol[d:]
-        f_prev = (
-            A @ w[i + 1]
-            + mem
-            + 0.5 * h * (N[0] @ w[i + 1])
-            + B @ u[i + 1 - k]
-            + f[i + 1 - k]
-        )
+        if i + 1 < n:  # no step reads the slope at the last node
+            f_prev = (
+                A @ w[i + 1]
+                + mem
+                + 0.5 * h * (N[0] @ w[i + 1])
+                + B @ u[i + 1 - k]
+                + f[i + 1 - k]
+            )
     return ControlSignal(k, u), StateTrajectory(k, w)
 
 

@@ -88,7 +88,14 @@ def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> State
     by construction.  A scalar generator gives a d = 1 element."""
     if not 0 <= tau_index <= grid.steps:
         raise ConfigurationError(f"node {tau_index} is off the grid (nodes 0..{grid.steps})")
-    tail = np.asarray([np.atleast_1d(seed(s)) for s in grid.nodes[: tau_index + 1]], dtype=float)
+    rows = [np.atleast_1d(seed(s)) for s in grid.nodes[: tau_index + 1]]
+    for i, row in enumerate(rows):
+        if row.shape != rows[0].shape:
+            name = getattr(seed, "__qualname__", repr(seed))
+            raise ConfigurationError(
+                f"generator {name} returns shape {row.shape} at node {i}, {rows[0].shape} at node 0"
+            )
+    tail = np.asarray(rows, dtype=float)
     return StateElement(tau_index, tail[0].copy(), tail, seed=seed)
 
 

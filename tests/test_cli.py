@@ -22,6 +22,8 @@ from voltrack import (
 )
 from voltrack.cli import Instance, _write_long_field, _write_rows, main
 
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "configs" / "tracking.json"
+
 NO_SCIPY_PROBE = """
 import sys
 from voltrack.cli import main
@@ -130,6 +132,25 @@ class TestSimulate:
         header, data = read_table(tmp_path / "trajectory.tsv")
         assert header == ["t", "w_1", "u_1"]
         assert np.abs(data[:, 1:]).max() == 0.0
+
+    def test_last_step_computes_no_unread_slope(self, tmp_path):
+        # one step from node 7 of 8 under a kernel of 1e308: the slope at the
+        # last node overflowed, warning on a finite, exit-0 run; the
+        # configured warnings-as-errors filter turns a warning into a failure
+        cfg = tmp_path / "c.json"
+        write_config(
+            cfg,
+            steps=8,
+            kernel={"type": "exponential", "terms": [{"matrix": [1e308], "rate": 1.0}]},
+            initial_state={
+                "tau_index": 7,
+                "head": [1.0],
+                "tail": {"type": "polynomial", "coefficients": [[1.0]]},
+            },
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, data = read_table(tmp_path / "trajectory.tsv")
+        assert np.isfinite(data).all()
 
     def test_cosh_instance(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -712,6 +733,22 @@ class TestCompare:
         for line in report.splitlines():
             if line.startswith("discrepancy_"):
                 assert float(line.split("\t")[1]) == 0.0
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_report_exits_3(self, tmp_path, capsys):
+        # a head of 1e308 overflows the costs to inf and the value, the
+        # discrepancies and the DI slack to nan; verify exits 3 on it too
+        cfg = json.loads(DEMO.read_text())
+        cfg["initial_state"]["head"] = [1e308, 0.0]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: not finite in the report: cost_fredholm,")
+        for name in ("cost_oracle", "value_function", "discrepancy_riccati_oracle", "di_slack_max"):
+            assert name in err
+        assert "P0(T) = 0" not in err  # the final conditions stay exact zeros
 
 
 @pytest.mark.parametrize("command", ["compare", "verify"])

@@ -145,8 +145,20 @@ def test_cli_outputs_match_recorded_digests():
     # the demos' stdout digests share the stack key; test_demos.py checks them
     want = {run: v for run, v in recorded[got["stack"]].items() if not run.startswith("demos/")}
     assert sorted(got["runs"]) == sorted(want)
-    for run in want:
-        assert got["runs"][run] == want[run], run
+    changed = differing(got["runs"], want)
+    assert not changed, "outputs differ from the recorded digests: " + ", ".join(changed)
+
+
+def differing(got: dict, want: dict) -> list[str]:
+    """'run part' for each run's exit code, stdout, stderr or output file
+    whose digest differs from ``want``, or that only one side has."""
+    out = []
+    for run in sorted(want):
+        have, rec = got[run], want[run]
+        out += [f"{run} {key}" for key in ("exit", "stdout", "stderr") if have[key] != rec[key]]
+        names = sorted(set(have["files"]) | set(rec["files"]))
+        out += [f"{run} {f}" for f in names if have["files"].get(f) != rec["files"].get(f)]
+    return out
 
 
 if __name__ == "__main__":

@@ -239,6 +239,19 @@ def test_domain_element_off_the_grid_is_refused(node):
         make_domain_element(XI_SEED, node, grid)
 
 
+def test_generator_changing_length_is_refused():
+    # numpy's "inhomogeneous shape" ValueError named neither the generator nor the node
+    def widening(t):
+        return np.ones(1 if t < 0.1 else 2)
+
+    grid = TimeGrid(1.0, 20)
+    with pytest.raises(
+        ConfigurationError,
+        match=r"generator .*widening returns shape \(2,\) at node 2, \(1,\) at node 0",
+    ):
+        make_domain_element(widening, 5, grid)
+
+
 @pytest.mark.parametrize("node", [0, 3, 20])
 def test_scalar_generator_gives_a_one_channel_element(node):
     grid = TimeGrid(1.0, 20)
