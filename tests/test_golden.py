@@ -1,11 +1,13 @@
 """Golden digests of every CLI command's output.
 
-Each command runs on four configs: the demo config, a copy that starts
+Each command runs on five configs: the demo config, a copy that starts
 at node 20 from a polynomial history whose value at tau equals the head,
-a d=1 zero-kernel, zero-reference config whose fields are all +-0, and a
-d=1, m=2, p=2 config with a node-table kernel and reference, drawn as
-``conftest.seeded_plant`` draws them, on which a changed d=1 contraction
-order in the Riccati sweeps shows.
+a d=1 zero-kernel, zero-reference config whose fields are all +-0, and
+two d=1, m=2, p=2 configs drawn as ``conftest.seeded_plant`` draws them,
+with a node-table reference and either a node-table kernel or an
+exponential one.  A changed d=1 contraction order in the Riccati sweeps
+shows on the table one; on the exponential one the d2 field shows the
+order of the one-row product (P1 BB*) d1 in the tracking sweep.
 The SHA-256 digest of every output file, of stdout and of stderr, and the
 exit code, are compared with the digests recorded for this numpy and
 BLAS stack in ``golden_digests.json``; on any other stack the test skips
@@ -73,7 +75,22 @@ def configs() -> dict:
         "reference": {"type": "table", "values": y.values.tolist()},
         "initial_state": {"tau_index": 0, "head": [1.0]},
     }
-    return {"demo": demo, "history": history, "scalar": scalar, "table": table}
+    _, plant, y = seeded_plant(1, 2, 40, seed=2, table=False)
+    exponential = {
+        **table,
+        "A": plant.A.ravel().tolist(),
+        "B": plant.B.ravel().tolist(),
+        "C": plant.C.ravel().tolist(),
+        "kernel": {"type": "exponential", "terms": [{"matrix": plant.N[0].ravel().tolist(), "rate": 1.0}]},
+        "reference": {"type": "table", "values": y.values.tolist()},
+    }
+    return {
+        "demo": demo,
+        "history": history,
+        "scalar": scalar,
+        "table": table,
+        "exponential": exponential,
+    }
 
 
 def commands(name: str) -> dict:
@@ -87,7 +104,7 @@ def commands(name: str) -> dict:
     }
     # convergence refuses a history start, since each grid would start at its own
     # tau, and a node table, which is sampled on one grid only
-    if name not in ("history", "table"):
+    if name not in ("history", "table", "exponential"):
         runs["convergence"] = ["convergence", "--grids", "50,100,200"]
     return runs
 
