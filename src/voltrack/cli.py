@@ -84,10 +84,13 @@ def _integer(raw, key: str) -> int:
 
 
 def _steps(raw, key: str) -> int:
-    """A grid size: an integer of at least 2."""
+    """A grid size: an integer of at least 2, and small enough that numpy can
+    index the (steps + 1)^2 doubles of a node-pair field such as P1."""
     steps = _integer(raw, key)
     if steps < 2:
         raise ConfigurationError(f"field '{key}': grid needs at least 2 steps, got {steps}")
+    if 8 * (steps + 1) ** 2 > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"field '{key}': grid too large for memory, got {steps} steps")
     return steps
 
 

@@ -292,20 +292,21 @@ def _history(F: np.ndarray, tail: np.ndarray, h: float) -> np.ndarray:
     return np.einsum("qiab,ib,i->qa", F, tail, trapezoid_weights(tail.shape[0], h))
 
 
-def _window_sums(
-    spec: str, F: np.ndarray, v: np.ndarray, h: float, ahead: bool, optimize: bool = False
-) -> np.ndarray:
+def _window_sums(spec: str, F: np.ndarray, v: np.ndarray, h: float, ahead: bool) -> np.ndarray:
     """Row i: the trapezoid sum of ``np.einsum(spec, F[lag], v[q], weights)``
     over the nodes q of the window of node i of ``v``, [t_i, T] with lag
     q - i if ``ahead``, else [t_0, t_i] with lag i - q.  The one-node
     window's row stays the +0.0 it is allocated as (an einsum over its zero
-    weight could give -0.0)."""
+    weight could give -0.0).  A ``v`` with a block per node (ndim > 2)
+    runs einsum's optimized pairwise path, a vector per node the plain one:
+    each is the order its callers' bits were recorded with."""
     n = v.shape[0]
     size = dict(zip(spec.replace(",", "")[: F.ndim + v.ndim], F.shape + v.shape))
     out = np.zeros((n,) + tuple(size[c] for c in spec.split("->")[1]))
     for i in range(n - 1) if ahead else range(1, n):
         lags, nodes = (F[: n - i], v[i:]) if ahead else (F[i::-1], v[: i + 1])
-        out[i] = np.einsum(spec, lags, nodes, trapezoid_weights(len(nodes), h), optimize=optimize)
+        wts = trapezoid_weights(len(nodes), h)
+        out[i] = np.einsum(spec, lags, nodes, wts, optimize=v.ndim > 2)
     return out
 
 

@@ -32,14 +32,14 @@ the field and reference from the :class:`TrackingField`, and the node
 tau from the state it is given.
 
 Two costs outside the arithmetic are kept out of the sweeps.  The
-three-factor contractions besides the P2 rows run in numpy's greedy
-einsum order, written out as the matmul calls einsum itself would make,
-so no step runs einsum's parser or planner: (P0 BB*) P1, and P1* (BB*
-d1) or for a one-row product at d = 1 (P1* BB*) d1.  And the kernel
-block each P2 row's second GEMM reads is copied into one workspace:
-a block that grows every step would be mmap'd afresh each time, which
-in a new process (every CLI run) cost ~12k page faults at n = 240,
-d = 3.
+three-factor contractions besides the P2 rows are plain matmul
+products, (P0 BB*) P1 and P1* (BB* d1), so no step runs einsum's parser
+or planner.  One pairing is kept for its bits: at d = 1 the one-row
+product is (P1* BB*) d1, since the other order moves d2(s_0, tau_0) by
+an ulp on some plants.  And the kernel block each P2 row's second GEMM
+reads is copied into one workspace: a block that grows every step would
+be mmap'd afresh each time, which in a new process (every CLI run) cost
+~12k page faults at n = 240, d = 3.
 """
 
 from __future__ import annotations
@@ -87,7 +87,9 @@ class RiccatiField:
     ``p0[j]`` is P0(tau_j); ``p1[i, j]`` is P1(s_i, tau_j) for i <= j
     (zero above the diagonal).  P2 is never stored.  ``p1`` is a view of
     one tau-major array, so a reader whose einsum or matmul bits depend
-    on operand strides copies its slice with ``np.ascontiguousarray``.
+    on operand strides copies its slice with ``np.ascontiguousarray``;
+    four do: :func:`feedback_control`, :func:`closed_loop`,
+    ``_tail_contractions`` and :func:`voltrack.stateops.riccati_operator`.
     """
 
     sys: SystemSpec = field(repr=False)
@@ -156,8 +158,7 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     time, about n^3 d^3 / 3 multiply-adds in BLAS-3; O(n^2 d^2) memory,
     one tau-major P1.
 
-    The P0 BB* P1 product runs in a fixed order, (P0 BB*) P1, as a matmul
-    pair; see the module notes.
+    P0 BB* P1 is the plain product (P0 BB*) P1; see the module notes.
     """
     if not blowup_limit > 0.0:  # so a NaN bound, which no norm exceeds, is refused too
         raise ConfigurationError(f"blowup_limit must be > 0, got {blowup_limit!r}")
@@ -171,15 +172,6 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
     row_c = np.zeros((n, d, d))  # P2(tau_{j+1}, s_l, tau_{j+1}) as [l, a, c], l = 0..j
     one = np.ones(1)
 
-    def p0_bbt_p1(P0c, p1col):
-        # P0 BB* P1 as [i, a, d]: bc,ab->ac, then ac,icd->iad
-        if d == 1:
-            return _scalar_triple(P0c, bbt, p1col)
-        pb = (bbt.T @ P0c.T).T
-        size = p1col.shape[0]
-        rows = pb @ p1col.transpose(1, 0, 2).reshape(d, size * d)
-        return rows.reshape(d, size, d).transpose(1, 0, 2)
-
     def g0(P0c, trace):
         return A.T @ P0c + P0c @ A + trace + trace.T - P0c @ bbt @ P0c + cc
 
@@ -189,7 +181,7 @@ def solve_riccati(sys: SystemSpec, *, blowup_limit: float = 1e8) -> RiccatiField
             np.einsum("ab,ibc->iac", A.T, p1col)
             + np.einsum("ab,ibc->iac", P0c, nrev)
             + s_row
-            - p0_bbt_p1(P0c, p1col)
+            - (P0c @ bbt) @ p1col
         )
 
     for j in range(n - 1, -1, -1):
@@ -292,18 +284,16 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
     def g1(q, vec, d2_diag):  # d1 source at tau_q
         return (A.T - ric.p0[q] @ bbt) @ vec + d2_diag - cy[q]
 
-    def p1_bbt_vec(p1q, vec):
-        # P1* BB* vec as [i, a]: c,bc->b, then b,iba->ia; for d = 1 a one-row
-        # product pairs P1 with BB* first, as greedy einsum does
-        if d == 1:
-            if p1q.shape[0] == 1:
-                return _scalar_triple(p1q[:, 0], bbt, vec)
-            return _scalar_triple(bbt, vec, p1q[:, 0])
-        bv = vec.reshape(1, d) @ bbt.T
-        return (bv @ np.ascontiguousarray(p1q.transpose(1, 0, 2)).reshape(d, -1)).reshape(-1, d)
-
     def g2(q, vec, size):  # d2 source at tau_q, rows s_0..s_{size-1}
-        return np.einsum("iba,b->ia", N[q::-1][:size], vec) - p1_bbt_vec(ric.p1[:size, q], vec)
+        p1q = ric.p1[:size, q]
+        if d == 1 and size == 1:
+            # (P1* BB*) vec, as einsum pairs a one-row product at d = 1; its
+            # size-one sums turn a -0 into +0
+            pb = p1q[:, 0] * bbt + 0.0
+            p1_bbt_vec = pb * (vec + 0.0)
+        else:  # P1* (BB* vec)
+            p1_bbt_vec = ((vec @ bbt.T) @ p1q.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
+        return np.einsum("iba,b->ia", N[q::-1][:size], vec) - p1_bbt_vec
 
     def mdot(vec, j):
         bd = sys.B.T @ vec
@@ -319,14 +309,6 @@ def solve_tracking(ric: RiccatiField, y: ReferenceSignal) -> TrackingField:
         d2[: j + 1, j] = d2[: j + 1, j + 1] + 0.5 * h * (g2c + g2(j, d1[j], j + 1))
         m[j] = m[j + 1] - 0.5 * h * (mdot(d1c, j + 1) + mdot(d1[j], j))
     return TrackingField(ric, y, d1, d2, m)
-
-
-def _scalar_triple(x, y, z):
-    """A three-factor contraction at d = 1, bit for bit as einsum runs it
-    when it pairs x with y first: no contracted index is wider than 1, so
-    each pairwise step is a product, and the size-one sums einsum takes
-    before the second product turn a -0 into +0."""
-    return (x * y + 0.0) * (z + 0.0)
 
 
 def feedback_control(trk: TrackingField, xi: InitialState) -> np.ndarray:
@@ -463,7 +445,7 @@ def di_residual(trk: TrackingField, w: StateTrajectory, u: ControlSignal) -> DIR
     vals = np.zeros_like(g)
     for j in range(n + 1):
         tx = sys.N[: n - j + 1] @ wv[j]  # N(tau_q - s_j) w_j, q = j..n
-        tz = np.ascontiguousarray(ric.p1[j, j:]) @ wv[j]  # P1(s_j, tau_q) w_j
+        tz = ric.p1[j, j:] @ wv[j]  # P1(s_j, tau_q) w_j
         if j >= k:
             end = 0.5 * h if j else 0.0  # trapezoid weight of the node-j end point
             x, z = xs[j:] + end * tx, zs[j:] + end * tz

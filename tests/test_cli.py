@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltrack import (
     SingularSystemError,
@@ -785,6 +792,29 @@ def test_refused_config_creates_no_output_dir(tmp_path, capsys, command, overrid
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, overrides, field",
+    [
+        (["simulate"], {"steps": 1e18}, "steps"),
+        (["simulate"], {"steps": 1e200}, "steps"),
+        (["simulate", "--n", str(10**18)], {}, "--n"),
+        (["convergence"], {"grids": [20, 1e308]}, "grids"),
+        (["convergence", "--grids", "20,1e18"], {}, "--grids"),
+    ],
+)
+def test_unindexable_grid_size_is_refused_by_name(tmp_path, capsys, argv, overrides, field):
+    # numpy cannot index such a grid's arrays; on a d = 2 plant its own
+    # errors, "array is too big" and "Maximum allowed dimension exceeded",
+    # name no field, so the size is refused before anything is allocated
+    cfg = tmp_path / "c.json"
+    raw = {**tracking_config(cfg, steps=20), "grids": [20, 40], **overrides}
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "new"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"field '{field}': grid too large for memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConvergence:
     def test_orders(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -913,3 +943,101 @@ class TestVerify:
         assert calls.count("_nystrom_solve") == 2
         assert calls.count("di_residual") == 2  # the optimal pair and the batch
         assert calls.count("simulate") == 3  # the Fredholm and oracle routes, the batch
+
+
+# the CLI contract under a config fuzz: one or two fields of a small demo
+# config, n = 8 from a tau = 2 polynomial history, replaced or deleted
+FUZZ_CONFIG = {
+    **json.loads(DEMO.read_text()),
+    "steps": 8,
+    "initial_state": {
+        "tau_index": 2,
+        "head": [1.0, 0.0],
+        "tail": {"type": "polynomial", "coefficients": [[0.6, 1.5, 2.5], [0.3, -2.0, 2.5]]},
+    },
+    "grids": [8, 16],
+}
+DELETE = object()
+FUZZ_VALUES = [
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200,
+    "x", "", [], [1.0, 2.0], {}, {"type": "zero"}, None, True, False, DELETE,
+]  # fmt: skip
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field below ``node``, nested ones included."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _mutated(mutations) -> dict:
+    cfg = copy.deepcopy(FUZZ_CONFIG)
+    for path, value in mutations:
+        node = cfg
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this field's section
+    return cfg
+
+
+def _non_finite_numbers(path: Path) -> list[str]:
+    """The numbers in an output file that are not finite; the order columns of
+    convergence.tsv, NaN where no order is defined, are left out."""
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    skip = set()
+    if path.name == "convergence.tsv":
+        skip = {i for i, name in enumerate(rows[0]) if name.startswith("order_")}
+    bad = []
+    for row in rows:
+        for i, token in enumerate(row):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            if i not in skip and not math.isfinite(value):
+                bad.append(token)
+    return bad
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(_field_paths(FUZZ_CONFIG))), st.sampled_from(FUZZ_VALUES)),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_mutated_config_keeps_the_exit_contract(mutations):
+    cfg = _mutated(mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("simulate", "synthesize", "compare", "verify", "convergence"):
+            outdir = Path(tmp) / command
+            err = io.StringIO()
+            with (
+                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stderr(err),
+                warnings.catch_warnings(record=True) as caught,
+            ):
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(path), "--out", str(outdir)])
+            assert code in (0, 2, 3), (command, err.getvalue())
+            if code == 2:
+                assert "field '" in err.getvalue(), (command, err.getvalue())
+            if code == 0:
+                warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+                assert not warned, (command, warned)
+                for out in outdir.iterdir():
+                    assert not _non_finite_numbers(out), (command, out.name)

@@ -554,6 +554,20 @@ class TestCostateResidual:
             errs.append(costate_residual(p, w))
         assert errs[0] / errs[1] >= 1.8
 
+    @pytest.mark.parametrize("node", [0, 10])
+    def test_nan_costate_gives_nan(self, node):
+        # a NaN row must reach the max; Python's max(0.0, nan) is 0.0, which
+        # would report 0.0426 here for node 10 and the clean 0.0474 for node 0
+        from voltrack import CostateTrajectory
+
+        _, sys, xi, y = make_tracking_instance(20)
+        Z = fundamental_matrix(sys)
+        p = solve_fredholm(build_kernel(Z, 0), xi, y)
+        w = voc_solution(Z, xi, optimal_control_fredholm(p))
+        values = p.values.copy()
+        values[node, 0] = np.nan
+        assert np.isnan(costate_residual(CostateTrajectory(values, p.kernel, p.y), w))
+
 
 class TestSingularNystromMatrix:
     def test_zero_pivot_raises_in_solve_and_resolvent(self):

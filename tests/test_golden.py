@@ -81,7 +81,10 @@ def configs() -> dict:
         "A": plant.A.ravel().tolist(),
         "B": plant.B.ravel().tolist(),
         "C": plant.C.ravel().tolist(),
-        "kernel": {"type": "exponential", "terms": [{"matrix": plant.N[0].ravel().tolist(), "rate": 1.0}]},
+        "kernel": {
+            "type": "exponential",
+            "terms": [{"matrix": plant.N[0].ravel().tolist(), "rate": 1.0}],
+        },
         "reference": {"type": "table", "values": y.values.tolist()},
     }
     return {
