@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys as _sys
+import warnings
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,7 +39,6 @@ from .model import (
     fundamental_matrix,
     simulate,
     voc_solution,
-    zero_kernel,
 )
 
 EXIT_OK = 0
@@ -145,30 +145,28 @@ def _poly_values(coeffs, t: np.ndarray, channels: int, key: str) -> np.ndarray:
     return _finite(np.stack(cols, axis=1), key)
 
 
-def _table_values(raw, rows: int, cols: int, key: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != rows or any(
-        not isinstance(row, list) or len(row) != cols for row in raw
-    ):
+def _signal(spec, key: str, t, channels: int, kinds=("zero", "polynomial", "table")):
+    """A signal of one of ``kinds`` with ``channels`` channels on the nodes ``t``.
+    ``spec`` None is zero, so a caller that refuses null checks ``_section`` first."""
+    kind = "zero" if spec is None else _section(spec, key).get("type", "zero")
+    if kind not in kinds:
         raise ConfigurationError(
-            f"field '{key}': expected a {rows}x{cols} node table of numbers"
+            f"field '{key}.type': expected one of {'|'.join(kinds)}, got {kind!r}"
         )
-    return _numbers([v for row in raw for v in row], key).reshape(rows, cols)
-
-
-def _signal(spec, key: str, t: np.ndarray, channels: int) -> np.ndarray:
-    """A zero, polynomial or node-table signal of ``channels`` channels on the nodes ``t``."""
-    if spec is None or _section(spec, key).get("type", "zero") == "zero":
+    if kind == "zero":
         return np.zeros((t.size, channels))
-    kind = spec["type"]
     if kind == "polynomial":
         coeffs = f"{key}.coefficients"
         return _poly_values(_require(spec, coeffs), t, channels, coeffs)
-    if kind == "table":
-        table = f"{key}.values"
-        return _table_values(_require(spec, table), t.size, channels, table)
-    raise ConfigurationError(
-        f"field '{key}.type': expected one of zero|polynomial|table, got {kind!r}"
-    )
+    table, rows = f"{key}.values", t.size
+    raw = _require(spec, table)
+    if not isinstance(raw, list) or len(raw) != rows or any(
+        not isinstance(row, list) or len(row) != channels for row in raw
+    ):
+        raise ConfigurationError(
+            f"field '{table}': expected a {rows}x{channels} node table of numbers"
+        )
+    return _numbers([v for row in raw for v in row], table).reshape(rows, channels)
 
 
 class Instance:
@@ -202,10 +200,7 @@ class Instance:
 
     def _kernel(self, cfg: dict) -> np.ndarray:
         spec = _section(cfg.get("kernel", {"type": "zero"}), "kernel")
-        kind = spec.get("type", "zero")
-        if kind == "zero":
-            return zero_kernel(self.grid, self.d)
-        if kind == "exponential":
+        if spec.get("type") == "exponential":
             raw_terms = _require(spec, "kernel.terms")
             if not isinstance(raw_terms, list) or not raw_terms:
                 raise ConfigurationError(
@@ -223,13 +218,9 @@ class Instance:
                     )
                 terms.append((G, rate))
             return exponential_kernel(self.grid, terms)
-        if kind == "table":
-            raw = _require(spec, "kernel.values")
-            flat = _table_values(raw, self.grid.steps + 1, self.d * self.d, "kernel.values")
-            return flat.reshape(-1, self.d, self.d)
-        raise ConfigurationError(
-            f"field 'kernel.type': expected one of zero|exponential|table, got {kind!r}"
-        )
+        kinds = ("zero", "exponential", "table")
+        flat = _signal(spec, "kernel", self.grid.nodes, self.d * self.d, kinds)
+        return flat.reshape(-1, self.d, self.d)
 
     def _initial_state(self, spec) -> InitialState:
         if spec is None:
@@ -245,24 +236,15 @@ class Instance:
             raise ConfigurationError(
                 f"field 'initial_state.head': expected {self.d} entries, got {head.tolist()!r}"
             )
-        tail_spec = spec.get("tail")
-        if tail_spec is None:
-            return InitialState(k, head)
-        tail = _signal(tail_spec, "initial_state.tail", self.grid.nodes[: k + 1], self.d)
+        tail = _signal(spec.get("tail"), "initial_state.tail", self.grid.nodes[: k + 1], self.d)
         # a one-node tail has quadrature weight 0; checked, then dropped
         return InitialState(k, head, tail if k else None)
 
     def control(self) -> ControlSignal:
         spec = _section(self.cfg.get("control", {"type": "zero"}), "control")
         k = self.state.tau_index
-        count = self.grid.steps + 1 - k
-        kind = spec.get("type", "zero")
-        if kind == "zero":
-            return ControlSignal.zero(self.grid, self.m, k)
-        if kind == "table":
-            key = "control.values"
-            return ControlSignal(k, _table_values(_require(spec, key), count, self.m, key))
-        raise ConfigurationError(f"field 'control.type': expected one of zero|table, got {kind!r}")
+        values = _signal(spec, "control", self.grid.nodes[k:], self.m, ("zero", "table"))
+        return ControlSignal(k, values)
 
 
 def _load_config(path: str) -> dict:
@@ -687,8 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     if args.command == "convergence":
         size_key = "--grids" if args.grids is not None else "grids"
     else:
@@ -719,6 +700,18 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: field '{size_key}': grid too large for memory: {exc}", file=_sys.stderr)
         return EXIT_INVALID
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    # shown warnings wait for the exit code: one that is not 0 has its one
+    # message line only; an "error" filter still raises at the source
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    if code == EXIT_OK:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigurationError", "SingularSystemError", "BlowUpError"]
+
 
 class ConfigurationError(ValueError):
     """Inconsistent dimensions, grids, or run configuration."""

@@ -549,6 +549,21 @@ class TestSimulate:
             ),
             ("simulate", {"control": {"type": "sine"}}, "control.type", "'sine'"),
             (
+                "simulate",
+                {"control": {"type": "polynomial", "coefficients": [[1.0]]}},
+                "control.type",
+                "expected one of zero|table, got 'polynomial'",
+            ),
+            (
+                "simulate",
+                {"kernel": {"type": "polynomial", "coefficients": [[1.0]]}},
+                "kernel.type",
+                "expected one of zero|exponential|table, got 'polynomial'",
+            ),
+            # a null control or kernel is refused; a null reference is zero
+            ("simulate", {"control": None}, "control", "expected an object, got NoneType"),
+            ("simulate", {"kernel": None}, "kernel", "expected an object, got NoneType"),
+            (
                 "compare",
                 {"initial_state": {"tau_index": 99, "head": [0.0]}},
                 "initial_state.tau_index",
@@ -601,17 +616,19 @@ class TestLongFieldWriter:
 
 class TestSynthesize:
     def test_zero_problem_all_routes(self, tmp_path):
+        # a null reference runs as the zero reference
         cfg = tmp_path / "c.json"
-        write_config(cfg)
-        for route in ("fredholm", "riccati", "oracle"):
-            out = tmp_path / route
-            rc = main(
-                ["synthesize", "--config", str(cfg), "--out", str(out), "--route", route]
-            )
-            assert rc == 0
-            _, data = read_table(out / "control.tsv")
-            assert np.abs(data[:, 1]).max() == 0.0
-            assert float((out / "cost.txt").read_text()) == 0.0
+        for reference in ({"type": "zero"}, None):
+            write_config(cfg, reference=reference)
+            for route in ("fredholm", "riccati", "oracle"):
+                out = tmp_path / f"{route}_{reference is None}"
+                rc = main(
+                    ["synthesize", "--config", str(cfg), "--out", str(out), "--route", route]
+                )
+                assert rc == 0
+                _, data = read_table(out / "control.tsv")
+                assert np.abs(data[:, 1]).max() == 0.0
+                assert float((out / "cost.txt").read_text()) == 0.0
 
     def test_tanh_field_file(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -742,7 +759,7 @@ class TestCompare:
                 assert float(line.split("\t")[1]) == 0.0
 
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # shown, as by the CLI, not raised
     def test_non_finite_report_exits_3(self, tmp_path, capsys):
         # a head of 1e308 overflows the costs to inf and the value, the
         # discrepancies and the DI slack to nan; verify exits 3 on it too
@@ -750,9 +767,12 @@ class TestCompare:
         cfg["initial_state"]["head"] = [1e308, 0.0]
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert not caught  # the overflows on the way are not shown
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: not finite in the report: cost_fredholm,")
+        assert err.count("\n") == 1
         for name in ("cost_oracle", "value_function", "discrepancy_riccati_oracle", "di_slack_max"):
             assert name in err
         assert "P0(T) = 0" not in err  # the final conditions stay exact zeros
@@ -945,6 +965,71 @@ class TestVerify:
         assert calls.count("simulate") == 3  # the Fredholm and oracle routes, the batch
 
 
+HUGE_TAIL = {
+    "initial_state": {
+        "tau_index": 2,
+        "head": [1.0, 0.0],
+        "tail": {"type": "polynomial", "coefficients": [[1e308, 0], [0, 0]]},
+    }
+}
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # shown, as by the CLI, not raised
+@pytest.mark.parametrize(
+    "argv, overrides, message",
+    [
+        (
+            ["synthesize", "--route", "riccati"],
+            HUGE_TAIL,
+            "trajectory exceeded the blow-up bound 1e+08",
+        ),
+        (["compare"], HUGE_TAIL, "not finite in the report: cost_fredholm, cost_riccati, "),
+        (["compare"], {"B": [-1e308, 1.0]}, "Nystrom system has non-finite entries"),
+        (["verify"], {"B": [-1e308, 1.0]}, "Nystrom system has non-finite entries"),
+    ],
+    ids=["synthesize_tail", "compare_tail", "compare_B", "verify_B"],
+)
+def test_numerical_failure_prints_one_line(tmp_path, capsys, argv, overrides, message):
+    # numpy overflows on the way to each failure; its warnings are not shown
+    cfg = {**json.loads(DEMO.read_text()), "steps": 8, **overrides}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1
+
+
+def test_warnings_are_shown_only_for_a_finished_run(tmp_path, capsys, monkeypatch):
+    # every simulate run warns; w(1) = e^9 ~ 8.1e3 passes the default blow-up bound, not 100
+    def warning_simulate(*args):
+        np.multiply(1e308, 10.0)  # RuntimeWarning: overflow
+        return simulate(*args)
+
+    monkeypatch.setattr(cli, "simulate", warning_simulate)
+    cfg = tmp_path / "c.json"
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+    write_config(cfg, A=[9.0], initial_state={"tau_index": 0, "head": [1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under the configured pytest filter
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert main(argv) == 0
+    assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+    write_config(
+        cfg, A=[9.0], initial_state={"tau_index": 0, "head": [1.0]}, tolerances={"blowup": 100.0}
+    )
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert main(argv) == 3
+    assert not caught
+    assert capsys.readouterr().err == "numerical failure: trajectory exceeded the blow-up bound 100\n"
+
+
 # the CLI contract under a config fuzz: one or two fields of a small demo
 # config, n = 8 from a tau = 2 polynomial history, replaced or deleted
 FUZZ_CONFIG = {
@@ -1025,18 +1110,26 @@ def test_mutated_config_keeps_the_exit_contract(mutations):
         path.write_text(json.dumps(cfg))
         for command in ("simulate", "synthesize", "compare", "verify", "convergence"):
             outdir = Path(tmp) / command
-            err = io.StringIO()
+            stdout, err = io.StringIO(), io.StringIO()
             with (
-                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stdout(stdout),
                 contextlib.redirect_stderr(err),
                 warnings.catch_warnings(record=True) as caught,
             ):
                 warnings.simplefilter("always")
                 code = main([command, "--config", str(path), "--out", str(outdir)])
             assert code in (0, 2, 3), (command, err.getvalue())
+            lines = err.getvalue().splitlines()
             if code == 2:
-                assert "field '" in err.getvalue(), (command, err.getvalue())
-            if code == 0:
+                assert len(lines) == 1 and "field '" in lines[0], (command, lines)
+            if code == 3:
+                # one line and no warning; a verify whose table has a FAIL prints none
+                failed_verify = command == "verify" and "FAIL\t" in stdout.getvalue()
+                assert len(lines) == (0 if failed_verify else 1), (command, lines)
+                assert all(ln.startswith("numerical failure: ") for ln in lines), (command, lines)
+            if code != 0:
+                assert not caught, (command, [str(w.message) for w in caught])
+            else:
                 warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
                 assert not warned, (command, warned)
                 for out in outdir.iterdir():
