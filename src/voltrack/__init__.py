@@ -7,8 +7,8 @@ memory-Riccati feedback synthesis (:mod:`voltrack.riccati`), all built
 on the shared plant model and integrators in :mod:`voltrack.model`.
 :mod:`voltrack.stateops` checks the operator form of the synthesis on
 the finite-memory state space, and :mod:`voltrack.cli` is the batch
-front end.  The public API is the ``__all__`` of each other module,
-which the package re-exports.
+front end.  The public API is the ``__all__`` of every module but
+:mod:`voltrack.cli`; the package re-exports each of them.
 """
 
 from .errors import *
