@@ -2,8 +2,8 @@
 
 Subcommands: simulate | synthesize | compare | convergence | verify.
 Each route has one builder returning a record of its optimal pair, its
-cost and the artifacts the reports read; `compare`, `verify` and
-`convergence` solve each route once and share one set of report helpers.
+cost and the artifacts the reports read; `compare` and `verify` read one
+cross-check record of all three, and `convergence` shares its report helpers.
 Configs are JSON (nested key/value sections, matrices as row-major
 lists); outputs are tab-delimited text with one header line and 17
 significant digits, so identical configs give byte-identical files.
@@ -397,11 +397,6 @@ def _ladder(cfg: dict, grids: list[int]) -> list[tuple[Instance, ControlSignal]]
     return [(inst, inst.control()) for inst in insts]
 
 
-def _solve_routes(inst: Instance) -> dict:
-    """All three route records, for the commands that cross-check them."""
-    return {name: build(inst) for name, build in _ROUTES.items()}
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -436,10 +431,25 @@ def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
     ]
 
 
-def _value_gap(inst: Instance, ricc) -> tuple[float, float]:
-    """Value function at the initial state and its relative gap to the Riccati cost."""
+def _cross_check(inst: Instance) -> SimpleNamespace:
+    """What `compare` and `verify` both read: one record per route (attributes
+    ``fredholm``, ``riccati``, ``oracle``), the window-0 resolvent ``res``, the
+    value ``W`` at the initial state and its relative ``gap`` to the Riccati
+    cost, the DI report ``di`` of the Riccati pair, the pairwise control
+    ``discrepancies`` and the ``final`` conditions."""
+    recs = {name: build(inst) for name, build in _ROUTES.items()}
+    fred, ricc = recs["fredholm"], recs["riccati"]
+    res = fredholm.resolvent(fred.p.kernel)
     W = riccati.value_function(ricc.trk, inst.state)
-    return W, abs(W - ricc.J) / (1.0 + abs(W))
+    return SimpleNamespace(
+        **recs,
+        res=res,
+        W=W,
+        gap=abs(W - ricc.J) / (1.0 + abs(W)),
+        di=riccati.di_residual(ricc.trk, ricc.w, ricc.u),
+        discrepancies=_discrepancies(inst, {name: rec.u for name, rec in recs.items()}),
+        final=_final_conditions(fred, ricc, res),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,25 +485,19 @@ def run_synthesize(inst: Instance, route: str, outdir: Path) -> int:
 
 
 def run_compare(inst: Instance, outdir: Path) -> int:
-    recs = _solve_routes(inst)
-    fred, ricc = recs["fredholm"], recs["riccati"]
-    W, gap = _value_gap(inst, ricc)
-    report = riccati.di_residual(ricc.trk, ricc.w, ricc.u)
-    res = fredholm.resolvent(fred.p.kernel)
-    controls = {name: rec.u for name, rec in recs.items()}
-    values = [(f"cost_{name}", rec.J) for name, rec in recs.items()]
-    values += [("value_function", W), ("value_vs_cost_rel", gap)]
-    values += [(f"discrepancy_{pair}", val) for pair, val in _discrepancies(inst, controls)]
-    values += [("di_slack_min", report.min_slack), ("di_slack_max", report.max_slack)]
-    checks = _final_conditions(fred, ricc, res)
+    cc = _cross_check(inst)
+    values = [(f"cost_{name}", getattr(cc, name).J) for name in _ROUTES]
+    values += [("value_function", cc.W), ("value_vs_cost_rel", cc.gap)]
+    values += [(f"discrepancy_{pair}", val) for pair, val in cc.discrepancies]
+    values += [("di_slack_min", cc.di.min_slack), ("di_slack_max", cc.di.max_slack)]
     lines = ["tracking synthesis comparison report", ""]
     lines += [f"{name}\t" + _FMT % val for name, val in values]
     lines.append("")
-    for name, val in checks:
+    for name, val in cc.final:
         status = "pass" if val == 0.0 else "FAIL"
         lines.append(f"check\t{name}\t{status}\t" + _FMT % val)
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
-    bad = [name for name, val in values + checks if not math.isfinite(val)]
+    bad = [name for name, val in values + cc.final if not math.isfinite(val)]
     if bad:
         print(f"numerical failure: not finite in the report: {', '.join(bad)}", file=_sys.stderr)
         return EXIT_NUMERICAL
@@ -530,71 +534,46 @@ def run_convergence(ladder: list[tuple[Instance, ControlSignal]], outdir: Path) 
 
 
 def run_verify(inst: Instance, outdir: Path) -> int:
-    results: list[tuple[str, bool, float]] = []
-
-    def check(name: str, value: float, tol: float):
-        results.append((name, value <= tol, value))
-
+    """Twelve checks as (name, value, bound) rows; a row passes when value <= bound."""
     grid, k = inst.grid, inst.state.tau_index
-    recs = _solve_routes(inst)
-    fred, ricc, orac = recs["fredholm"], recs["riccati"], recs["oracle"]
-    ric, trk, kernel = ricc.trk.ric, ricc.trk, fred.p.kernel
-    uF, uR, wR = fred.u, ricc.u, ricc.w
-    res = fredholm.resolvent(kernel)
-
-    check("final_conditions_zero", max(v for _, v in _final_conditions(fred, ricc, res)), 0.0)
-    check(
-        "kernel_symmetry",
-        float(np.abs(kernel.ktilde - np.transpose(kernel.ktilde, (1, 0, 3, 2))).max()),
-        1e-10,
-    )
-    sym = max(float(np.abs(ric.p0[j] - ric.p0[j].T).max()) for j in range(grid.steps + 1))
-    check("p0_symmetry", sym, 1e-12)
-    kern = fredholm.synthesis_kernels(res)
+    cc = _cross_check(inst)
+    fred, ricc, orac = cc.fredholm, cc.riccati, cc.oracle
+    ric, trk, kt = ricc.trk.ric, ricc.trk, fred.p.kernel.ktilde
+    uF, uR, wR, jO = fred.u, ricc.u, ricc.w, orac.J
+    kern = fredholm.synthesis_kernels(cc.res)
     uQH, _ = fredholm.apply_synthesis(kern, inst.state, inst.reference)
-    den = max(float(np.abs(uF.values).max()), 1e-30)
-    check("qh_route_matches_costate", float(np.abs(uQH.values - uF.values).max()) / den, 1e-8)
-    controls = {name: rec.u for name, rec in recs.items()}
-    check(
-        "threeway_agreement",
-        max(v for _, v in _discrepancies(inst, controls)),
-        inst.threeway_tol,
-    )
-    check("value_vs_cost", _value_gap(inst, ricc)[1], 1e-2)
-    jO = orac.J
-    check(
-        "qp_gradient",
-        qp.gradient_check(orac.dmap, inst.reference, orac.u, 1e-5),
-        1e-6 * (1.0 + abs(jO)),
-    )
-    check("qp_discrete_optimality", max(jO - fred.J, jO - ricc.J), 1e-12 * (1.0 + abs(jO)))
-    rep = riccati.di_residual(trk, wR, uR)
-    check("di_optimal_slack", max(rep.max_slack, -rep.min_slack), 5.0 * grid.h)
     # ten perturbed controls, drawn in turn, stepped and checked as one batch
     rng = np.random.default_rng(20260810)
     du = np.stack([0.5 * rng.standard_normal(uR.values.shape) for _ in range(10)], axis=-1)
     up = ControlSignal(k, uR.values[..., None] + du)
-    rep = riccati.di_residual(trk, simulate(inst.sys, inst.state, up), up)
-    check("di_perturbed_direction", max(0.0, -rep.min_slack), 1e-8)
+    perturbed = riccati.di_residual(trk, simulate(inst.sys, inst.state, up), up)
     mid = (k + grid.steps) // 2
     u2, _ = riccati.closed_loop(trk, extend_state(wR, mid))
-    check(
-        "restart_reproducibility",
-        float(np.abs(u2.values - uR.values[mid - k :]).max()),
-        1e-8,
+    norms = fredholm.resolvent_norms(cc.res)
+    sym = max(float(np.abs(ric.p0[j] - ric.p0[j].T).max()) for j in range(grid.steps + 1))
+    den = max(float(np.abs(uF.values).max()), 1e-30)
+    grad = qp.gradient_check(orac.dmap, inst.reference, orac.u, 1e-5)
+    rows = [
+        ("final_conditions_zero", max(v for _, v in cc.final), 0.0),
+        ("kernel_symmetry", float(np.abs(kt - np.transpose(kt, (1, 0, 3, 2))).max()), 1e-10),
+        ("p0_symmetry", sym, 1e-12),
+        ("qh_route_matches_costate", float(np.abs(uQH.values - uF.values).max()) / den, 1e-8),
+        ("threeway_agreement", max(v for _, v in cc.discrepancies), inst.threeway_tol),
+        ("value_vs_cost", cc.gap, 1e-2),
+        ("qp_gradient", grad, 1e-6 * (1.0 + abs(jO))),
+        ("qp_discrete_optimality", max(jO - fred.J, jO - ricc.J), 1e-12 * (1.0 + abs(jO))),
+        ("di_optimal_slack", max(cc.di.max_slack, -cc.di.min_slack), 5.0 * grid.h),
+        ("di_perturbed_direction", max(0.0, -perturbed.min_slack), 1e-8),
+        ("restart_reproducibility", float(np.abs(u2.values - uR.values[mid - k :]).max()), 1e-8),
+        ("resolvent_uniform_bound", max(norms) / max(norms[0], 1e-30), 2.0),
+    ]
+    text = "".join(
+        f"{'PASS' if value <= bound else 'FAIL'}\t{name}\t" + _FMT % value + "\n"
+        for name, value, bound in rows
     )
-    norms = fredholm.resolvent_norms(res)
-    check("resolvent_uniform_bound", max(norms) / max(norms[0], 1e-30), 2.0)
-
-    lines = []
-    ok = True
-    for name, passed, value in results:
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'}\t{name}\t" + _FMT % value)
-    text = "\n".join(lines) + "\n"
     print(text, end="")
     (outdir / "verify.txt").write_text(text)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if all(value <= bound for _, value, bound in rows) else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------

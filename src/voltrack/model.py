@@ -27,6 +27,7 @@ only: every dense solve, here and in the Nystrom and QP routes, is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +75,12 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ConfigurationError("horizon must be strictly positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ConfigurationError("horizon must be finite and strictly positive")
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 2:
             raise ConfigurationError("grid needs at least 2 steps")
 
@@ -151,7 +156,7 @@ def exponential_kernel(grid: TimeGrid, terms) -> np.ndarray:
     """Sample N(t) = sum_k G_k * exp(-lambda_k * t) on the grid.
 
     ``terms`` is an iterable of (G_k, lambda_k) with G_k a d x d array
-    and lambda_k >= 0.
+    and lambda_k finite and >= 0.
     """
     terms = [(np.asarray(G, dtype=float), float(lam)) for G, lam in terms]
     if not terms:
@@ -161,8 +166,8 @@ def exponential_kernel(grid: TimeGrid, terms) -> np.ndarray:
     for G, lam in terms:
         if G.shape != (d, d):
             raise ConfigurationError("kernel term matrices must share one shape")
-        if lam < 0.0:
-            raise ConfigurationError("kernel rates must be >= 0")
+        if not 0.0 <= lam < np.inf:
+            raise ConfigurationError(f"kernel rates must be finite and >= 0, got {lam!r}")
         out += np.exp(-lam * grid.nodes)[:, None, None] * G
     return out
 

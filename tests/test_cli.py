@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -321,6 +322,31 @@ class TestSimulate:
         write_config(cfg, steps=4, **{section: spec})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "error: cannot read config: "), ("[1, 2]", "error: config root must be an object")],
+        ids=["unreadable", "list_root"],
+    )
+    def test_config_file_that_is_no_object_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_initial_state_starts_from_zero_at_node_0(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        raw = write_config(cfg, control={"type": "table", "values": [[1.0]] * 101})
+        del raw["initial_state"]
+        cfg.write_text(json.dumps(raw))
+        state = Instance(raw, None).state
+        assert state.tau_index == 0 and state.head.tolist() == [0.0]
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, data = read_table(tmp_path / "trajectory.tsv")
+        # w' = u = 1 from w(0) = 0
+        assert data[0, 1] == 0.0 and abs(data[-1, 1] - 1.0) < 1e-12
 
     def test_integral_float_steps_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -910,7 +936,12 @@ class TestConvergence:
 
     @pytest.mark.parametrize(
         "flag, grids, field",
-        [("50,50", None, "--grids"), ("50,abc", None, "--grids"), (None, [50, 50], "grids")],
+        [
+            ("50,50", None, "--grids"),
+            ("50,abc", None, "--grids"),
+            (None, [50, 50], "grids"),
+            (None, "50,100", "grids"),
+        ],
     )
     def test_bad_grid_sizes_exit_2(self, tmp_path, capsys, flag, grids, field):
         cfg = tmp_path / "c.json"
@@ -1134,3 +1165,10 @@ def test_mutated_config_keeps_the_exit_contract(mutations):
                 assert not warned, (command, warned)
                 for out in outdir.iterdir():
                     assert not _non_finite_numbers(out), (command, out.name)
+
+
+def test_hypothesis_failure_report_imports_under_the_warning_filters():
+    # a failing @given test makes hypothesis import this module for its report;
+    # if the import raised under the session's filters, pytest would stop with
+    # INTERNALERROR and run no later test
+    importlib.import_module("hypothesis.extra._patching")

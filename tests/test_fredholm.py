@@ -165,6 +165,16 @@ class TestBuildKernel:
                 ref += wts[q] * Z.values[s - i] @ cc @ Z.values[s - j].T
             assert np.abs(kernel.ktilde[i, j] - ref).max() < 1e-13
 
+    def test_start_off_the_window_is_refused(self, solved_instance, solved_with_tail):
+        Z, kernel = solved_instance[4], solved_instance[5]
+        for start in (-1, 101):
+            with pytest.raises(ConfigurationError, match="start index outside the grid"):
+                build_kernel(Z, start)
+        late = solved_with_tail[5]  # starts at node 30 of 80
+        for k, start in ((kernel, -1), (kernel, 101), (late, 29), (late, 81)):
+            with pytest.raises(ConfigurationError, match="restriction window outside"):
+                k.restrict(start)
+
 
 class TestBuildForcing:
     def test_zero_data_zero_forcing(self):

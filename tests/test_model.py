@@ -55,10 +55,66 @@ class TestTimeGrid:
             TimeGrid(0.0, 10)
         with pytest.raises(ConfigurationError):
             TimeGrid(1.0, 1)
+        # unrefused, these grids warn or fail only once .nodes is read
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="horizon must be finite"):
+                TimeGrid(horizon, 4)
+        with pytest.raises(ConfigurationError, match="steps must be an integer, got 4.0"):
+            TimeGrid(1.0, 4.0)
 
     def test_degenerate_window_weight_is_zero(self):
         grid = TimeGrid(1.0, 4)
         assert grid.weights(4).tolist() == [0.0]
+
+
+GRID4 = TimeGrid(1.0, 4)
+
+
+def plant_with(**bad):
+    """A d = 2, m = p = 1 plant on GRID4 with the fields ``bad`` swapped in."""
+    parts = {"A": np.eye(2), "B": np.ones((2, 1)), "C": np.ones((1, 2)), "N": np.zeros((5, 2, 2))}
+    return SystemSpec(**{**parts, **bad}, grid=GRID4)
+
+
+REFUSALS = {
+    "weights_no_node": (lambda: trapezoid_weights(0, 0.1), "weight count must be >= 1"),
+    "window_before_0": (lambda: GRID4.weights(-1), "weight window out of range"),
+    "window_reversed": (lambda: GRID4.weights(3, 2), "weight window out of range"),
+    "window_past_n": (lambda: GRID4.weights(0, 5), "weight window out of range"),
+    "A_not_square": (lambda: plant_with(A=np.ones((2, 3))), "A must be square"),
+    "B_rows": (lambda: plant_with(B=np.ones((3, 1))), "B must be d x m"),
+    "C_cols": (lambda: plant_with(C=np.ones((1, 3))), "C must be p x d"),
+    "N_entry": (lambda: plant_with(N=np.zeros((5, 2))), "N must be sampled as (nodes, d, d)"),
+    "kernel_no_terms": (
+        lambda: exponential_kernel(GRID4, []),
+        "exponential kernel needs at least one term",
+    ),
+    "kernel_shapes": (
+        lambda: exponential_kernel(GRID4, [(np.eye(2), 1.0), (np.eye(3), 1.0)]),
+        "kernel term matrices must share one shape",
+    ),
+    # unrefused, a NaN rate gives an all-NaN kernel, and an infinite one a NaN
+    # at t = 0 with a RuntimeWarning
+    "rate_negative": (lambda: exponential_kernel(GRID4, [(np.eye(2), -1.0)]), "finite and >= 0"),
+    "rate_nan": (lambda: exponential_kernel(GRID4, [(np.eye(2), math.nan)]), "finite and >= 0"),
+    "rate_inf": (lambda: exponential_kernel(GRID4, [(np.eye(2), math.inf)]), "finite and >= 0"),
+    "state_node_negative": (
+        lambda: InitialState(-1, [1.0, 2.0], np.zeros((0, 2))),
+        "tau_index must be >= 0",
+    ),
+    "state_tail_shape": (
+        lambda: InitialState(2, [1.0, 2.0], np.zeros((2, 2))),
+        "tail must cover nodes 0..2 with d=2",
+    ),
+    "reference_1d": (lambda: ReferenceSignal(np.zeros(5)), "reference values must be (nodes, p)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_constructor_refuses(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        build()
 
 
 class TestSystemSpec:

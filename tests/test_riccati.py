@@ -763,13 +763,20 @@ def test_p0_is_the_fredholm_operator_at_every_node(name):
     assert (np.log2(errors[:-1] / errors[1:]) >= 1.8).all()
 
 
-def chain_fields(sys, terms):
-    """P0 and P1 on the plant's nodes from the exact reference for an
-    exponential kernel N(t) = sum_r G_r exp(-lambda_r t): the linear chain
+def chain_fields(sys, terms, y=None):
+    """P0, P1, d1, d2 and M on the plant's nodes from the exact reference for
+    an exponential kernel N(t) = sum_r G_r exp(-lambda_r t): the linear chain
     trick.  With z_r(t) = int_0^t exp(-lambda_r (t - s)) w(s) ds, the state
-    x = (w, z_1..z_R) obeys an ordinary LQ problem; its Riccati solution Pi,
-    integrated by DOP853 from Pi(T) = 0, gives P0 = Pi_00 and
-    P1(s, tau) = sum_r Pi_0r(tau) exp(-lambda_r (tau - s))."""
+    x = (w, z_1..z_R) obeys an ordinary LQ tracking problem with value
+    x* Pi x + 2 x* delta + mu.  From zero at T, DOP853 integrates
+
+        -Pi' = A* Pi + Pi A - Pi BB* Pi + C* C,
+        -delta' = (A - BB* Pi)* delta - C* y,    -mu' = |y|^2 - |B* delta|^2,
+
+    for the reference ``y(t)`` (its p outputs; None is zero).  Then P0 =
+    Pi_00, P1(s, tau) = sum_r Pi_0r(tau) exp(-lambda_r (tau - s)), d1 =
+    delta_0, d2(s, tau) = sum_r exp(-lambda_r (tau - s)) delta_r(tau) and
+    M = mu."""
     d, nodes = sys.d, sys.grid.nodes
     D = d * (1 + len(terms))
     A = np.zeros((D, D))
@@ -780,27 +787,36 @@ def chain_fields(sys, terms):
         A[r * d : (r + 1) * d, r * d : (r + 1) * d] = -lam * np.eye(d)
     B = np.zeros((D, sys.m))
     B[:d] = sys.B
-    Q = np.zeros((D, D))
-    Q[:d, :d] = sys.C.T @ sys.C
+    C = np.zeros((sys.p, D))
+    C[:, :d] = sys.C
     bbt = B @ B.T
-
-    def rhs(_sigma, flat):  # d Pi / d sigma, sigma = T - tau
-        P = flat.reshape(D, D)
-        return (A.T @ P + P @ A - P @ bbt @ P + Q).reshape(-1)
-
     T = nodes[-1]
+    if y is None:
+        y = lambda t: np.zeros(sys.p)  # noqa: E731
+
+    def rhs(sigma, flat):  # d/d sigma, sigma = T - tau
+        P, delta = flat[: D * D].reshape(D, D), flat[D * D : -1]
+        yt = y(T - sigma)
+        dP = A.T @ P + P @ A - P @ bbt @ P + C.T @ C
+        ddelta = (A - bbt @ P).T @ delta - C.T @ yt
+        dmu = yt @ yt - (B.T @ delta) @ (B.T @ delta)
+        return np.concatenate([dP.reshape(-1), ddelta, [dmu]])
+
     sol = solve_ivp(
-        rhs, (0.0, T), np.zeros(D * D), method="DOP853", rtol=1e-12, atol=1e-14,
+        rhs, (0.0, T), np.zeros(D * D + D + 1), method="DOP853", rtol=1e-12, atol=1e-14,
         t_eval=T - nodes[::-1],
     )
     assert sol.success, sol.message
-    Pi = sol.y.T.reshape(-1, D, D)[::-1]  # Pi(tau_j)
+    flat = sol.y.T[::-1]  # at tau_j
+    Pi, delta = flat[:, : D * D].reshape(-1, D, D), flat[:, D * D : -1]
     lag = nodes[None, :] - nodes[:, None]  # [i, j] = tau_j - s_i
     p1 = np.zeros((nodes.size, nodes.size, d, d))
+    d2 = np.zeros((nodes.size, nodes.size, d))
     for r, (_, lam) in enumerate(terms, start=1):
         decay = np.where(lag >= 0.0, np.exp(-lam * np.maximum(lag, 0.0)), 0.0)
         p1 += decay[:, :, None, None] * Pi[None, :, :d, r * d : (r + 1) * d]
-    return Pi[:, :d, :d], p1
+        d2 += decay[:, :, None] * delta[None, :, r * d : (r + 1) * d]
+    return Pi[:, :d, :d], p1, delta[:, :d], d2, flat[:, -1]
 
 
 def chain_plant(n, rate_zero):
@@ -827,12 +843,46 @@ def test_p0_and_p1_converge_to_the_chain_reference(name):
     for n in (60, 120, 240):
         sys, terms = chain_plant(n, name == "rate_zero")
         ric = solve_riccati(sys)
-        p0, p1 = chain_fields(sys, terms)
+        p0, p1 = chain_fields(sys, terms)[:2]
         errors.append((np.abs(ric.p0 - p0).max(), np.abs(ric.p1 - p1).max()))
     errors = np.array(errors)
     np.testing.assert_allclose(errors, CHAIN_ERRORS[name], rtol=0.02)
     assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
 
+
+
+def chain_reference(t):
+    """``make_tracking_instance``'s reference in closed form."""
+    return np.array([0.8 * np.sin(2.0 * np.pi * t) + 0.3 * (1.0 - t)])
+
+
+# max-entry errors of d1, d2 and M against the chain reference at n = 60 / 120 / 240
+CHAIN_TRACKING_ERRORS = {
+    "one_term": [
+        (4.490e-4, 1.081e-4, 2.176e-4),
+        (1.122e-4, 2.708e-5, 5.446e-5),
+        (2.803e-5, 6.772e-6, 1.363e-5),
+    ],
+    "rate_zero": [
+        (4.521e-4, 4.798e-5, 2.180e-4),
+        (1.129e-4, 1.203e-5, 5.455e-5),
+        (2.822e-5, 3.010e-6, 1.365e-5),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_TRACKING_ERRORS))
+def test_d1_d2_and_m_converge_to_the_chain_reference(name):
+    errors = []
+    for n in (60, 120, 240):
+        sys, terms = chain_plant(n, name == "rate_zero")
+        trk = solve_tracking(solve_riccati(sys), make_tracking_instance(n)[3])
+        _, _, d1, d2, m = chain_fields(sys, terms, chain_reference)
+        pairs = ((trk.d1, d1), (trk.d2, d2), (trk.m, m))
+        errors.append([np.abs(got - want).max() for got, want in pairs])
+    errors = np.array(errors)
+    np.testing.assert_allclose(errors, CHAIN_TRACKING_ERRORS[name], rtol=0.02)
+    assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
 
 P1_READER_CASES = (
     [f"fixed-tau{k}" for k in (0, 5, 18)]

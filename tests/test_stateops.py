@@ -224,6 +224,32 @@ def test_state_inner_refuses_elements_of_different_d():
         state_inner(grid, a, b)
 
 
+def test_state_inner_refuses_elements_at_different_nodes():
+    grid = TimeGrid(1.0, 20)
+    a = StateElement(3, np.ones(2), np.ones((4, 2)))
+    b = StateElement(4, np.ones(2), np.ones((5, 2)))
+    with pytest.raises(ConfigurationError, match="elements live at different nodes"):
+        state_inner(grid, a, b)
+
+
+def test_element_tail_off_its_node_is_refused():
+    with pytest.raises(ConfigurationError, match="tail must cover ages 0..tau with d channels"):
+        StateElement(3, [1.0, 2.0], np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("stage", ["riccati", "tracking"])
+def test_residual_needs_generator_backed_elements(operator_setup, stage):
+    # the tau-derivative re-samples its elements at the neighbouring nodes
+    grid, _, _, ric, trk = operator_setup
+    plain = StateElement(50, XI_SEED(grid.nodes[50]), [XI_SEED(s) for s in grid.nodes[:51]])
+    backed = make_domain_element(OMEGA_SEED, 50, grid)
+    with pytest.raises(ConfigurationError, match="needs generator-backed elements"):
+        if stage == "riccati":
+            riccati_operator_residual(ric, backed, plain)
+        else:
+            tracking_operator_residual(trk, plain)
+
+
 def test_negative_node_element_is_refused():
     # unchecked, an empty tail fits node -1 and the operators fail later on
     # their trapezoid weights
