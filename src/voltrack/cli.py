@@ -432,8 +432,8 @@ def _final_conditions(fred, ricc, res) -> list[tuple[str, float]]:
 
 
 def _cross_check(inst: Instance) -> SimpleNamespace:
-    """What `compare` and `verify` both read: one record per route (attributes
-    ``fredholm``, ``riccati``, ``oracle``), the window-0 resolvent ``res``, the
+    """What `compare` and `verify` both read: the ``routes`` dict of one record
+    per route, keyed as `_ROUTES`, the window-0 resolvent ``res``, the
     value ``W`` at the initial state and its relative ``gap`` to the Riccati
     cost, the DI report ``di`` of the Riccati pair, the pairwise control
     ``discrepancies`` and the ``final`` conditions."""
@@ -442,7 +442,7 @@ def _cross_check(inst: Instance) -> SimpleNamespace:
     res = fredholm.resolvent(fred.p.kernel)
     W = riccati.value_function(ricc.trk, inst.state)
     return SimpleNamespace(
-        **recs,
+        routes=recs,
         res=res,
         W=W,
         gap=abs(W - ricc.J) / (1.0 + abs(W)),
@@ -486,7 +486,7 @@ def run_synthesize(inst: Instance, route: str, outdir: Path) -> int:
 
 def run_compare(inst: Instance, outdir: Path) -> int:
     cc = _cross_check(inst)
-    values = [(f"cost_{name}", getattr(cc, name).J) for name in _ROUTES]
+    values = [(f"cost_{name}", rec.J) for name, rec in cc.routes.items()]
     values += [("value_function", cc.W), ("value_vs_cost_rel", cc.gap)]
     values += [(f"discrepancy_{pair}", val) for pair, val in cc.discrepancies]
     values += [("di_slack_min", cc.di.min_slack), ("di_slack_max", cc.di.max_slack)]
@@ -537,7 +537,7 @@ def run_verify(inst: Instance, outdir: Path) -> int:
     """Twelve checks as (name, value, bound) rows; a row passes when value <= bound."""
     grid, k = inst.grid, inst.state.tau_index
     cc = _cross_check(inst)
-    fred, ricc, orac = cc.fredholm, cc.riccati, cc.oracle
+    fred, ricc, orac = (cc.routes[name] for name in ("fredholm", "riccati", "oracle"))
     ric, trk, kt = ricc.trk.ric, ricc.trk, fred.p.kernel.ktilde
     uF, uR, wR, jO = fred.u, ricc.u, ricc.w, orac.J
     kern = fredholm.synthesis_kernels(cc.res)

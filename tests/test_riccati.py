@@ -850,7 +850,6 @@ def test_p0_and_p1_converge_to_the_chain_reference(name):
     assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
 
 
-
 def chain_reference(t):
     """``make_tracking_instance``'s reference in closed form."""
     return np.array([0.8 * np.sin(2.0 * np.pi * t) + 0.3 * (1.0 - t)])
@@ -883,6 +882,7 @@ def test_d1_d2_and_m_converge_to_the_chain_reference(name):
     errors = np.array(errors)
     np.testing.assert_allclose(errors, CHAIN_TRACKING_ERRORS[name], rtol=0.02)
     assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
+
 
 P1_READER_CASES = (
     [f"fixed-tau{k}" for k in (0, 5, 18)]
