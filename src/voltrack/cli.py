@@ -192,7 +192,7 @@ class Instance:
         self.reference = ReferenceSignal(
             _signal(cfg.get("reference"), "reference", self.grid.nodes, self.p)
         )
-        self.state = self._initial_state(cfg.get("initial_state"))
+        self.state = self._initial_state(cfg.get("initial_state"), cfg, n_override is not None)
         self.cfg = cfg
         tol = _section(cfg.get("tolerances", {}), "tolerances")
         self.blowup = _positive(tol.get("blowup", 1e8), "tolerances.blowup")
@@ -222,15 +222,22 @@ class Instance:
         flat = _signal(spec, "kernel", self.grid.nodes, self.d * self.d, kinds)
         return flat.reshape(-1, self.d, self.d)
 
-    def _initial_state(self, spec) -> InitialState:
+    def _initial_state(self, spec, cfg: dict, regrid: bool) -> InitialState:
         if spec is None:
             return InitialState(0, np.zeros(self.d))
         _section(spec, "initial_state")
-        k = _integer(spec.get("tau_index", 0), "initial_state.tau_index")
-        if not 0 <= k < self.grid.steps:
+        key, n = "initial_state.tau_index", self.grid.steps
+        k = _integer(spec.get("tau_index", 0), key)
+        # tau is a time: a grid size not from `steps` keeps it, at node k n / steps
+        steps = _steps(_require(cfg, "steps"), "steps") if regrid and k > 0 else n
+        if not 0 <= k < steps:
+            raise ConfigurationError(f"field '{key}': must lie in 0..{steps - 1}, got {k}")
+        if k * n % steps:
             raise ConfigurationError(
-                f"field 'initial_state.tau_index': must lie in 0..{self.grid.steps - 1}, got {k}"
+                f"field '{key}': node {k} of {steps} steps lies between nodes of {n}, "
+                f"at {k * n / steps:g}"
             )
+        k = k * n // steps
         head = _numbers(_require(spec, "initial_state.head"), "initial_state.head")
         if head.shape != (self.d,):
             raise ConfigurationError(
@@ -377,24 +384,14 @@ def _check_cross_start(inst: Instance) -> None:
     """Refuse a start too late for the commands that cross-check the routes."""
     if inst.state.tau_index > inst.grid.steps - 2:  # the DI stencil needs 3 nodes in [tau, T]
         raise ConfigurationError(
-            "field 'initial_state.tau_index': compare and verify need at most "
-            f"steps-2 = {inst.grid.steps - 2}, got {inst.state.tau_index}"
+            "field 'initial_state.tau_index': compare and verify need a start node of at "
+            f"most {inst.grid.steps - 2} of {inst.grid.steps} steps, got {inst.state.tau_index}"
         )
 
 
 def _ladder(cfg: dict, grids: list[int]) -> list[tuple[Instance, ControlSignal]]:
-    """The instance and control of every convergence grid.
-
-    Node k lies at time k T / n, so a start k > 0 would put each grid at its
-    own tau; the grids compare one problem only from tau = 0.
-    """
-    insts = [Instance(cfg, n) for n in grids]
-    if insts[0].state.tau_index:
-        raise ConfigurationError(
-            "field 'initial_state.tau_index': convergence needs 0, since node k lies "
-            f"at time k*T/n on each grid; got {insts[0].state.tau_index}"
-        )
-    return [(inst, inst.control()) for inst in insts]
+    """The instance and control of every convergence grid."""
+    return [(inst, inst.control()) for inst in (Instance(cfg, n) for n in grids)]
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +522,13 @@ def run_convergence(ladder: list[tuple[Instance, ControlSignal]], outdir: Path) 
         for col in (2, 4):  # observed order of each error column, written next to it
             if rows[q][col] > 0:
                 rows[q][col + 1] = math.log(rows[q - 1][col] / rows[q][col]) / ratio
-    _write_rows(
-        outdir / "convergence.tsv",
-        ["n", "h", "err_threeway", "order_threeway", "err_sim_voc", "order_sim_voc"],
-        rows,
-    )
+    header = ["n", "h", "err_threeway", "order_threeway", "err_sim_voc", "order_sim_voc"]
+    _write_rows(outdir / "convergence.tsv", header, rows)
+    # an order is NaN where it is undefined; an error column must be finite
+    bad = ", ".join(header[col] for col in (2, 4) if not all(math.isfinite(r[col]) for r in rows))
+    if bad:
+        print(f"numerical failure: not finite in the convergence table: {bad}", file=_sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -30,6 +30,8 @@ from voltrack import (
 )
 from voltrack.cli import Instance, _write_long_field, _write_rows, main
 
+from test_golden import configs as golden_configs
+
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "configs" / "tracking.json"
 
 NO_SCIPY_PROBE = """
@@ -824,14 +826,19 @@ def test_start_at_last_interior_node_is_refused(tmp_path, capsys, command):
         ("synthesize", {"route": "lqr"}, "route"),
         ("compare", {"initial_state": {"tau_index": 99, "head": [0.0]}}, "initial_state.tau_index"),
         ("verify", {"initial_state": {"tau_index": 99, "head": [0.0]}}, "initial_state.tau_index"),
-        ("convergence", {"initial_state": {"tau_index": 5, "head": [0.0]}}, "initial_state.tau_index"),
+        # node 5 of 20 steps is node 7.5 of 30
+        (
+            "convergence",
+            {"grids": [20, 30], "initial_state": {"tau_index": 5, "head": [0.0]}},
+            "initial_state.tau_index",
+        ),
         # a node table fits the first grid only, so the second grid's instance fails
         ("convergence", {"kernel": {"type": "table", "values": [[0.0]] * 21}}, "kernel.values"),
     ],
 )
 def test_refused_config_creates_no_output_dir(tmp_path, capsys, command, overrides, field):
     cfg = tmp_path / "c.json"
-    write_config(cfg, steps=20, grids=[20, 40], **overrides)
+    write_config(cfg, **{"steps": 20, "grids": [20, 40], **overrides})
     out = tmp_path / "new" / "a" / "b"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
@@ -903,15 +910,14 @@ class TestConvergence:
         assert main(argv) == 0
         assert calls.count(20) == calls.count(40) == 4 and len(calls) == 8
 
-    def test_start_after_zero_is_refused(self, tmp_path, capsys):
-        # node 20 lies at tau = 0.4 / 0.2 / 0.1 on the grids 50 / 100 / 200, so
-        # their errors would measure three different problems
+    def test_start_between_nodes_is_refused(self, tmp_path, capsys):
+        # tau = 20 T / 50 is node 25.6 of 64 steps, so that grid has no node at tau
         cfg = tmp_path / "c.json"
         raw = tracking_config(cfg, steps=50)
         raw["initial_state"] = {"tau_index": 20, "head": [0.9, -0.4]}
         cfg.write_text(json.dumps(raw))
         argv = ["convergence", "--config", str(cfg), "--out", str(tmp_path)]
-        assert main(argv + ["--grids", "50,100,200"]) == 2
+        assert main(argv + ["--grids", "50,64"]) == 2
         assert "field 'initial_state.tau_index'" in capsys.readouterr().err
         assert not (tmp_path / "convergence.tsv").exists()
 
@@ -953,6 +959,58 @@ class TestConvergence:
         assert main(argv + (["--grids", flag] if flag else [])) == 2
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "convergence.tsv").exists()
+
+
+class TestGridChangeKeepsTau:
+    """A grid size not from `steps` (--n, grids, --grids) keeps tau's time:
+    node k of `steps` becomes node k n / steps, which must be an integer."""
+
+    def history(self, tmp_path, **overrides) -> Path:
+        # the golden `history` config: 100 steps, tau at node 20, head = history(tau)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**golden_configs()["history"], **overrides}))
+        return path
+
+    @pytest.mark.parametrize("n", ["50", "200"])
+    def test_verify_passes_on_another_grid(self, tmp_path, capsys, n):
+        cfg = self.history(tmp_path)
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--n", n]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS\t") == 12 and "FAIL" not in out
+
+    def test_start_between_nodes_is_refused(self, tmp_path, capsys):
+        # node 20 of 100 steps is node 19.8 of 99
+        cfg = self.history(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--n", "99"]) == 2
+        assert "field 'initial_state.tau_index'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["synthesize", "--route", "riccati"], ["compare"], ["verify"]],
+    )
+    def test_n_equal_to_steps_changes_nothing(self, tmp_path, capsys, argv):
+        cfg = self.history(tmp_path)
+        runs = []  # (stdout and stderr, output files) without and with --n
+        for name, flags in (("plain", []), ("n", ["--n", "100"])):
+            out = tmp_path / name
+            assert main(argv + ["--config", str(cfg), "--out", str(out)] + flags) == 0
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            runs.append((capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+
+    def test_node_table_tail_is_refused(self, tmp_path, capsys):
+        # the 21 rows sit on nodes 0..20 of 100 steps; read on 200 steps they
+        # would squeeze the history into [0, tau / 2]
+        tail = {"type": "table", "values": [[1.0, 0.0]] * 21}
+        state = {"tau_index": 20, "head": [1.0, 0.0], "tail": tail}
+        cfg = self.history(tmp_path, initial_state=state)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--n", "200"]) == 2
+        assert "field 'initial_state.tail.values'" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -1004,6 +1062,11 @@ HUGE_TAIL = {
     }
 }
 
+HUGE_REFERENCE = {
+    "grids": [8, 16],
+    "reference": {"type": "polynomial", "coefficients": [[1e308, 0.5, -2.0, 1.0]]},
+}
+
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")  # shown, as by the CLI, not raised
 @pytest.mark.parametrize(
@@ -1017,8 +1080,9 @@ HUGE_TAIL = {
         (["compare"], HUGE_TAIL, "not finite in the report: cost_fredholm, cost_riccati, "),
         (["compare"], {"B": [-1e308, 1.0]}, "Nystrom system has non-finite entries"),
         (["verify"], {"B": [-1e308, 1.0]}, "Nystrom system has non-finite entries"),
+        (["convergence"], HUGE_REFERENCE, "not finite in the convergence table: err_threeway\n"),
     ],
-    ids=["synthesize_tail", "compare_tail", "compare_B", "verify_B"],
+    ids=["synthesize_tail", "compare_tail", "compare_B", "verify_B", "convergence_reference"],
 )
 def test_numerical_failure_prints_one_line(tmp_path, capsys, argv, overrides, message):
     # numpy overflows on the way to each failure; its warnings are not shown
@@ -1062,7 +1126,9 @@ def test_warnings_are_shown_only_for_a_finished_run(tmp_path, capsys, monkeypatc
 
 
 # the CLI contract under a config fuzz: one or two fields of a small demo
-# config, n = 8 from a tau = 2 polynomial history, replaced or deleted
+# config, n = 8 from a tau = 2 polynomial history, replaced or deleted, and
+# an optional --n for the commands that take one: tau = 2 T / 8 is node 1 of 4
+# and node 4 of 16, and no node of 7
 FUZZ_CONFIG = {
     **json.loads(DEMO.read_text()),
     "steps": 8,
@@ -1132,10 +1198,12 @@ def _non_finite_numbers(path: Path) -> list[str]:
         st.tuples(st.sampled_from(list(_field_paths(FUZZ_CONFIG))), st.sampled_from(FUZZ_VALUES)),
         min_size=1,
         max_size=2,
-    )
+    ),
+    st.sampled_from([None, 4, 7, 16]),
 )
-def test_mutated_config_keeps_the_exit_contract(mutations):
+def test_mutated_config_keeps_the_exit_contract(mutations, n):
     cfg = _mutated(mutations)
+    between_nodes = n == 7 and all(cfg.get(f) == FUZZ_CONFIG[f] for f in ("steps", "initial_state"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(cfg))
@@ -1148,8 +1216,11 @@ def test_mutated_config_keeps_the_exit_contract(mutations):
                 warnings.catch_warnings(record=True) as caught,
             ):
                 warnings.simplefilter("always")
-                code = main([command, "--config", str(path), "--out", str(outdir)])
+                flags = [] if n is None or command == "convergence" else ["--n", str(n)]
+                code = main([command, "--config", str(path), "--out", str(outdir)] + flags)
             assert code in (0, 2, 3), (command, err.getvalue())
+            if between_nodes and flags:
+                assert code == 2, (command, err.getvalue())
             lines = err.getvalue().splitlines()
             if code == 2:
                 assert len(lines) == 1 and "field '" in lines[0], (command, lines)

@@ -105,9 +105,9 @@ def commands(name: str) -> dict:
         "compare": ["compare"],
         "verify": ["verify"],
     }
-    # convergence refuses a history start, since each grid would start at its own
-    # tau, and a node table, which is sampled on one grid only
-    if name not in ("history", "table", "exponential"):
+    # every grid keeps the history config's tau = 0.2 (nodes 10/20/40); convergence
+    # refuses a node table, which is sampled on one grid only
+    if name not in ("table", "exponential"):
         runs["convergence"] = ["convergence", "--grids", "50,100,200"]
     return runs
 
