@@ -4,8 +4,9 @@ Indexing the history by age turns the plant into a transport equation
 with a boundary coupling, and the feedback synthesis becomes an
 operator identity for the quadratic form <Omega, P(tau) Xi> plus a
 linear identity for the tracking element.  Both are checked here as
-discretized residuals on smooth test elements; the residuals fall at
-first order (in practice second) as the grid refines.
+discretized residuals at a node, on test elements sampled from smooth
+generators; inside the grid the residuals fall at second order as the
+grid refines.
 """
 
 import math
@@ -46,8 +47,8 @@ for n in (50, 100, 200):
     j = n // 2
     om = make_domain_element(omega_seed, j, grid)
     xe = make_domain_element(xi_seed, j, grid)
-    r1 = riccati_operator_residual(ric, om, xe)
-    r2 = tracking_operator_residual(trk, xe)
+    r1 = riccati_operator_residual(ric, omega_seed, xi_seed, j)
+    r2 = tracking_operator_residual(trk, xi_seed, j)
     # the Riccati operator is selfadjoint in the state inner product
     sym = abs(
         state_inner(grid, om, riccati_operator(ric, xe))

@@ -67,6 +67,14 @@ def trapezoid_weights(count: int, h: float) -> np.ndarray:
     return w
 
 
+def _index(value, name: str) -> None:
+    """Refuse a node or step count that is not an integer (numpy's pass)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i*h, i = 0..steps, with h = horizon/steps."""
@@ -77,10 +85,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < np.inf:
             raise ConfigurationError("horizon must be finite and strictly positive")
-        try:
-            operator.index(self.steps)
-        except TypeError:
-            raise ConfigurationError(f"steps must be an integer, got {self.steps!r}") from None
+        _index(self.steps, "steps")
         if self.steps < 2:
             raise ConfigurationError("grid needs at least 2 steps")
 
@@ -196,6 +201,7 @@ class InitialState:
     def __post_init__(self):
         head = np.asarray(self.head, dtype=float).reshape(-1)
         object.__setattr__(self, "head", head)
+        _index(self.tau_index, "tau_index")
         if self.tau_index < 0:
             raise ConfigurationError("tau_index must be >= 0")
         if self.tail is None:
@@ -431,9 +437,8 @@ def _march(
         raise SingularSystemError(f"implicit step matrix is singular: {exc}") from exc
     f_prev = A @ w[k] + f[0] + Bu[0]  # memory over [tau, tau] is empty
     last = w.shape[0] - 1
-    # step i weighs nodes k..i by the first i + 1 - k of [h/2, h, ..., h]
-    wts = np.full(last + 1 - k, h)
-    wts[0] = 0.5 * h
+    # step i weighs nodes k..i by the first i + 1 - k of [h/2, h, ..., h, h/2]
+    wts = trapezoid_weights(last + 1 - k, h)
     for i in range(k, last):
         mem = np.einsum("jab,jb...,j->a...", N[i + 1 - k : 0 : -1], w[k : i + 1], wts[: i + 1 - k])
         rhs = w[i] + 0.5 * h * (f_prev + mem + f[i + 1 - k] + Bu[i + 1 - k])

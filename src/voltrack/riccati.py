@@ -346,9 +346,8 @@ def closed_loop(trk: TrackingField, xi0: InitialState) -> tuple[ControlSignal, S
     step_lhs[d:, d:] = np.eye(mdim)
     rhs = np.zeros(d + mdim)
     f_prev = A @ w[k] + f[0] + B @ u[0]
-    # step i weighs nodes k..i by the first i + 1 - k of [h/2, h, ..., h]
-    wts_all = np.full(n + 1 - k, h)
-    wts_all[0] = 0.5 * h
+    # step i weighs nodes k..i by the first i + 1 - k of [h/2, h, ..., h, h/2]
+    wts_all = sys.grid.weights(k)
     for i in range(k, n):
         wts = wts_all[: i + 1 - k]
         mem = np.einsum("jab,jb,j->a", N[i + 1 - k : 0 : -1], w[k : i + 1], wts)

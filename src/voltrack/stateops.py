@@ -11,16 +11,16 @@ On this space the plant is the transport realization
 and the feedback synthesis becomes a differential identity for the
 quadratic form of the Riccati operator and a linear identity for the
 tracking element.  Both identities are checked here as discretized
-residuals: quadratures are trapezoid sums, the age derivative D_s uses
-second-order difference stencils, and the tau-derivative is a finite
-difference across the neighboring nodes with the test elements
-re-sampled from their smooth generators at each node.  The P2 block of
-the Riccati operator acts through the tail contractions of
+residuals at a node j, on test elements sampled from smooth generators:
+quadratures are trapezoid sums, and both the age derivative D_s and the
+tau-derivative take :func:`voltrack.model._node_derivative`'s stencil,
+central inside the grid and three-point one-sided at its ends, so the
+residuals are second-order small inside the grid.  The P2 block of the
+Riccati operator acts through the tail contractions of
 :mod:`voltrack.riccati`, so no P2 slice is ever formed.  The plant
 carries the grid its kernel is sampled on; the Riccati and tracking
-operators and their residuals read the plant from the solved field, the
-Riccati field and reference from the tracking field, and the node from
-the element.
+operators and their residuals read the plant from the solved field, and
+the Riccati field and reference from the tracking field.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .model import (
     TimeGrid,
     _check_state,
     _history,
+    _index,
     _lag_gather,
     _node_derivative,
     trapezoid_weights,
@@ -59,20 +60,18 @@ class StateElement:
     """Element (head, tail) of the age-indexed state space at one node.
 
     ``tail[i]`` is the history value at age s_i = i h, i = 0..tau_index.
-    Elements produced by :func:`make_domain_element` keep their smooth
-    generator so they can be re-sampled at neighboring nodes.
     """
 
     tau_index: int
     head: np.ndarray
     tail: np.ndarray = field(repr=False)
-    seed: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         head = np.asarray(self.head, dtype=float).reshape(-1)
         tail = np.asarray(self.tail, dtype=float)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
+        _index(self.tau_index, "tau_index")
         if self.tau_index < 0:
             raise ConfigurationError("tau_index must be >= 0")
         if tail.shape != (self.tau_index + 1, head.size):
@@ -86,6 +85,7 @@ class StateElement:
 def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> StateElement:
     """Sample a smooth generator on ages 0..tau; tail(0) = head holds
     by construction.  A scalar generator gives a d = 1 element."""
+    _index(tau_index, "node")
     if not 0 <= tau_index <= grid.steps:
         raise ConfigurationError(f"node {tau_index} is off the grid (nodes 0..{grid.steps})")
     rows = [np.atleast_1d(seed(s)) for s in grid.nodes[: tau_index + 1]]
@@ -96,7 +96,7 @@ def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> State
                 f"generator {name} returns shape {row.shape} at node {i}, {rows[0].shape} at node 0"
             )
     tail = np.asarray(rows, dtype=float)
-    return StateElement(tau_index, tail[0].copy(), tail, seed=seed)
+    return StateElement(tau_index, tail[0].copy(), tail)
 
 
 def state_operator(sys: SystemSpec, elem: StateElement) -> StateElement:
@@ -147,83 +147,61 @@ def state_inner(grid: TimeGrid, a: StateElement, b: StateElement) -> float:
     return float(a.head @ b.head + np.einsum("i,ia,ia->", wt, a.tail, b.tail))
 
 
-def _tau_derivative(ric: RiccatiField, j: int, f: Callable[[int], float]) -> float:
-    """Finite difference of f(node) across nodes j-1 and j+1.
-
-    Central inside the grid, one-sided at tau = 0 and tau = T.
-    """
-    lo, hi = max(j - 1, 0), min(j + 1, ric.sys.grid.steps)
-    return (f(hi) - f(lo)) / (ric.sys.grid.nodes[hi] - ric.sys.grid.nodes[lo])
+def _tau_derivative(grid: TimeGrid, j: int, f: Callable[[int], float]) -> float:
+    """d/dtau of f(node) at node j: the node derivative over the three
+    nodes around j, one-sided at tau = 0 and tau = T."""
+    lo = min(max(j - 1, 0), grid.steps - 2)
+    return float(_node_derivative(np.array([f(c) for c in range(lo, lo + 3)]), grid.h)[j - lo])
 
 
-def _resample(elem: StateElement, j: int, grid: TimeGrid) -> StateElement:
-    if elem.seed is None:
-        raise ConfigurationError(
-            "the tau-derivative needs generator-backed elements; "
-            "build them with make_domain_element"
-        )
-    return make_domain_element(elem.seed, j, grid)
-
-
-def riccati_operator_residual(ric: RiccatiField, omega: StateElement, xi: StateElement) -> float:
+def riccati_operator_residual(ric: RiccatiField, omega: Callable, xi: Callable, j: int) -> float:
     """Residual of the operator form of the feedback-synthesis identity.
 
     Evaluates d/dtau <Omega, P Xi> + <A Omega, P Xi> + <P Omega, A Xi>
-    - <B* P Omega, B* P Xi> + <C Omega, C Xi> with the tau-derivative
-    across the neighboring nodes; first-order small in h.  ``omega`` and
-    ``xi`` are re-sampled from their generators at the node of ``xi`` and
-    its neighbors.
+    - <B* P Omega, B* P Xi> + <C Omega, C Xi> at node j, with Omega and
+    Xi sampled from the generators ``omega`` and ``xi`` at j and at the
+    nodes the tau-derivative reads.  Second-order small in h inside the
+    grid; at tau = T the tau-derivative is the three-point one-sided one.
+    Like the tracking residual, it needs j >= 2 for the age derivative.
     """
-    sys, grid, j = ric.sys, ric.sys.grid, xi.tau_index
-    _check_state(sys, omega)
-    _check_state(sys, xi)
+    sys, grid = ric.sys, ric.sys.grid
 
     def quad(c: int) -> float:
-        om = _resample(omega, c, grid)
-        xc = _resample(xi, c, grid)
-        return state_inner(grid, om, riccati_operator(ric, xc))
+        om_c = make_domain_element(omega, c, grid)
+        return state_inner(grid, om_c, riccati_operator(ric, make_domain_element(xi, c, grid)))
 
-    dterm = _tau_derivative(ric, j, quad)
-
-    om = _resample(omega, j, grid)
-    xc = _resample(xi, j, grid)
-    p_om = riccati_operator(ric, om)
+    om, xc = make_domain_element(omega, j, grid), make_domain_element(xi, j, grid)
+    p_om = riccati_operator(ric, om)  # refuses an element off the plant
     p_xc = riccati_operator(ric, xc)
-    a_om = state_operator(sys, om)
-    a_xc = state_operator(sys, xc)
     total = (
-        dterm
-        + state_inner(grid, a_om, p_xc)
-        + state_inner(grid, p_om, a_xc)
+        _tau_derivative(grid, j, quad)
+        + state_inner(grid, state_operator(sys, om), p_xc)
+        + state_inner(grid, p_om, state_operator(sys, xc))
         - float((sys.B.T @ p_om.head) @ (sys.B.T @ p_xc.head))
         + float((sys.C @ om.head) @ (sys.C @ xc.head))
     )
     return abs(total)
 
 
-def tracking_operator_residual(trk: TrackingField, xi: StateElement) -> float:
+def tracking_operator_residual(trk: TrackingField, xi: Callable, j: int) -> float:
     """Residual of the operator form of the tracking equations.
 
     Checks d/dtau <d(tau), Xi> = -<d(tau), (A - B B* P) Xi> + <y, C Xi>
-    at the node of ``xi`` with the same node-based tau-derivative;
-    first-order small.
+    at node j, Xi sampled from the generator ``xi``, with the same
+    tau-derivative: second-order small inside the grid and at tau = T.
     """
-    ric, j = trk.ric, xi.tau_index
+    ric = trk.ric
     sys, grid = ric.sys, ric.sys.grid
-    _check_state(sys, xi)
 
     def pair(c: int) -> float:
-        return state_inner(grid, tracking_element(trk, c), _resample(xi, c, grid))
+        return state_inner(grid, tracking_element(trk, c), make_domain_element(xi, c, grid))
 
-    dterm = _tau_derivative(ric, j, pair)
-
-    xc = _resample(xi, j, grid)
+    xc = make_domain_element(xi, j, grid)
+    p_head = riccati_operator(ric, xc).head  # refuses an element off the plant
     dj = tracking_element(trk, j)
-    a_xc = state_operator(sys, xc)
-    p_head = riccati_operator(ric, xc).head
     rhs = (
-        -state_inner(grid, dj, a_xc)
+        -state_inner(grid, dj, state_operator(sys, xc))
         + float(dj.head @ (sys.B @ (sys.B.T @ p_head)))
         + float(trk.y.values[j] @ (sys.C @ xc.head))
     )
-    return abs(dterm - rhs)
+    return abs(_tau_derivative(grid, j, pair) - rhs)

@@ -21,6 +21,10 @@ settings.register_profile("ci", derandomize=True, database=None, deadline=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
 
+# smooth generators of the test elements of the finite-memory residuals
+OMEGA_SEED = lambda t: np.array([math.sin(1.0 + 2.0 * t), math.cos(0.5 + t)])
+XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
+
 
 def make_tracking_instance(n: int, tau_index: int = 0):
     """The fixed d=2, m=1, p=1 instance used throughout the suite.

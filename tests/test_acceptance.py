@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_tracking_instance, p2_slice, rel_l2
+from conftest import OMEGA_SEED, XI_SEED, make_tracking_instance, p2_slice, rel_l2
 from voltrack import (
     ControlSignal,
     InitialState,
@@ -23,7 +23,6 @@ from voltrack import (
     extend_state,
     fundamental_matrix,
     gradient_check,
-    make_domain_element,
     optimal_control_fredholm,
     qp_cost,
     resolvent,
@@ -37,10 +36,6 @@ from voltrack import (
     tracking_operator_residual,
     value_function,
 )
-
-OMEGA_SEED = lambda t: np.array([math.sin(1.0 + 2.0 * t), math.cos(0.5 + t)])
-XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
-
 
 def _solve_all_routes(n):
     grid, sys, xi, y = make_tracking_instance(n)
@@ -197,22 +192,22 @@ def test_criterion_7_operator_identities():
     taus = (0.2, 0.3, 0.5, 0.6, 0.8)
     res_r, res_t = {}, {}
     for n in (50, 100, 200):
-        grid, sys, _, y = make_tracking_instance(n)
+        _, sys, _, y = make_tracking_instance(n)
         ric = solve_riccati(sys)
         trk = solve_tracking(ric, y)
         for tau in taus:
             j = round(tau * n)
-            om = make_domain_element(OMEGA_SEED, j, grid)
-            xe = make_domain_element(XI_SEED, j, grid)
-            res_r[(n, tau)] = riccati_operator_residual(ric, om, xe)
-            res_t[(n, tau)] = tracking_operator_residual(trk, xe)
+            res_r[(n, tau)] = riccati_operator_residual(ric, OMEGA_SEED, XI_SEED, j)
+            res_t[(n, tau)] = tracking_operator_residual(trk, XI_SEED, j)
     worst = np.inf
+    # second order inside the grid: a ratio >= 3.5 per halving of h (order
+    # >= 1.8); a Riccati sweep without its P0/P1 corrector reads 0.48-2.10
     for tau in taus:
         for lo, hi in ((50, 100), (100, 200)):
             worst = min(worst, res_r[(lo, tau)] / res_r[(hi, tau)])
             worst = min(worst, res_t[(lo, tau)] / res_t[(hi, tau)])
-            assert res_r[(lo, tau)] / res_r[(hi, tau)] >= 1.8
-            assert res_t[(lo, tau)] / res_t[(hi, tau)] >= 1.8
+            assert res_r[(lo, tau)] / res_r[(hi, tau)] >= 3.5
+            assert res_t[(lo, tau)] / res_t[(hi, tau)] >= 3.5
     print(
         f"\ncriterion 7 PASS: operator residuals drop >= {worst:.2f}x per "
         f"doubling, uniformly over {len(taus)} interior nodes"

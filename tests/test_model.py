@@ -102,6 +102,12 @@ REFUSALS = {
         lambda: InitialState(-1, [1.0, 2.0], np.zeros((0, 2))),
         "tau_index must be >= 0",
     ),
+    # unrefused, simulate fails inside numpy: "'float' object cannot be
+    # interpreted as an integer"
+    "state_node_float": (
+        lambda: InitialState(4.0, [1.0, 2.0], np.zeros((5, 2))),
+        "tau_index must be an integer, got 4.0",
+    ),
     "state_tail_shape": (
         lambda: InitialState(2, [1.0, 2.0], np.zeros((2, 2))),
         "tail must cover nodes 0..2 with d=2",
@@ -115,6 +121,10 @@ def test_constructor_refuses(case):
     build, message = REFUSALS[case]
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         build()
+
+
+def test_numpy_integer_node_is_a_node():
+    assert InitialState(np.int64(4), [1.0, 2.0], np.zeros((5, 2))).tau_index == 4
 
 
 class TestSystemSpec:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_tracking_instance
+from conftest import OMEGA_SEED, XI_SEED, make_tracking_instance
 from voltrack import (
     ConfigurationError,
     ControlSignal,
@@ -23,10 +23,6 @@ from voltrack import (
     tracking_element,
     tracking_operator_residual,
 )
-
-OMEGA_SEED = lambda t: np.array([math.sin(1.0 + 2.0 * t), math.cos(0.5 + t)])
-XI_SEED = lambda t: np.array([0.7 * math.exp(-t), 0.3 + t * t])
-
 
 @pytest.fixture(scope="module")
 def operator_setup():
@@ -94,79 +90,65 @@ class TestOperatorActions:
 
 class TestRiccatiOperatorResidual:
     def test_zero_output_matrix_exact(self):
-        grid, sys, _, _ = make_tracking_instance(60)
+        _, sys, _, _ = make_tracking_instance(60)
         sys0 = SystemSpec(sys.A, sys.B, np.zeros((1, 2)), sys.N, sys.grid)
         ric = solve_riccati(sys0)
-        om = make_domain_element(OMEGA_SEED, 30, grid)
-        xe = make_domain_element(XI_SEED, 30, grid)
-        assert riccati_operator_residual(ric, om, xe) == 0.0
+        assert riccati_operator_residual(ric, OMEGA_SEED, XI_SEED, 30) == 0.0
 
-    def test_any_node_first_order(self):
+    def test_any_node_second_order(self):
         # the tau-derivative differences the neighboring nodes, so the
-        # residual exists at every node, here tau = 0.33, and falls at first order
+        # residual exists at every node, here tau = 0.33, and falls at second
+        # order; a Riccati sweep without its P0/P1 corrector reads 2.00
         res = {}
         for n in (100, 200):
-            grid, sys, _, _ = make_tracking_instance(n)
-            ric = solve_riccati(sys)
+            _, sys, _, _ = make_tracking_instance(n)
             j = 33 * n // 100
-            om = make_domain_element(OMEGA_SEED, j, grid)
-            xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = riccati_operator_residual(ric, om, xe)
+            res[n] = riccati_operator_residual(solve_riccati(sys), OMEGA_SEED, XI_SEED, j)
         assert math.isfinite(res[100])
-        assert res[100] / res[200] >= 1.8
+        assert res[100] / res[200] >= 3.5
 
     def test_horizon_endpoint_first_order(self):
-        # at tau = T the one-sided derivative must balance the output
-        # term; the imbalance shrinks linearly with h
+        # at tau = T the three-point one-sided derivative must balance the
+        # output term.  The ratio 21 at 50 -> 100 is pre-asymptotic: the
+        # orders over 50 -> 100 -> 200 -> 400 are 4.40, 1.78 and 1.05, so
+        # only first order is pinned here
         res = {}
         for n in (50, 100):
-            grid, sys, _, _ = make_tracking_instance(n)
-            ric = solve_riccati(sys)
-            om = make_domain_element(OMEGA_SEED, n, grid)
-            xe = make_domain_element(XI_SEED, n, grid)
-            res[n] = riccati_operator_residual(ric, om, xe)
+            _, sys, _, _ = make_tracking_instance(n)
+            res[n] = riccati_operator_residual(solve_riccati(sys), OMEGA_SEED, XI_SEED, n)
         assert res[50] / res[100] >= 1.8
 
     def test_refinement_drops_residual(self):
+        # second order at tau = T/2; the corrector-free sweep reads 2.12
         res = {}
         for n in (40, 80):
-            grid, sys, _, _ = make_tracking_instance(n)
-            ric = solve_riccati(sys)
-            j = n // 2
-            om = make_domain_element(OMEGA_SEED, j, grid)
-            xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = riccati_operator_residual(ric, om, xe)
-        assert res[40] / res[80] >= 1.8
+            _, sys, _, _ = make_tracking_instance(n)
+            res[n] = riccati_operator_residual(solve_riccati(sys), OMEGA_SEED, XI_SEED, n // 2)
+        assert res[40] / res[80] >= 3.5
 
 
 class TestTrackingOperatorResidual:
     def test_zero_reference_exact(self, operator_setup):
-        grid, sys, _, ric, _ = operator_setup
+        _, _, _, ric, _ = operator_setup
         trk0 = solve_tracking(ric, ReferenceSignal(np.zeros((101, 1))))
-        xe = make_domain_element(XI_SEED, 50, grid)
-        res = tracking_operator_residual(trk0, xe)
-        assert res == 0.0
+        assert tracking_operator_residual(trk0, XI_SEED, 50) == 0.0
 
-    def test_horizon_endpoint_first_order(self):
+    def test_horizon_endpoint_second_order(self):
+        # the three-point one-sided tau-derivative at tau = T is second order
         res = {}
         for n in (50, 100):
-            grid, sys, _, y = make_tracking_instance(n)
-            ric = solve_riccati(sys)
-            trk = solve_tracking(ric, y)
-            xe = make_domain_element(XI_SEED, n, grid)
-            res[n] = tracking_operator_residual(trk, xe)
-        assert res[50] / res[100] >= 1.8
+            _, sys, _, y = make_tracking_instance(n)
+            trk = solve_tracking(solve_riccati(sys), y)
+            res[n] = tracking_operator_residual(trk, XI_SEED, n)
+        assert res[50] / res[100] >= 3.5
 
     def test_refinement_drops_residual(self):
         res = {}
         for n in (40, 80):
-            grid, sys, _, y = make_tracking_instance(n)
-            ric = solve_riccati(sys)
-            trk = solve_tracking(ric, y)
-            j = n // 2
-            xe = make_domain_element(XI_SEED, j, grid)
-            res[n] = tracking_operator_residual(trk, xe)
-        assert res[40] / res[80] >= 1.8
+            _, sys, _, y = make_tracking_instance(n)
+            trk = solve_tracking(solve_riccati(sys), y)
+            res[n] = tracking_operator_residual(trk, XI_SEED, n // 2)
+        assert res[40] / res[80] >= 3.5
 
 
 @pytest.fixture(scope="module")
@@ -185,27 +167,30 @@ def fields_at_n20():
         "tracking_operator_residual",
     ],
 )
-@pytest.mark.parametrize("element", ["d3", "node25"])
+@pytest.mark.parametrize("element", ["d3", "node25", "node2.0"])
 def test_element_off_the_plant_is_refused(fields_at_n20, stage, element):
-    # unchecked, each stage fails inside numpy on either element
+    # unchecked, each stage fails inside numpy on each input.  The
+    # operators take an element, which node 25 needs a finer grid for; the
+    # residuals take a generator and a node, and sample on the plant's grid
     sys, ric, trk = fields_at_n20
-    grid = sys.grid
+    grid40 = TimeGrid(1.0, 40)
     call = {
-        "state_operator": lambda e: state_operator(sys, e),
-        "riccati_operator": lambda e: riccati_operator(ric, e),
-        "riccati_operator_residual": lambda e: riccati_operator_residual(
-            ric, make_domain_element(OMEGA_SEED, 5, grid), e
-        ),
-        "tracking_operator_residual": lambda e: tracking_operator_residual(trk, e),
+        "state_operator": lambda f, j: state_operator(sys, make_domain_element(f, j, grid40)),
+        "riccati_operator": lambda f, j: riccati_operator(ric, make_domain_element(f, j, grid40)),
+        "riccati_operator_residual": lambda f, j: riccati_operator_residual(ric, OMEGA_SEED, f, j),
+        "tracking_operator_residual": lambda f, j: tracking_operator_residual(trk, f, j),
     }[stage]
-    call(make_domain_element(XI_SEED, 5, grid))  # an element on the plant runs
-    bad = {
-        "d3": make_domain_element(lambda t: np.array([1.0, t, t * t]), 5, grid),
-        "node25": make_domain_element(XI_SEED, 25, TimeGrid(1.0, 40)),
+    call(XI_SEED, np.int64(5))  # an input on the plant runs, at a numpy integer node too
+    off_plant = "state with d={} at node {} is off the plant (d=2, nodes 0..20)"
+    seed, node, message = {
+        "d3": (lambda t: np.array([1.0, t, t * t]), 5, off_plant.format(3, 5)),
+        "node25": (XI_SEED, 25, off_plant.format(2, 25)),
+        "node2.0": (XI_SEED, 2.0, "node must be an integer, got 2.0"),
     }[element]
-    message = f"state with d={bad.d} at node {bad.tau_index} is off the plant (d=2, nodes 0..20)"
+    if stage.endswith("_residual") and element == "node25":
+        message = "node 25 is off the grid (nodes 0..20)"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        call(bad)
+        call(seed, node)
 
 
 def test_tracking_element_off_the_plant_is_refused(fields_at_n20):
@@ -237,32 +222,28 @@ def test_element_tail_off_its_node_is_refused():
         StateElement(3, [1.0, 2.0], np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("stage", ["riccati", "tracking"])
-def test_residual_needs_generator_backed_elements(operator_setup, stage):
-    # the tau-derivative re-samples its elements at the neighbouring nodes
-    grid, _, _, ric, trk = operator_setup
-    plain = StateElement(50, XI_SEED(grid.nodes[50]), [XI_SEED(s) for s in grid.nodes[:51]])
-    backed = make_domain_element(OMEGA_SEED, 50, grid)
-    with pytest.raises(ConfigurationError, match="needs generator-backed elements"):
-        if stage == "riccati":
-            riccati_operator_residual(ric, backed, plain)
-        else:
-            tracking_operator_residual(trk, plain)
-
-
-def test_negative_node_element_is_refused():
+@pytest.mark.parametrize(
+    "node, rows, message",
+    [(-1, 0, "tau_index must be >= 0"), (2.0, 3, "tau_index must be an integer, got 2.0")],
+)
+def test_element_off_the_nodes_is_refused(node, rows, message):
     # unchecked, an empty tail fits node -1 and the operators fail later on
-    # their trapezoid weights
-    with pytest.raises(ConfigurationError, match="tau_index must be >= 0"):
-        StateElement(-1, [1.0, 2.0], np.zeros((0, 2)))
+    # their trapezoid weights; a float node fails inside numpy on a slice
+    assert StateElement(np.int64(2), [1.0, 2.0], np.zeros((3, 2))).tau_index == 2
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        StateElement(node, [1.0, 2.0], np.zeros((rows, 2)))
 
 
-@pytest.mark.parametrize("node", [21, 25, -1])
+@pytest.mark.parametrize("node", [21, 25, -1, 4.0])
 def test_domain_element_off_the_grid_is_refused(node):
     grid = TimeGrid(1.0, 20)
-    assert make_domain_element(XI_SEED, 20, grid).tau_index == 20
-    with pytest.raises(ConfigurationError, match=rf"node {node} is off the grid \(nodes 0\.\.20\)"):
+    assert make_domain_element(XI_SEED, np.int64(20), grid).tau_index == 20
+    message = f"node {node} is off the grid (nodes 0..20)"
+    if node == 4.0:  # unchecked, it fails inside numpy on a slice
+        message = "node must be an integer, got 4.0"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         make_domain_element(XI_SEED, node, grid)
+
 
 
 def test_generator_changing_length_is_refused():
