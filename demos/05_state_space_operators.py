@@ -1,12 +1,12 @@
 """The synthesis as a differential system on a finite-memory state space.
 
-Indexing the history by age turns the plant into a transport equation
-with a boundary coupling, and the feedback synthesis becomes an
-operator identity for the quadratic form <Omega, P(tau) Xi> plus a
-linear identity for the tracking element.  Both are checked here as
-discretized residuals at a node, on test elements sampled from smooth
-generators; inside the grid the residuals fall at second order as the
-grid refines.
+In the age of the history the plant is a transport equation with a
+boundary coupling, on states held as InitialStates with their tail in
+time order.  The feedback synthesis becomes an operator identity for the
+quadratic form <Omega, P(tau) Xi> plus a linear identity for the
+tracking element.  Both are checked here as discretized residuals at a
+node, on test elements sampled from smooth generators of the age;
+inside the grid the residuals fall at second order as the grid refines.
 """
 
 import math

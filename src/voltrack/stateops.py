@@ -1,37 +1,37 @@
 """Finite-memory state-space operators and discretized operator identities.
 
-The running pair (current value, history) is represented as an element
-of R^d x L^2(0, tau; R^d) with the history indexed by age: tail(s) is
-the value at time tau - s, so a domain element satisfies tail(0) = head.
-On this space the plant is the transport realization
+The running pair (current value, history) in R^d x L^2(0, tau; R^d) is a
+:class:`voltrack.model.InitialState`, its tail in time order like every
+state of the package, so a domain element satisfies tail(tau) = head.  In
+the age s = tau - t the plant is the transport realization
 
-    head' = A head + int_0^tau N(s) tail(s) ds + B u,
-    tail' = -D_s tail,   tail(0) = head,
+    head' = A head + int_0^tau N(s) tail(tau - s) ds + B u,
+    tail' = -D_s tail,   tail at age 0 = head,
 
-and the feedback synthesis becomes a differential identity for the
-quadratic form of the Riccati operator and a linear identity for the
-tracking element.  Both identities are checked here as discretized
-residuals at a node j, on test elements sampled from smooth generators:
-quadratures are trapezoid sums, and both the age derivative D_s and the
-tau-derivative take :func:`voltrack.model._node_derivative`'s stencil,
-central inside the grid and three-point one-sided at its ends, so the
-residuals are second-order small inside the grid.  The P2 block of the
+and D_s = -D_t makes the tail's generator +D_t in time order.  The
+feedback synthesis becomes a differential identity for the quadratic form
+of the Riccati operator and a linear identity for the tracking element.
+Both are checked here as discretized residuals at a node j, on test
+elements sampled from smooth generators: quadratures are trapezoid sums,
+and D_t and the tau-derivative take :func:`voltrack.model._node_derivative`'s
+stencil, central inside the grid and three-point one-sided at its ends, so
+the residuals are second-order small inside the grid.  The P2 block of the
 Riccati operator acts through the tail contractions of
-:mod:`voltrack.riccati`, so no P2 slice is ever formed.  The plant
-carries the grid its kernel is sampled on; the Riccati and tracking
-operators and their residuals read the plant from the solved field, and
-the Riccati field and reference from the tracking field.
+:mod:`voltrack.riccati`, so no P2 slice is ever formed.  The plant carries
+the grid its kernel is sampled on; the operators and residuals read the
+plant from the solved field, and the Riccati field and reference from the
+tracking field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import (
+    InitialState,
     SystemSpec,
     TimeGrid,
     _check_state,
@@ -44,7 +44,6 @@ from .model import (
 from .riccati import RiccatiField, TrackingField, _tail_contractions
 
 __all__ = [
-    "StateElement",
     "make_domain_element",
     "state_operator",
     "riccati_operator",
@@ -55,36 +54,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class StateElement:
-    """Element (head, tail) of the age-indexed state space at one node.
-
-    ``tail[i]`` is the history value at age s_i = i h, i = 0..tau_index.
-    """
-
-    tau_index: int
-    head: np.ndarray
-    tail: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        head = np.asarray(self.head, dtype=float).reshape(-1)
-        tail = np.asarray(self.tail, dtype=float)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
-        _index(self.tau_index, "tau_index")
-        if self.tau_index < 0:
-            raise ConfigurationError("tau_index must be >= 0")
-        if tail.shape != (self.tau_index + 1, head.size):
-            raise ConfigurationError("tail must cover ages 0..tau with d channels")
-
-    @property
-    def d(self) -> int:
-        return self.head.size
-
-
-def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> StateElement:
-    """Sample a smooth generator on ages 0..tau; tail(0) = head holds
-    by construction.  A scalar generator gives a d = 1 element."""
+def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> InitialState:
+    """Sample a smooth generator of the age at ages 0..tau, stored in time
+    order; tail(tau) = head holds by construction.  A scalar generator
+    gives a d = 1 element."""
     _index(tau_index, "node")
     if not 0 <= tau_index <= grid.steps:
         raise ConfigurationError(f"node {tau_index} is off the grid (nodes 0..{grid.steps})")
@@ -95,49 +68,47 @@ def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> State
             raise ConfigurationError(
                 f"generator {name} returns shape {row.shape} at node {i}, {rows[0].shape} at node 0"
             )
-    tail = np.asarray(rows, dtype=float)
-    return StateElement(tau_index, tail[0].copy(), tail)
+    tail = np.ascontiguousarray(np.asarray(rows, dtype=float)[::-1])
+    return InitialState(tau_index, tail[-1].copy(), tail)
 
 
-def state_operator(sys: SystemSpec, elem: StateElement) -> StateElement:
-    """Action of the transport generator: memory-coupled head, -D_s tail."""
+def state_operator(sys: SystemSpec, elem: InitialState) -> InitialState:
+    """Action of the transport generator: memory-coupled head, D_t tail."""
     _check_state(sys, elem)
     k, h = elem.tau_index, sys.grid.h
-    head = sys.A @ elem.head + _history(sys.N[None, : k + 1], elem.tail, h)[0]
-    return StateElement(k, head, -_node_derivative(elem.tail, h))
+    head = sys.A @ elem.head + _history(sys.N[None, k::-1], elem.tail, h)[0]
+    return InitialState(k, head, _node_derivative(elem.tail, h))
 
 
-def riccati_operator(ric: RiccatiField, elem: StateElement) -> StateElement:
+def riccati_operator(ric: RiccatiField, elem: InitialState) -> InitialState:
     """Action of the block operator [P0, P1-row; P1-col, P2] on an element,
     at the element's node.
 
-    The age-indexed convention reverses the stored fields: the tail
-    couplings use P1(tau - s, tau) and P2(tau - s, tau - v, tau).  The P2
-    action at time s is the trapezoid sum over q in [j, n] of
+    The tail couplings use P1(s, tau) and P2(s, v, tau).  The P2 action at
+    time s is the trapezoid sum over q in [j, n] of
     N*(tau_q - s) z_q + P1*(s, tau_q)(x_q - BB* z_q), with x_q, z_q the
     tail contractions of :mod:`voltrack.riccati`; O((n-j) j d^2).
     """
     _check_state(ric.sys, elem)
     j = elem.tau_index
-    x, z = _tail_contractions(ric, j, elem.tail[::-1])
+    x, z = _tail_contractions(ric, j, elem.tail)
     wq = ric.sys.grid.weights(j)[:, None]
     p1 = np.ascontiguousarray(ric.p1[: j + 1, j:])
-    p2_tail = np.einsum("qiba,qb->ia", _lag_gather(ric.sys.N, j), wq * z)
-    p2_tail += np.einsum("iqba,qb->ia", p1, wq * (x - z @ ric.sys.B @ ric.sys.B.T))
-    head = ric.p0[j] @ elem.head + z[0]
-    tail = np.einsum("iba,b->ia", p1[::-1, 0], elem.head) + p2_tail[::-1]
-    return StateElement(j, head, tail)
+    tail = np.einsum("qiba,qb->ia", _lag_gather(ric.sys.N, j), wq * z)
+    tail += np.einsum("iqba,qb->ia", p1, wq * (x - z @ ric.sys.B @ ric.sys.B.T))
+    tail += np.einsum("iba,b->ia", p1[:, 0], elem.head)
+    return InitialState(j, ric.p0[j] @ elem.head + z[0], tail)
 
 
-def tracking_element(trk: TrackingField, tau_index: int) -> StateElement:
-    """The pair (d1(tau), d2(tau - ., tau)) as an age-indexed element."""
+def tracking_element(trk: TrackingField, tau_index: int) -> InitialState:
+    """The pair (d1(tau), d2(., tau)) on nodes 0..tau as an element."""
     j, n = tau_index, trk.ric.sys.grid.steps
     if not 0 <= j <= n:
         raise ConfigurationError(f"node {j} is off the plant (nodes 0..{n})")
-    return StateElement(j, trk.d1[j].copy(), trk.d2[j::-1, j].copy())
+    return InitialState(j, trk.d1[j].copy(), trk.d2[: j + 1, j].copy())
 
 
-def state_inner(grid: TimeGrid, a: StateElement, b: StateElement) -> float:
+def state_inner(grid: TimeGrid, a: InitialState, b: InitialState) -> float:
     """Inner product: head dot head plus the trapezoid tail pairing."""
     if a.tau_index != b.tau_index:
         raise ConfigurationError("elements live at different nodes")
@@ -147,11 +118,19 @@ def state_inner(grid: TimeGrid, a: StateElement, b: StateElement) -> float:
     return float(a.head @ b.head + np.einsum("i,ia,ia->", wt, a.tail, b.tail))
 
 
-def _tau_derivative(grid: TimeGrid, j: int, f: Callable[[int], float]) -> float:
-    """d/dtau of f(node) at node j: the node derivative over the three
-    nodes around j, one-sided at tau = 0 and tau = T."""
-    lo = min(max(j - 1, 0), grid.steps - 2)
-    return float(_node_derivative(np.array([f(c) for c in range(lo, lo + 3)]), grid.h)[j - lo])
+def _residual_node(name: str, j: int) -> None:
+    """Refuse a residual's node below 2: D_t of its tail needs three nodes."""
+    _index(j, "node")
+    if j < 2:
+        raise ConfigurationError(f"{name} needs node j >= 2 for the tail derivative, got j={j}")
+
+
+def _tau_derivative(grid: TimeGrid, j: int, f: Callable[[int], float], fj: float) -> float:
+    """d/dtau of f(node) at node j >= 1, whose value there is ``fj``: the node
+    derivative over the three nodes around j, one-sided at tau = T."""
+    lo = min(j - 1, grid.steps - 2)
+    vals = np.array([fj if c == j else f(c) for c in range(lo, lo + 3)])
+    return float(_node_derivative(vals, grid.h)[j - lo])
 
 
 def riccati_operator_residual(ric: RiccatiField, omega: Callable, xi: Callable, j: int) -> float:
@@ -162,8 +141,9 @@ def riccati_operator_residual(ric: RiccatiField, omega: Callable, xi: Callable, 
     Xi sampled from the generators ``omega`` and ``xi`` at j and at the
     nodes the tau-derivative reads.  Second-order small in h inside the
     grid; at tau = T the tau-derivative is the three-point one-sided one.
-    Like the tracking residual, it needs j >= 2 for the age derivative.
+    Like the tracking residual, it refuses j < 2, before any operator action.
     """
+    _residual_node("riccati_operator_residual", j)
     sys, grid = ric.sys, ric.sys.grid
 
     def quad(c: int) -> float:
@@ -174,7 +154,7 @@ def riccati_operator_residual(ric: RiccatiField, omega: Callable, xi: Callable, 
     p_om = riccati_operator(ric, om)  # refuses an element off the plant
     p_xc = riccati_operator(ric, xc)
     total = (
-        _tau_derivative(grid, j, quad)
+        _tau_derivative(grid, j, quad, state_inner(grid, om, p_xc))
         + state_inner(grid, state_operator(sys, om), p_xc)
         + state_inner(grid, p_om, state_operator(sys, xc))
         - float((sys.B.T @ p_om.head) @ (sys.B.T @ p_xc.head))
@@ -190,6 +170,7 @@ def tracking_operator_residual(trk: TrackingField, xi: Callable, j: int) -> floa
     at node j, Xi sampled from the generator ``xi``, with the same
     tau-derivative: second-order small inside the grid and at tau = T.
     """
+    _residual_node("tracking_operator_residual", j)
     ric = trk.ric
     sys, grid = ric.sys, ric.sys.grid
 
@@ -204,4 +185,4 @@ def tracking_operator_residual(trk: TrackingField, xi: Callable, j: int) -> floa
         + float(dj.head @ (sys.B @ (sys.B.T @ p_head)))
         + float(trk.y.values[j] @ (sys.C @ xc.head))
     )
-    return abs(_tau_derivative(grid, j, pair) - rhs)
+    return abs(_tau_derivative(grid, j, pair, state_inner(grid, dj, xc)) - rhs)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -8,10 +9,11 @@ from conftest import OMEGA_SEED, XI_SEED, make_tracking_instance
 from voltrack import (
     ConfigurationError,
     ControlSignal,
+    InitialState,
     ReferenceSignal,
-    StateElement,
     SystemSpec,
     TimeGrid,
+    extend_state,
     make_domain_element,
     riccati_operator,
     riccati_operator_residual,
@@ -22,7 +24,30 @@ from voltrack import (
     state_operator,
     tracking_element,
     tracking_operator_residual,
+    value_function,
 )
+
+@pytest.fixture
+def riccati_operator_calls(monkeypatch):
+    # the residuals look riccati_operator up in stateops at each call
+    import voltrack.stateops
+
+    calls = []
+
+    def counted(ric, elem):
+        calls.append(elem.tau_index)
+        return riccati_operator(ric, elem)
+
+    monkeypatch.setattr(voltrack.stateops, "riccati_operator", counted)
+    return calls
+
+
+@functools.cache
+def solved_fields(n):
+    _, sys, _, y = make_tracking_instance(n)
+    ric = solve_riccati(sys)
+    return ric, solve_tracking(ric, y)
+
 
 @pytest.fixture(scope="module")
 def operator_setup():
@@ -43,13 +68,13 @@ class TestMakeDomainElement:
         grid, _, _, _ = make_tracking_instance(40)
         v = np.array([0.5, 1.5])
         elem = make_domain_element(lambda t: (1.0 + t) * v, 12, grid)
-        np.testing.assert_array_equal(elem.tail[0], v)
+        np.testing.assert_array_equal(elem.tail[-1], v)
         np.testing.assert_array_equal(elem.head, v)
 
     def test_junction_exact_for_random_smooth(self):
         grid, _, _, _ = make_tracking_instance(40)
         elem = make_domain_element(OMEGA_SEED, 20, grid)
-        assert np.abs(elem.tail[0] - elem.head).max() == 0.0
+        assert np.abs(elem.tail[-1] - elem.head).max() == 0.0
 
 
 class TestOperatorActions:
@@ -71,21 +96,64 @@ class TestOperatorActions:
             u = ControlSignal(0, np.sin(3.0 * grid.nodes)[:, None])
             w = simulate(sys, xi, u)
             j = n // 2
-            from voltrack import StateElement
-
-            elem = StateElement(j, w.values[j].copy(), w.values[j::-1].copy())
-            act = state_operator(sys, elem)
+            act = state_operator(sys, extend_state(w, j))
             rhs = act.head + sys.B @ u.values[j]
             h = grid.h
             wdot = (w.values[j + 1] - w.values[j - 1]) / (2.0 * h)
             errs.append(np.abs(rhs - wdot).max())
         assert errs[0] / errs[1] > 3.0
 
-    def test_tail_derivative_needs_three_nodes(self, operator_setup):
-        grid, sys, _, _, _ = operator_setup
-        elem = make_domain_element(OMEGA_SEED, 1, grid)
-        with pytest.raises(ConfigurationError):
-            state_operator(sys, elem)
+    @pytest.mark.parametrize(
+        "stage, node",
+        [
+            ("state_operator", 1),
+            ("riccati_operator_residual", 0),
+            ("riccati_operator_residual", 1),
+            ("tracking_operator_residual", 0),
+            ("tracking_operator_residual", 1),
+        ],
+    )
+    def test_tail_derivative_needs_three_nodes(
+        self, operator_setup, riccati_operator_calls, stage, node
+    ):
+        # the residuals name themselves and the node, and refuse it before
+        # any operator action runs
+        grid, sys, _, ric, trk = operator_setup
+        needs = f"{stage} needs node j >= 2 for the tail derivative, got j={node}"
+        call, message = {
+            "state_operator": (
+                lambda: state_operator(sys, make_domain_element(OMEGA_SEED, node, grid)),
+                "the derivative stencil needs at least three nodes",
+            ),
+            "riccati_operator_residual": (
+                lambda: riccati_operator_residual(ric, OMEGA_SEED, XI_SEED, node),
+                needs,
+            ),
+            "tracking_operator_residual": (
+                lambda: tracking_operator_residual(trk, XI_SEED, node),
+                needs,
+            ),
+        }[stage]
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call()
+        assert riccati_operator_calls == []
+
+    @pytest.mark.parametrize("n", [40, 100, 200])
+    @pytest.mark.parametrize("at", ["0", "1", "n/3", "n/2", "n"])
+    def test_value_form_is_the_state_space_quadratic_form(self, n, at):
+        # value_function and the state-space operators read one state type,
+        # tail in time order; a reversed tail misses by ~3e-4 at every n
+        ric, trk = solved_fields(n)
+        j = {"0": 0, "1": 1, "n/3": n // 3, "n/2": n // 2, "n": n}[at]
+        grid = ric.sys.grid
+        om = make_domain_element(OMEGA_SEED, j, grid)
+        value = value_function(trk, om)
+        form = (
+            state_inner(grid, om, riccati_operator(ric, om))
+            + 2.0 * state_inner(grid, tracking_element(trk, j), om)
+            + trk.m[j]
+        )
+        assert abs(value - form) <= 1e-12 * (1.0 + abs(value))
 
 
 class TestRiccatiOperatorResidual:
@@ -125,6 +193,18 @@ class TestRiccatiOperatorResidual:
             _, sys, _, _ = make_tracking_instance(n)
             res[n] = riccati_operator_residual(solve_riccati(sys), OMEGA_SEED, XI_SEED, n // 2)
         assert res[40] / res[80] >= 3.5
+
+
+def test_residuals_reuse_the_operator_action_at_their_node(riccati_operator_calls):
+    # the tau-derivative takes the value at node j from the residual, so the
+    # Riccati residual acts at j twice and at j -/+ 1 once each, and the
+    # tracking residual acts at j once
+    ric, trk = solved_fields(40)
+    riccati_operator_residual(ric, OMEGA_SEED, XI_SEED, 20)
+    assert sorted(riccati_operator_calls) == [19, 20, 20, 21]
+    riccati_operator_calls.clear()
+    tracking_operator_residual(trk, XI_SEED, 20)
+    assert riccati_operator_calls == [20]
 
 
 class TestTrackingOperatorResidual:
@@ -203,35 +283,18 @@ def test_tracking_element_off_the_plant_is_refused(fields_at_n20):
 
 def test_state_inner_refuses_elements_of_different_d():
     grid = TimeGrid(1.0, 20)
-    a = StateElement(3, np.ones(2), np.ones((4, 2)))
-    b = StateElement(3, np.ones(3), np.ones((4, 3)))
+    a = InitialState(3, np.ones(2), np.ones((4, 2)))
+    b = InitialState(3, np.ones(3), np.ones((4, 3)))
     with pytest.raises(ConfigurationError, match=r"elements have different d \(2 and 3\)"):
         state_inner(grid, a, b)
 
 
 def test_state_inner_refuses_elements_at_different_nodes():
     grid = TimeGrid(1.0, 20)
-    a = StateElement(3, np.ones(2), np.ones((4, 2)))
-    b = StateElement(4, np.ones(2), np.ones((5, 2)))
+    a = InitialState(3, np.ones(2), np.ones((4, 2)))
+    b = InitialState(4, np.ones(2), np.ones((5, 2)))
     with pytest.raises(ConfigurationError, match="elements live at different nodes"):
         state_inner(grid, a, b)
-
-
-def test_element_tail_off_its_node_is_refused():
-    with pytest.raises(ConfigurationError, match="tail must cover ages 0..tau with d channels"):
-        StateElement(3, [1.0, 2.0], np.zeros((3, 2)))
-
-
-@pytest.mark.parametrize(
-    "node, rows, message",
-    [(-1, 0, "tau_index must be >= 0"), (2.0, 3, "tau_index must be an integer, got 2.0")],
-)
-def test_element_off_the_nodes_is_refused(node, rows, message):
-    # unchecked, an empty tail fits node -1 and the operators fail later on
-    # their trapezoid weights; a float node fails inside numpy on a slice
-    assert StateElement(np.int64(2), [1.0, 2.0], np.zeros((3, 2))).tau_index == 2
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        StateElement(node, [1.0, 2.0], np.zeros((rows, 2)))
 
 
 @pytest.mark.parametrize("node", [21, 25, -1, 4.0])
@@ -265,5 +328,5 @@ def test_scalar_generator_gives_a_one_channel_element(node):
     elem = make_domain_element(math.cos, node, grid)
     assert elem.d == 1
     assert elem.tail.shape == (node + 1, 1)
-    np.testing.assert_array_equal(elem.tail[:, 0], np.cos(grid.nodes[: node + 1]))
+    np.testing.assert_array_equal(elem.tail[:, 0], np.cos(grid.nodes[: node + 1])[::-1])
     np.testing.assert_array_equal(elem.head, [1.0])
