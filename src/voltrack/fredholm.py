@@ -12,7 +12,9 @@ resolvent kernel R re-expresses the solution as p = Y - R Y and feeds the
 synthesis kernels Q0/Q1/Q2 (costate) and H0/H1/H2 (trajectory).
 ``resolvent_norms`` gives the largest block norm of R on every window
 [t_kk, T] from the window-0 resolvent alone: each later window is a
-rank-2d Woodbury downdate of the one before, O(n^3 d^3) in all.
+rank-2d Woodbury downdate of the one before, O(n^3 d^3) in all, and each
+norm is screened in one pass over the node-major matrix of the downdates.
+The window from node k has one kernel, ``build_kernel(Z, k)``.
 
 Every stage builds on the one before it, and each artifact carries what
 it was built from: the plant carries the grid its kernel is sampled on,
@@ -51,6 +53,7 @@ from .model import (
     _check_state,
     _history,
     _lag_gather,
+    _node,
     _node_derivative,
     _start,
     _window_sums,
@@ -87,16 +90,6 @@ class TrackingKernel:
     ktilde: np.ndarray = field(repr=False)
     Z: FundamentalMatrix = field(repr=False)
 
-    def restrict(self, start_index: int) -> "TrackingKernel":
-        """The same kernel on the smaller window [t_start, T].
-
-        Ktilde does not depend on tau, so restriction is a plain slice.
-        """
-        off = start_index - self.start_index
-        if off < 0 or off >= self.ktilde.shape[0]:
-            raise ConfigurationError("restriction window outside the kernel grid")
-        return TrackingKernel(start_index, self.ktilde[off:, off:], self.Z)
-
 
 @dataclass(frozen=True, eq=False)
 class CostateTrajectory:
@@ -124,33 +117,39 @@ class ResolventKernel:
     @property
     def max_norm(self) -> float:
         """Largest spectral norm of a d x d block of R."""
-        return _max_block_norm(self.values)
+        return _max_block_norm(self.values.transpose(0, 2, 1, 3))
 
 
-def _max_block_norm(values: np.ndarray) -> float:
-    """Largest spectral norm over the d x d blocks of ``values`` (i, j, d, d).
+def _max_block_norm(X: np.ndarray, node: int | None = None) -> float:
+    """Largest spectral norm over the d x d blocks X[i, :, j, :] of the
+    node-major matrix ``X`` (i, d, j, d), a view that needs no copy.
 
-    Bitwise equal to ``np.linalg.norm(values, axis=(2, 3), ord=2).max()``
-    with an SVD on few blocks: ||M||_2 <= ||M||_F, so a block whose
-    Frobenius norm lies below L (1 - 1e-12), L the spectral norm of the
-    block with the largest Frobenius norm, cannot hold the maximum; the
-    margin covers the rounding of both norms.  The Frobenius norms are
-    taken on values scaled by their largest magnitude, so squares neither
-    underflow nor overflow.  All-zero and non-finite values skip the
-    screen.
+    Bitwise equal to ``np.linalg.norm(X, axis=(1, 3), ord=2).max()`` with
+    an SVD on few blocks: ||M||_2 <= ||M||_F, so a block whose Frobenius
+    norm lies below L (1 - 1e-12), L the spectral norm of the block with
+    the largest Frobenius norm, cannot hold the maximum; the margin covers
+    the rounding of both norms.  The Frobenius norms are taken on X scaled
+    by its largest magnitude, so squares neither underflow nor overflow.
+    All-zero and non-finite X skip the screen; with a ``node``, a NaN or
+    an inf raises :class:`SingularSystemError` naming the window from that
+    node instead (the SVD would not converge).
     """
-    if values.size == 0:
+    if X.size == 0:
         return 0.0
-    blocks = values.reshape(-1, *values.shape[2:])
-    scale = np.abs(blocks).max()
-    if 0.0 < scale < np.inf:
-        scaled = blocks / scale
-        fro = np.sqrt(np.einsum("kab,kab->k", scaled, scaled))
-        best = np.argmax(fro)
-        # L <= ||M||_F; the min keeps the top block when L overflows to inf
-        top = min(np.linalg.norm(blocks[best], ord=2) / scale, fro[best])
-        blocks = blocks[fro >= top * (1.0 - 1e-12)]
-    return float(np.linalg.norm(blocks, axis=(1, 2), ord=2).max())
+    scale = np.abs(X).max()
+    if node is not None and not scale < np.inf:
+        raise SingularSystemError(
+            f"resolvent on the window from node {node} has non-finite entries"
+        )
+    if not 0.0 < scale < np.inf:
+        return float(np.linalg.norm(X, axis=(1, 3), ord=2).max())
+    scaled = X / scale
+    fro = np.sqrt(np.einsum("iajb,iajb->ij", scaled, scaled))
+    i, j = np.unravel_index(np.argmax(fro), fro.shape)
+    # L <= ||M||_F; the min keeps the top block when L overflows to inf
+    top = min(np.linalg.norm(X[i, :, j, :], ord=2) / scale, fro[i, j])
+    ii, jj = np.nonzero(fro >= top * (1.0 - 1e-12))
+    return float(np.linalg.norm(X[ii, :, jj, :], axis=(1, 2), ord=2).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,13 +175,12 @@ def build_kernel(Z: FundamentalMatrix, start_index: int = 0) -> TrackingKernel:
     """Assemble Ktilde(t,r) = int_{max(t,r)}^T Z(s-t) C*C Z*(s-r) ds.
 
     Trapezoid quadrature on Z's grid; assembled one lag diagonal at a
-    time so the whole table costs O(n^2) matrix products.
+    time so the whole table costs O(n^2) matrix products.  Ktilde does not
+    depend on tau: window k is window 0's lower-right block, bit for bit.
     """
     sys = Z.sys
     n, d, h = sys.grid.steps, sys.d, sys.grid.h
-    k = start_index
-    if not 0 <= k <= n:
-        raise ConfigurationError("start index outside the grid")
+    k = _node(start_index, "start_index", hi=n)
     nk = n - k + 1
     Zv = Z.values
     CC = sys.C.T @ sys.C
@@ -298,17 +296,17 @@ def resolvent_norms(R: ResolventKernel) -> list[float]:
     form of the Bellman-Krein identity d/dtau R(t,s;tau) = R(t,tau;tau)
     R(tau,s;tau).  Each window costs one 2d x 2d solve and one rank-2d
     product, O(n^3 d^3) over the sweep, plus O(n^3 d^2) for the Frobenius
-    screens of the block norms.  The entries agree with a fresh solve per
-    window to round-off.  By the determinant lemma det(I + c X[J, J]) is
-    det of the next window's Nystrom matrix over this one's, so a zero
-    pivot there raises :class:`SingularSystemError`, as the per-window
-    solve does for the singular window.  So does a window that holds a NaN
-    or an inf, naming the window's start node, before its norm is taken.
+    screens of the block norms, one pass each over X's (i, d, j, d) view.
+    The entries agree with a fresh solve per window to round-off.  By the
+    determinant lemma det(I + c X[J, J]) is det of the next window's
+    Nystrom matrix over this one's, so a zero pivot there raises
+    :class:`SingularSystemError`, as the per-window solve does for the
+    singular window; so does a NaN or an inf, naming the window's node.
     """
     nk, d, k = R.values.shape[0], R.values.shape[2], R.kernel.start_index
     c = -0.5 * R.kernel.Z.sys.grid.h
     X = R.values.transpose(0, 2, 1, 3).reshape(nk * d, nk * d)
-    norms = [_window_norm(R.values, k)] if nk > 1 else []
+    norms = [_max_block_norm(X.reshape(nk, d, nk, d), k)] if nk > 1 else []
     with np.errstate(all="ignore"):  # an overflowing downdate is refused as non-finite
         for size in range(nk - 1, 1, -1):  # node count of the next window
             try:
@@ -316,20 +314,8 @@ def resolvent_norms(R: ResolventKernel) -> list[float]:
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"Nystrom matrix is singular: {exc}") from exc
             X = X[d:, d:] - c * (X[d:, : 2 * d] @ gain)
-            blocks = X.reshape(size, d, size, d).transpose(0, 2, 1, 3)
-            norms.append(_window_norm(blocks, k + nk - size))
+            norms.append(_max_block_norm(X.reshape(size, d, size, d), k + nk - size))
     return norms
-
-
-def _window_norm(values: np.ndarray, node: int) -> float:
-    """``_max_block_norm`` of the resolvent on the window from ``node``; a NaN
-    or inf there raises :class:`SingularSystemError` (the SVD would not
-    converge)."""
-    if not np.isfinite(values).all():
-        raise SingularSystemError(
-            f"resolvent on the window from node {node} has non-finite entries"
-        )
-    return _max_block_norm(values)
 
 
 def optimal_control_fredholm(p: CostateTrajectory) -> ControlSignal:

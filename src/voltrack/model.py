@@ -20,7 +20,9 @@ every trajectory starts from :func:`_start`: the tail below tau, the head
 at tau.  The plant carries the grid its kernel is sampled on, so no stage
 takes a grid beside a plant; the fundamental matrix Z carries the plant
 :func:`fundamental_matrix` solved it for, so :func:`voc_solution` and
-every Fredholm stage built on Z read it from Z.  The package needs numpy
+every Fredholm stage built on Z read it from Z.  Every node, window start
+and step count a stage takes is read through :func:`_node`, which refuses
+a non-integer or a value off its range by name.  The package needs numpy
 only: every dense solve, here and in the Nystrom and QP routes, is
 ``numpy.linalg.solve``.
 """
@@ -67,12 +69,14 @@ def trapezoid_weights(count: int, h: float) -> np.ndarray:
     return w
 
 
-def _index(value, name: str) -> None:
-    """Refuse a node or step count that is not an integer (numpy's pass)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+def _node(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """``value`` as an int if it is an integer (numpy's too: it has ``__index__``)
+    in lo..hi; else a ConfigurationError naming ``name``, the range and the value."""
+    node = operator.index(value) if hasattr(type(value), "__index__") else None
+    if node is None or node < lo or (hi is not None and node > hi):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ConfigurationError(f"{name} must be an integer {span}, got {value!r}")
+    return node
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < np.inf:
             raise ConfigurationError("horizon must be finite and strictly positive")
-        _index(self.steps, "steps")
-        if self.steps < 2:
-            raise ConfigurationError("grid needs at least 2 steps")
+        _node(self.steps, "steps", lo=2)
 
     @property
     def h(self) -> float:
@@ -99,9 +101,8 @@ class TimeGrid:
 
     def weights(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Trapezoid weights on the sub-grid of nodes start..stop."""
-        stop = self.steps if stop is None else stop
-        if not 0 <= start <= stop <= self.steps:
-            raise ConfigurationError("weight window out of range")
+        start = _node(start, "start", hi=self.steps)
+        stop = _node(self.steps if stop is None else stop, "stop", lo=start, hi=self.steps)
         return trapezoid_weights(stop - start + 1, self.h)
 
 
@@ -201,9 +202,7 @@ class InitialState:
     def __post_init__(self):
         head = np.asarray(self.head, dtype=float).reshape(-1)
         object.__setattr__(self, "head", head)
-        _index(self.tau_index, "tau_index")
-        if self.tau_index < 0:
-            raise ConfigurationError("tau_index must be >= 0")
+        _node(self.tau_index, "tau_index")
         if self.tail is None:
             tail = np.zeros((self.tau_index + 1, head.size))
         else:
@@ -252,6 +251,7 @@ class ControlSignal:
     values: np.ndarray
 
     def __post_init__(self):
+        _node(self.start_index, "start_index")
         v = np.asarray(self.values, dtype=float)
         if v.ndim not in (2, 3):
             raise ConfigurationError("control values must be (nodes, m[, r])")
@@ -259,7 +259,8 @@ class ControlSignal:
 
     @staticmethod
     def zero(grid: TimeGrid, m: int, start_index: int = 0) -> "ControlSignal":
-        return ControlSignal(start_index, np.zeros((grid.steps + 1 - start_index, m)))
+        k = _node(start_index, "start_index", hi=grid.steps)
+        return ControlSignal(k, np.zeros((grid.steps + 1 - k, m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +276,7 @@ class StateTrajectory:
         v = np.asarray(self.values, dtype=float)
         if v.ndim not in (2, 3):
             raise ConfigurationError("trajectory values must be (nodes, d[, r])")
+        _node(self.start_index, "start_index", hi=v.shape[0] - 1)
         object.__setattr__(self, "values", v)
 
 
@@ -373,7 +375,7 @@ def _check_pair(
         raise ConfigurationError("this stage takes one trajectory, not a batch")
     n = sys.grid.steps
     shape = (n + 1, sys.d) + (() if u is None else u.values.shape[2:])
-    if w.values.shape != shape or not 0 <= w.start_index <= k <= n:
+    if w.values.shape != shape or not w.start_index <= k <= n:
         raise ConfigurationError(
             f"trajectory {w.values.shape} from node {w.start_index} does not fit the plant "
             f"(d={sys.d}, nodes 0..{n}) on the window from node {k}"
@@ -520,7 +522,5 @@ def extend_state(w: StateTrajectory, r: int) -> InitialState:
     """Finite-memory state (w_r, w restricted to 0..r) at node r of one trajectory."""
     if w.values.ndim > 2:
         raise ConfigurationError("this stage takes one trajectory, not a batch")
-    n = w.values.shape[0] - 1
-    if not w.start_index <= r <= n:
-        raise ConfigurationError(f"node {r} outside the trajectory window")
+    r = _node(r, "r", lo=w.start_index, hi=w.values.shape[0] - 1)
     return InitialState(r, w.values[r].copy(), w.values[: r + 1].copy())

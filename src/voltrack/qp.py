@@ -27,6 +27,7 @@ from .model import (
     InitialState,
     ReferenceSignal,
     SystemSpec,
+    _check_state,
     simulate,
 )
 
@@ -73,8 +74,9 @@ def build_affine_map(sys: SystemSpec, xi: InitialState) -> DiscreteAffineMap:
     needs a run of its own: node k carries the end-point weight h/2 and
     the impulse enters the first step's start slope.  Cost O(m n^2 d^2)
     for the runs plus O(n^2 p m) to fill G, against O(m n^3 d^2) for one
-    run per node and channel.
+    run per node and channel.  A state off the plant is refused first.
     """
+    _check_state(sys, xi)
     k, grid = xi.tau_index, sys.grid
     nk = grid.steps + 1 - k
     m, p = sys.m, sys.p

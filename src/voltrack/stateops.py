@@ -36,8 +36,8 @@ from .model import (
     TimeGrid,
     _check_state,
     _history,
-    _index,
     _lag_gather,
+    _node,
     _node_derivative,
     trapezoid_weights,
 )
@@ -58,9 +58,7 @@ def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> Initi
     """Sample a smooth generator of the age at ages 0..tau, stored in time
     order; tail(tau) = head holds by construction.  A scalar generator
     gives a d = 1 element."""
-    _index(tau_index, "node")
-    if not 0 <= tau_index <= grid.steps:
-        raise ConfigurationError(f"node {tau_index} is off the grid (nodes 0..{grid.steps})")
+    _node(tau_index, "tau_index", hi=grid.steps)
     rows = [np.atleast_1d(seed(s)) for s in grid.nodes[: tau_index + 1]]
     for i, row in enumerate(rows):
         if row.shape != rows[0].shape:
@@ -73,9 +71,9 @@ def make_domain_element(seed: Callable, tau_index: int, grid: TimeGrid) -> Initi
 
 
 def state_operator(sys: SystemSpec, elem: InitialState) -> InitialState:
-    """Action of the transport generator: memory-coupled head, D_t tail."""
+    """Action of the transport generator at a node >= 2: memory-coupled head, D_t tail."""
     _check_state(sys, elem)
-    k, h = elem.tau_index, sys.grid.h
+    k, h = _node(elem.tau_index, "state_operator's elem.tau_index", lo=2), sys.grid.h
     head = sys.A @ elem.head + _history(sys.N[None, k::-1], elem.tail, h)[0]
     return InitialState(k, head, _node_derivative(elem.tail, h))
 
@@ -102,9 +100,7 @@ def riccati_operator(ric: RiccatiField, elem: InitialState) -> InitialState:
 
 def tracking_element(trk: TrackingField, tau_index: int) -> InitialState:
     """The pair (d1(tau), d2(., tau)) on nodes 0..tau as an element."""
-    j, n = tau_index, trk.ric.sys.grid.steps
-    if not 0 <= j <= n:
-        raise ConfigurationError(f"node {j} is off the plant (nodes 0..{n})")
+    j = _node(tau_index, "tau_index", hi=trk.ric.sys.grid.steps)
     return InitialState(j, trk.d1[j].copy(), trk.d2[: j + 1, j].copy())
 
 
@@ -116,13 +112,6 @@ def state_inner(grid: TimeGrid, a: InitialState, b: InitialState) -> float:
         raise ConfigurationError(f"elements have different d ({a.d} and {b.d})")
     wt = trapezoid_weights(a.tau_index + 1, grid.h)
     return float(a.head @ b.head + np.einsum("i,ia,ia->", wt, a.tail, b.tail))
-
-
-def _residual_node(name: str, j: int) -> None:
-    """Refuse a residual's node below 2: D_t of its tail needs three nodes."""
-    _index(j, "node")
-    if j < 2:
-        raise ConfigurationError(f"{name} needs node j >= 2 for the tail derivative, got j={j}")
 
 
 def _tau_derivative(grid: TimeGrid, j: int, f: Callable[[int], float], fj: float) -> float:
@@ -141,10 +130,10 @@ def riccati_operator_residual(ric: RiccatiField, omega: Callable, xi: Callable, 
     Xi sampled from the generators ``omega`` and ``xi`` at j and at the
     nodes the tau-derivative reads.  Second-order small in h inside the
     grid; at tau = T the tau-derivative is the three-point one-sided one.
-    Like the tracking residual, it refuses j < 2, before any operator action.
+    Like the tracking residual, it takes j in 2..n and refuses any other first.
     """
-    _residual_node("riccati_operator_residual", j)
     sys, grid = ric.sys, ric.sys.grid
+    _node(j, "j", lo=2, hi=grid.steps)
 
     def quad(c: int) -> float:
         om_c = make_domain_element(omega, c, grid)
@@ -170,9 +159,9 @@ def tracking_operator_residual(trk: TrackingField, xi: Callable, j: int) -> floa
     at node j, Xi sampled from the generator ``xi``, with the same
     tau-derivative: second-order small inside the grid and at tau = T.
     """
-    _residual_node("tracking_operator_residual", j)
     ric = trk.ric
     sys, grid = ric.sys, ric.sys.grid
+    _node(j, "j", lo=2, hi=grid.steps)
 
     def pair(c: int) -> float:
         return state_inner(grid, tracking_element(trk, c), make_domain_element(xi, c, grid))

@@ -1,4 +1,5 @@
 import inspect
+import re
 import typing
 import warnings
 
@@ -165,15 +166,19 @@ class TestBuildKernel:
                 ref += wts[q] * Z.values[s - i] @ cc @ Z.values[s - j].T
             assert np.abs(kernel.ktilde[i, j] - ref).max() < 1e-13
 
-    def test_start_off_the_window_is_refused(self, solved_instance, solved_with_tail):
-        Z, kernel = solved_instance[4], solved_instance[5]
+    def test_start_off_the_window_is_refused(self, solved_instance):
+        Z = solved_instance[4]
         for start in (-1, 101):
-            with pytest.raises(ConfigurationError, match="start index outside the grid"):
+            message = f"start_index must be an integer in 0..100, got {start}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
                 build_kernel(Z, start)
-        late = solved_with_tail[5]  # starts at node 30 of 80
-        for k, start in ((kernel, -1), (kernel, 101), (late, 29), (late, 81)):
-            with pytest.raises(ConfigurationError, match="restriction window outside"):
-                k.restrict(start)
+
+    def test_window_is_the_lower_right_block_of_window_0(self, solved_with_tail):
+        # Ktilde does not depend on tau: the window from node k is a slice
+        Z, late = solved_with_tail[4], solved_with_tail[5]  # late starts at node 30 of 80
+        full = build_kernel(Z, 0).ktilde
+        assert late.ktilde.tobytes() == full[30:, 30:].tobytes()
+        assert build_kernel(Z, 80).ktilde.tobytes() == full[80:, 80:].tobytes()
 
 
 class TestBuildForcing:
@@ -282,7 +287,7 @@ class TestResolvent:
         base = resolvent(kernel).max_norm
         worst = base
         for k in range(5, 100, 5):
-            worst = max(worst, resolvent(kernel.restrict(k)).max_norm)
+            worst = max(worst, resolvent(build_kernel(kernel.Z, k)).max_norm)
         assert worst <= 2.0 * base
 
 
@@ -360,7 +365,7 @@ class TestMaxNorm:
         assert len(norms) == grid.steps - k
         assert norms[0].hex() == R0.max_norm.hex()
         for i, val in enumerate(norms):
-            R = resolvent(kernel.restrict(k + i))
+            R = resolvent(build_kernel(kernel.Z, k + i))
             assert R.max_norm.hex() == unscreened_max_norm(R.values).hex()
             assert abs(val - R.max_norm) <= 1e-12 * R.max_norm
 
@@ -385,7 +390,7 @@ class TestMaxNorm:
         _, sys, _, _ = make_tracking_instance(10)
         kernel = build_kernel(fundamental_matrix(sys), 9)
         assert resolvent_norms(resolvent(kernel)) == [resolvent(kernel).max_norm]
-        assert resolvent_norms(resolvent(kernel.restrict(10))) == []
+        assert resolvent_norms(resolvent(build_kernel(kernel.Z, 10))) == []
 
 
 class TestOptimalControl:
@@ -609,7 +614,7 @@ class TestSingularNystromMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
-                resolvent(kernel.restrict(1))
+                resolvent(TrackingKernel(1, ktilde[1:, 1:], kernel.Z))
             with pytest.raises(SingularSystemError, match="Nystrom matrix is singular"):
                 resolvent_norms(R)
 

@@ -1,6 +1,7 @@
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,15 @@ from voltrack import (
     StateTrajectory,
     SystemSpec,
     TimeGrid,
+    build_kernel,
     cost,
+    di_residual,
     exponential_kernel,
     extend_state,
     fundamental_matrix,
     simulate,
+    state_operator,
+    tracking_element,
     trapezoid_weights,
     voc_solution,
     zero_kernel,
@@ -59,7 +64,7 @@ class TestTimeGrid:
         for horizon in (math.inf, math.nan):
             with pytest.raises(ConfigurationError, match="horizon must be finite"):
                 TimeGrid(horizon, 4)
-        with pytest.raises(ConfigurationError, match="steps must be an integer, got 4.0"):
+        with pytest.raises(ConfigurationError, match="steps must be an integer >= 2, got 4.0"):
             TimeGrid(1.0, 4.0)
 
     def test_degenerate_window_weight_is_zero(self):
@@ -78,9 +83,9 @@ def plant_with(**bad):
 
 REFUSALS = {
     "weights_no_node": (lambda: trapezoid_weights(0, 0.1), "weight count must be >= 1"),
-    "window_before_0": (lambda: GRID4.weights(-1), "weight window out of range"),
-    "window_reversed": (lambda: GRID4.weights(3, 2), "weight window out of range"),
-    "window_past_n": (lambda: GRID4.weights(0, 5), "weight window out of range"),
+    "window_before_0": (lambda: GRID4.weights(-1), "start must be an integer in 0..4, got -1"),
+    "window_reversed": (lambda: GRID4.weights(3, 2), "stop must be an integer in 3..4, got 2"),
+    "window_past_n": (lambda: GRID4.weights(0, 5), "stop must be an integer in 0..4, got 5"),
     "A_not_square": (lambda: plant_with(A=np.ones((2, 3))), "A must be square"),
     "B_rows": (lambda: plant_with(B=np.ones((3, 1))), "B must be d x m"),
     "C_cols": (lambda: plant_with(C=np.ones((1, 3))), "C must be p x d"),
@@ -100,13 +105,13 @@ REFUSALS = {
     "rate_inf": (lambda: exponential_kernel(GRID4, [(np.eye(2), math.inf)]), "finite and >= 0"),
     "state_node_negative": (
         lambda: InitialState(-1, [1.0, 2.0], np.zeros((0, 2))),
-        "tau_index must be >= 0",
+        "tau_index must be an integer >= 0, got -1",
     ),
     # unrefused, simulate fails inside numpy: "'float' object cannot be
     # interpreted as an integer"
     "state_node_float": (
         lambda: InitialState(4.0, [1.0, 2.0], np.zeros((5, 2))),
-        "tau_index must be an integer, got 4.0",
+        "tau_index must be an integer >= 0, got 4.0",
     ),
     "state_tail_shape": (
         lambda: InitialState(2, [1.0, 2.0], np.zeros((2, 2))),
@@ -571,8 +576,9 @@ def test_reference_off_the_grid_is_refused(stages_at_n20, stage, cut):
         InitialState(0, [1.0, 2.0, 3.0]),
         InitialState(3, [1.0], np.ones((4, 1))),
         InitialState(21, [1.0, 2.0], np.ones((22, 2))),
+        InitialState(22, [1.0, 2.0], np.ones((23, 2))),
     ],
-    ids=["d3", "d1_with_tail", "past_node_n"],
+    ids=["d3", "d1_with_tail", "past_node_n", "two_past_node_n"],
 )
 def test_state_off_the_plant_is_refused(stages_at_n20, stage, state):
     # unchecked, each stage fails inside numpy instead: a broadcast error, an
@@ -645,3 +651,63 @@ def test_pair_off_the_plant_is_refused(stages_at_n20, stage, cut):
     }[cut]
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         stages[stage](bad_w, bad_u)
+
+
+NODE_REFUSALS = {
+    "build_kernel_float": (
+        lambda c: build_kernel(c.Z, 2.0),
+        "start_index must be an integer in 0..20, got 2.0",
+    ),
+    "extend_state_float": (lambda c: extend_state(c.w, 2.0), "r must be an integer in 0..20, got 2.0"),
+    "tracking_element_float": (
+        lambda c: tracking_element(c.trk, 2.0),
+        "tau_index must be an integer in 0..20, got 2.0",
+    ),
+    "weights_float": (lambda c: c.grid.weights(2.0), "start must be an integer in 0..20, got 2.0"),
+    "zero_control_float": (
+        lambda c: ControlSignal.zero(c.grid, 1, 2.0),
+        "start_index must be an integer in 0..20, got 2.0",
+    ),
+    "zero_control_negative": (
+        lambda c: ControlSignal.zero(c.grid, 1, -1),
+        "start_index must be an integer in 0..20, got -1",
+    ),
+    "control_negative": (
+        lambda c: ControlSignal(-1, c.u.values),
+        "start_index must be an integer >= 0, got -1",
+    ),
+    "cost_float_control": (
+        lambda c: cost(c.sys, c.w, ControlSignal(0.0, c.u.values), c.y),
+        "start_index must be an integer >= 0, got 0.0",
+    ),
+    "di_residual_float_control": (
+        lambda c: di_residual(c.trk, c.w, ControlSignal(0.0, c.u.values)),
+        "start_index must be an integer >= 0, got 0.0",
+    ),
+    "simulate_float_control": (
+        lambda c: simulate(c.sys, c.xi, ControlSignal(0.0, c.u.values)),
+        "start_index must be an integer >= 0, got 0.0",
+    ),
+    "trajectory_float_start": (
+        lambda c: StateTrajectory(2.0, c.w.values),
+        "start_index must be an integer in 0..20, got 2.0",
+    ),
+    "state_operator_node_1": (
+        lambda c: state_operator(c.sys, InitialState(1, [1.0, 2.0], np.ones((2, 2)))),
+        "state_operator's elem.tau_index must be an integer >= 2, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NODE_REFUSALS)
+def test_node_off_its_range_is_refused_by_name(stages_at_n20, case):
+    # unchecked, a float node fails inside numpy (TypeError, IndexError) or,
+    # where it equals an integer, runs; so do a negative control start and a
+    # zero control from node -1; state_operator at node 1 named no node
+    grid, sys, xi, y = make_tracking_instance(20)
+    u = ControlSignal.zero(grid, 1)
+    w, Z, trk = simulate(sys, xi, u), fundamental_matrix(sys), stages_at_n20[2]
+    c = SimpleNamespace(grid=grid, sys=sys, xi=xi, y=y, u=u, w=w, Z=Z, trk=trk)
+    call, message = NODE_REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        call(c)

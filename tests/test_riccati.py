@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from conftest import (
     BATCH_CASES,
@@ -764,7 +764,7 @@ def test_p0_is_the_fredholm_operator_at_every_node(name):
 
 
 def chain_fields(sys, terms, y=None):
-    """P0, P1, d1, d2 and M on the plant's nodes from the exact reference for
+    """P0, P1, d1, d2, M, Pi and delta on the plant's nodes from the exact reference for
     an exponential kernel N(t) = sum_r G_r exp(-lambda_r t): the linear chain
     trick.  With z_r(t) = int_0^t exp(-lambda_r (t - s)) w(s) ds, the state
     x = (w, z_1..z_R) obeys an ordinary LQ tracking problem with value
@@ -776,7 +776,7 @@ def chain_fields(sys, terms, y=None):
     for the reference ``y(t)`` (its p outputs; None is zero).  Then P0 =
     Pi_00, P1(s, tau) = sum_r Pi_0r(tau) exp(-lambda_r (tau - s)), d1 =
     delta_0, d2(s, tau) = sum_r exp(-lambda_r (tau - s)) delta_r(tau) and
-    M = mu."""
+    M = mu; Pi and delta are returned whole, for the chain's value form."""
     d, nodes = sys.d, sys.grid.nodes
     D = d * (1 + len(terms))
     A = np.zeros((D, D))
@@ -816,7 +816,7 @@ def chain_fields(sys, terms, y=None):
         decay = np.where(lag >= 0.0, np.exp(-lam * np.maximum(lag, 0.0)), 0.0)
         p1 += decay[:, :, None, None] * Pi[None, :, :d, r * d : (r + 1) * d]
         d2 += decay[:, :, None] * delta[None, :, r * d : (r + 1) * d]
-    return Pi[:, :d, :d], p1, delta[:, :d], d2, flat[:, -1]
+    return Pi[:, :d, :d], p1, delta[:, :d], d2, flat[:, -1], Pi, delta
 
 
 def chain_plant(n, rate_zero):
@@ -876,11 +876,51 @@ def test_d1_d2_and_m_converge_to_the_chain_reference(name):
     for n in (60, 120, 240):
         sys, terms = chain_plant(n, name == "rate_zero")
         trk = solve_tracking(solve_riccati(sys), make_tracking_instance(n)[3])
-        _, _, d1, d2, m = chain_fields(sys, terms, chain_reference)
+        _, _, d1, d2, m, _, _ = chain_fields(sys, terms, chain_reference)
         pairs = ((trk.d1, d1), (trk.d2, d2), (trk.m, m))
         errors.append([np.abs(got - want).max() for got, want in pairs])
     errors = np.array(errors)
     np.testing.assert_allclose(errors, CHAIN_TRACKING_ERRORS[name], rtol=0.02)
+    assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
+
+
+def chain_tail(t):
+    """The history of ``make_tracking_instance`` with tau > 0, in closed form."""
+    return np.array([0.9 * np.cos(1.5 * t), -0.4 + 0.7 * t])
+
+
+# |value_function - (x* Pi x + 2 x* delta + mu)| against the chain reference at
+# tau = T/4 and T/2 (columns), n = 60 / 120 / 240 (rows)
+CHAIN_VALUE_ERRORS = {
+    "one_term": [(1.96e-4, 7.40e-4), (4.62e-5, 1.84e-4), (1.12e-5, 4.57e-5)],
+    "rate_zero": [(2.59e-4, 7.56e-4), (6.23e-5, 1.88e-4), (1.53e-5, 4.69e-5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_VALUE_ERRORS))
+def test_value_form_converges_to_the_chain_reference(name):
+    # the P2 value form on a history: the chain state is x = (head, z_1..z_R),
+    # z_r = int_0^tau exp(-lambda_r (tau - s)) tail(s) ds, here by quad
+    errors = []
+    for n in (60, 120, 240):
+        sys, terms = chain_plant(n, name == "rate_zero")
+        trk = solve_tracking(solve_riccati(sys), make_tracking_instance(n)[3])
+        _, _, _, _, mu, Pi, delta = chain_fields(sys, terms, chain_reference)
+        row = []
+        for j in (n // 4, n // 2):
+            tau = sys.grid.nodes[j]
+            z = [
+                quad(lambda s: np.exp(-lam * (tau - s)) * chain_tail(s)[a], 0.0, tau)[0]
+                for _, lam in terms
+                for a in range(sys.d)
+            ]
+            x = np.concatenate([chain_tail(tau), z])
+            want = x @ Pi[j] @ x + 2.0 * x @ delta[j] + mu[j]
+            tail = np.array([chain_tail(t) for t in sys.grid.nodes[: j + 1]])
+            row.append(abs(value_function(trk, InitialState(j, chain_tail(tau), tail)) - want))
+        errors.append(row)
+    errors = np.array(errors)
+    np.testing.assert_allclose(errors, CHAIN_VALUE_ERRORS[name], rtol=0.02)
     assert (np.log2(errors[:-1] / errors[1:]) >= 1.9).all()
 
 

@@ -116,14 +116,14 @@ class TestOperatorActions:
     def test_tail_derivative_needs_three_nodes(
         self, operator_setup, riccati_operator_calls, stage, node
     ):
-        # the residuals name themselves and the node, and refuse it before
-        # any operator action runs
+        # each stage names the node it refuses and its range; the residuals
+        # refuse it before any operator action runs
         grid, sys, _, ric, trk = operator_setup
-        needs = f"{stage} needs node j >= 2 for the tail derivative, got j={node}"
+        needs = f"j must be an integer in 2..100, got {node}"
         call, message = {
             "state_operator": (
                 lambda: state_operator(sys, make_domain_element(OMEGA_SEED, node, grid)),
-                "the derivative stencil needs at least three nodes",
+                f"state_operator's elem.tau_index must be an integer >= 2, got {node}",
             ),
             "riccati_operator_residual": (
                 lambda: riccati_operator_residual(ric, OMEGA_SEED, XI_SEED, node),
@@ -265,10 +265,10 @@ def test_element_off_the_plant_is_refused(fields_at_n20, stage, element):
     seed, node, message = {
         "d3": (lambda t: np.array([1.0, t, t * t]), 5, off_plant.format(3, 5)),
         "node25": (XI_SEED, 25, off_plant.format(2, 25)),
-        "node2.0": (XI_SEED, 2.0, "node must be an integer, got 2.0"),
+        "node2.0": (XI_SEED, 2.0, "tau_index must be an integer in 0..40, got 2.0"),
     }[element]
-    if stage.endswith("_residual") and element == "node25":
-        message = "node 25 is off the grid (nodes 0..20)"
+    if stage.endswith("_residual") and element != "d3":  # the residual refuses its node first
+        message = f"j must be an integer in 2..20, got {node}"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         call(seed, node)
 
@@ -277,7 +277,8 @@ def test_tracking_element_off_the_plant_is_refused(fields_at_n20):
     _, _, trk = fields_at_n20
     assert tracking_element(trk, 20).tau_index == 20
     for node in (21, 25, -1):
-        with pytest.raises(ConfigurationError, match=rf"node {node} is off the plant"):
+        message = f"tau_index must be an integer in 0..20, got {node}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             tracking_element(trk, node)
 
 
@@ -301,9 +302,8 @@ def test_state_inner_refuses_elements_at_different_nodes():
 def test_domain_element_off_the_grid_is_refused(node):
     grid = TimeGrid(1.0, 20)
     assert make_domain_element(XI_SEED, np.int64(20), grid).tau_index == 20
-    message = f"node {node} is off the grid (nodes 0..20)"
-    if node == 4.0:  # unchecked, it fails inside numpy on a slice
-        message = "node must be an integer, got 4.0"
+    # unchecked, a float node fails inside numpy on a slice
+    message = f"tau_index must be an integer in 0..20, got {node}"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         make_domain_element(XI_SEED, node, grid)
 
